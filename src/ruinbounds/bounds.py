@@ -12,10 +12,10 @@ from dataclasses import dataclass, field
 
 from .classical import RiskModel, weighted_psi_moment
 from .diffusion import PerturbedModel
-from .distributions import (DEFAULT_QUADRATURE, Exponential,
-                            QuadratureSettings)
+from .distributions import DEFAULT_QUADRATURE, QuadratureSettings
 from .errors import NumericalError, PreconditionError
 from .metrics import GridFunction, kantorovich, nu_gamma, q_y
+from .renewal import DEFAULT_H
 
 __all__ = ["BoundReport", "dk1", "dk2", "dk3"]
 
@@ -81,8 +81,9 @@ def dk1(m: RiskModel, mt: RiskModel, gamma: float = 0.0,
     Requires a shared premium rate and lam*M_gamma/c < 1.
 
     Convention: the proof leaves open whose ruin probability enters
-    ML_gamma; the first (non-tilde) model is used, and the value under the
-    tilde-model convention is recorded in the notes.  At gamma = 0,
+    ML_gamma; the first (non-tilde) model is used.  At gamma = 0, where
+    ML_gamma is closed form, the value under the tilde-model convention is
+    recorded in the notes.  At gamma = 0,
     ML_0 = E X^2 / (2 theta mu) exactly, and the report carries the reduced
     Kantorovich form, which must coincide when the intensities agree.
     """
@@ -98,16 +99,11 @@ def dk1(m: RiskModel, mt: RiskModel, gamma: float = 0.0,
            ("net profit (second model)", mt.phi < 1.0)]
     _check(pre)
 
-    notes = []
     if gamma == 0.0:
         ml = m.claims.second_moment() / (2.0 * m.theta * m.mu)
-        ml_tilde = mt.claims.second_moment() / (2.0 * mt.theta * mt.mu)
     else:
-        kwargs = {}
-        if h is not None:
-            kwargs["h"] = h
-        ml = weighted_psi_moment(m, gamma, tq, u_max=u_max, psi=psi, **kwargs)
-        ml_tilde = weighted_psi_moment(mt, gamma, tq, u_max=u_max, **kwargs)
+        ml = weighted_psi_moment(m, gamma, tq, h=DEFAULT_H if h is None else h,
+                                 u_max=u_max, psi=psi)
 
     nu_g = nu_gamma(m.claims, mt.claims, gamma, tq)
     nu_g1 = nu_gamma(m.claims, mt.claims, gamma + 1.0, tq)
@@ -119,12 +115,13 @@ def dk1(m: RiskModel, mt: RiskModel, gamma: float = 0.0,
     term3 = abs(m.lam - mt.lam) / m.c * mt_g1 * (1.0 + ml)
     value = prefactor * (term1 + term2 + term3)
 
-    alt = prefactor * (term1 + nu_g * ml_tilde
-                       + abs(m.lam - mt.lam) / m.c * mt_g1 * (1.0 + ml_tilde))
-    notes.append(f"ML convention: first model ML_gamma={ml:.10g}; "
-                 f"tilde-model convention would give bound {alt:.10g} "
-                 f"(ML~={ml_tilde:.10g})")
+    notes = [f"ML convention: first model ML_gamma={ml:.10g}"]
     if gamma == 0.0:
+        ml_tilde = mt.claims.second_moment() / (2.0 * mt.theta * mt.mu)
+        alt = prefactor * (term1 + nu_g * ml_tilde
+                           + abs(m.lam - mt.lam) / m.c * mt_g1 * (1.0 + ml_tilde))
+        notes[0] += (f"; tilde-model convention would give bound {alt:.10g} "
+                     f"(ML~={ml_tilde:.10g})")
         remark = prefactor * (nu_g1 + nu_g * ml
                               + abs(m.lam - mt.lam) * mt.mu / m.c * (1.0 + ml))
         notes.append(f"gamma=0 Kantorovich form: {remark:.10g}")
@@ -193,8 +190,7 @@ def dk3(pm: PerturbedModel, pmt: PerturbedModel,
                                    + |lam mu - lam~ mu~| ] / (c - lam mu)
 
     under D >= D~ and mu >= mu~.  The oscillation laws are exponential, so
-    K(H1, H1~) = |D - D~|/c in closed form; the quadrature route must agree
-    and is kept as a cross-check.
+    K(H1, H1~) = |D - D~|/c in closed form.
     """
     m, mt = pm.base, pmt.base
     tq = _tight(settings)
@@ -206,25 +202,19 @@ def dk3(pm: PerturbedModel, pmt: PerturbedModel,
            ("net profit (second model)", mt.phi < 1.0)]
     _check(pre)
 
-    k_h1_closed = abs(pm.D - pmt.D) / m.c
-    k_h1_quad = kantorovich(Exponential(pm.b0), Exponential(pmt.b0), tq)
-    if abs(k_h1_quad - k_h1_closed) > max(1e-10, 1e-8 * k_h1_closed):
-        raise NumericalError(
-            f"oscillation-law Kantorovich distance disagrees with the closed "
-            f"form: {k_h1_quad!r} vs {k_h1_closed!r}")
+    k_h1 = abs(pm.D - pmt.D) / m.c
     k_ff = kantorovich(m.claims, mt.claims, tq)
 
     lam_mu = m.lam * m.mu
     prefactor = 1.0 / (m.c - lam_mu)
-    t_h1 = (m.c / pm.D) * k_h1_closed
+    t_h1 = (m.c / pm.D) * k_h1
     t_dr = abs(pmt.D - pm.D) / pm.D
     t_ff = k_ff / m.mu
     t_mr = abs(mt.mu - m.mu) / m.mu
     t_int = abs(lam_mu - mt.lam * mt.mu)
     value = prefactor * (lam_mu * (t_h1 + t_dr + t_ff + t_mr) + t_int)
 
-    notes = [f"K(H1, H1~) closed form {k_h1_closed:.10g}, quadrature "
-             f"{k_h1_quad:.10g}"]
+    notes = [f"K(H1, H1~) closed form {k_h1:.10g}"]
 
     return BoundReport(kind="dk3", value=value,
                        components={"prefactor": prefactor,
@@ -234,7 +224,7 @@ def dk3(pm: PerturbedModel, pmt: PerturbedModel,
                                    "claims_kantorovich_term": t_ff,
                                    "mean_ratio_term": t_mr,
                                    "intensity_term": t_int,
-                                   "k_h1": k_h1_closed,
+                                   "k_h1": k_h1,
                                    "k_ff": k_ff},
                        contraction_modulus=m.phi,
                        preconditions=pre, convention_notes=notes)

@@ -12,7 +12,7 @@ so both delegate to the generic renewal solver.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy import integrate, optimize
@@ -21,7 +21,7 @@ from .distributions import (DEFAULT_QUADRATURE, ClaimDistribution,
                             Exponential, QuadratureSettings)
 from .errors import PreconditionError
 from .metrics import GridFunction
-from .renewal import DEFAULT_H, RenewalProblem, solve
+from .renewal import DEFAULT_H, RenewalProblem, solve, trapezoid_convolution
 
 __all__ = [
     "RiskModel",
@@ -69,15 +69,21 @@ class RiskModel:
         return self.c / (self.lam * self.mu) - 1.0
 
 
-def default_u_max(model: RiskModel, floor: float = 10.0) -> float:
-    """Smallest U with phi * exp(-r U) / (1 - phi) below 1e-9, r the slowest
-    exponential rate of the claim law; clipped from below by ``floor``."""
-    phi, r = model.phi, model.claims.slowest_rate
-    u = np.log(phi / ((1.0 - phi) * 1e-9)) / r
+def _u_max(phi: float, rate: float, floor: float = 10.0) -> float:
+    # smallest U with phi * exp(-rate U) / (1 - phi) below 1e-9, at least floor
+    u = np.log(phi / ((1.0 - phi) * 1e-9)) / rate
     return float(max(floor, np.ceil(u)))
 
 
+def default_u_max(model: RiskModel, floor: float = 10.0) -> float:
+    """Smallest U with phi * exp(-r U) / (1 - phi) below 1e-9, r the slowest
+    exponential rate of the claim law; clipped from below by ``floor``."""
+    return _u_max(model.phi, model.claims.slowest_rate, floor)
+
+
 def _psi_problem(model, h, u_max, y=0.0):
+    if y < 0:
+        raise ValueError("y must be >= 0")
     fe = model.claims.equilibrium()
     mu = model.mu
     kernel = lambda t: np.asarray(model.claims.tail(t)) / mu
@@ -88,15 +94,13 @@ def _psi_problem(model, h, u_max, y=0.0):
 
 def ruin_probability(model: RiskModel, h: float = DEFAULT_H,
                      u_max: float | None = None) -> GridFunction:
-    """Infinite-time ruin probability psi on a uniform grid.
+    """Infinite-time ruin probability psi = G-bar(., 0) on a uniform grid.
 
     psi(0) = phi holds exactly at the origin node (the forcing equals phi
     there and the convolution term vanishes).
     """
-    if u_max is None:
-        u_max = default_u_max(model)
-    x = solve(_psi_problem(model, h, u_max))
-    return GridFunction(x.h, x.values, is_tail=True)
+    psi = deficit_tail(model, 0.0, h=h, u_max=u_max)
+    return GridFunction(psi.h, psi.values, is_tail=True)
 
 
 def exact_ruin_exponential(model: RiskModel, u) -> float:
@@ -155,14 +159,11 @@ def deficit_tail(model: RiskModel, y: float, h: float = DEFAULT_H,
                  u_max: float | None = None) -> GridFunction:
     """Defective tail G-bar(., y): probability of ruin with deficit > y.
 
-    G-bar(u, 0) coincides with psi(u); G-bar(0, y) = phi * Fe-bar(y).
+    G-bar(u, 0) coincides with psi(u); G-bar(0, y) = phi * Fe-bar(y).  For
+    y > 0, G-bar(., y) need not be monotone in u (it can rise near u = 0),
+    so it is returned as a plain grid function, not a tail.
     """
-    if y < 0:
-        raise ValueError("y must be >= 0")
-    if u_max is None:
-        u_max = default_u_max(model)
-    x = solve(_psi_problem(model, h, u_max, y=y))
-    return GridFunction(x.h, x.values, is_tail=True)
+    return deficit_tail_family(model, (y,), h=h, u_max=u_max)[y]
 
 
 def deficit_tail_family(model: RiskModel, ys, h: float = DEFAULT_H,
@@ -174,19 +175,10 @@ def deficit_tail_family(model: RiskModel, ys, h: float = DEFAULT_H,
     """
     if u_max is None:
         u_max = default_u_max(model)
-    fe = model.claims.equilibrium()
-    mu, phi = model.mu, model.phi
-    n = int(round(u_max / h))
-    grid = np.arange(n + 1) * h
-    kernel = np.asarray(model.claims.tail(grid)) / mu
-    out = {}
-    for y in ys:
-        forcing = phi * np.asarray(fe.tail(grid + y))
-        prob = RenewalProblem(phi=phi, forcing=forcing, kernel=kernel,
-                              h=h, u_max=u_max)
-        x = solve(prob)
-        out[y] = GridFunction(h, x.values, is_tail=True)
-    return out
+    psi_problem = _psi_problem(model, h, u_max)
+    kernel = psi_problem.kernel(psi_problem.grid)
+    return {y: solve(replace(_psi_problem(model, h, u_max, y), kernel=kernel))
+            for y in ys}
 
 
 def pk_truncated_series(model: RiskModel, n_terms: int, h: float = DEFAULT_H,
@@ -202,13 +194,11 @@ def pk_truncated_series(model: RiskModel, n_terms: int, h: float = DEFAULT_H,
     """
     if u_max is None:
         u_max = default_u_max(model)
-    fe = model.claims.equilibrium()
-    n = int(round(u_max / h))
-    grid = np.arange(n + 1) * h
-    fe_tail = np.asarray(fe.tail(grid))
-    fe_dens = np.asarray(model.claims.tail(grid)) / model.mu
+    problem = _psi_problem(model, h, u_max)
+    grid = problem.grid
+    fe_tail = np.asarray(model.claims.equilibrium().tail(grid))
+    fe_dens = problem.kernel(grid)
     phi = model.phi
-    from .renewal import trapezoid_convolution
     tail_k = fe_tail.copy()          # tail of the 1-fold sum
     acc = (1.0 - phi) * phi * tail_k
     for k in range(2, n_terms + 1):

@@ -3,12 +3,16 @@ fixed-point iterates, total ruin probability and its decomposition.
 
 Oscillation record highs are exponential with rate b0 = c/D, claim record
 highs follow the equilibrium law, so one ladder step has law
-A = Exp(b0) * F_e (convolution) with density a and tail
+A = Exp(b0) * F_e (convolution).  Every claim family in scope is
+phase-type, so A is too: an Exp(b0) stage followed by the equilibrium
+law's phases.  Its density a(t) = e_1 exp(T t) t_exit is exact at any t,
+and on a solver grid all nodes come from one matrix exponential exp(T h).
+The tail follows from the identity
 
     A-bar(t) = Fe-bar(t) + a(t) / b0,
 
-an identity that supplies the renewal forcing for free once the kernel is
-known.  K-bar solves the defective renewal equation with modulus
+which supplies the renewal forcing for free once the kernel is known.
+K-bar solves the defective renewal equation with modulus
 phi = 1/(1+theta), kernel a and forcing phi * A-bar; the total ruin
 probability adds one independent oscillation on top of K.
 """
@@ -19,12 +23,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
+from scipy.linalg import expm
 
-from .classical import RiskModel
-from .distributions import (DEFAULT_QUADRATURE, Erlang, ErlangMixture,
-                            Exponential, HyperExponential, QuadratureSettings,
-                            partial_exp_sum)
+from .classical import RiskModel, _u_max
+from .distributions import Exponential, partial_exp_sum
 from .errors import NumericalError, PreconditionError
 from .metrics import GridFunction
 from .renewal import (DEFAULT_H, IterationTrace, RenewalProblem, iterate,
@@ -78,104 +80,82 @@ class PerturbedModel:
         return self.base.theta
 
 
-def _exp_conv_density(b0, rate, t):
-    """Density of Exp(b0) * Exp(rate) at t; Erlang(2) when the rates agree."""
-    if abs(rate - b0) <= _RATE_MATCH * b0:
-        return b0 * rate * t * np.exp(-rate * t)
-    # exp(-rate t) - exp(-b0 t) via expm1 keeps nearby rates cancellation-free
-    return b0 * rate * (-np.exp(-rate * t) * np.expm1(-(b0 - rate) * t)) / (b0 - rate)
+def _ladder_phase_type(pm: PerturbedModel):
+    """One ladder step as a phase-type law: an Exp(b0) stage, then the
+    equilibrium law's phases.  Returns the sub-generator T and the exit
+    rates; the start vector is the first unit vector."""
+    pe, Te = pm.base.claims.equilibrium().phase_type()
+    d = len(pe)
+    T = np.zeros((d + 1, d + 1))
+    T[0, 0] = -pm.b0
+    T[0, 1:] = pm.b0 * pe
+    T[1:, 1:] = Te
+    # the first stage only feeds the claim phases, so it never exits itself
+    exit_rates = np.concatenate(([0.0], -Te.sum(axis=1)))
+    return T, exit_rates
 
 
-def _closed_form_components(pm: PerturbedModel):
-    """Equilibrium mixture (weight, rate) pairs when they exist."""
-    claims = pm.base.claims
-    if isinstance(claims, Exponential):
-        return [(1.0, claims.beta)]
-    if isinstance(claims, HyperExponential):
-        eq = claims.equilibrium()
-        return list(zip(eq.weights, eq.rates))
-    return None
+def _expm(A):
+    # exp(A) as exp(A / 2^s) squared s times, |A / 2^s|_1 <= 1.  When scipy's
+    # expm scales a triangular matrix it rebuilds the superdiagonal from
+    # (e^a - e^b)/(a - b), which cancels for nearly equal diagonal entries:
+    # with b0 one rounding off a claim rate the ladder density was 8% low.
+    norm = float(np.max(np.abs(A).sum(axis=-2), initial=0.0))
+    s = max(0, math.ceil(math.log2(norm))) if norm > 0 else 0
+    E = expm(A / 2.0**s)
+    for _ in range(s):
+        E = E @ E
+    return E
 
 
-def ladder_density(pm: PerturbedModel, t,
-                   settings: QuadratureSettings = DEFAULT_QUADRATURE):
-    """Density a(t) of one ladder step L_o + L_c.
-
-    Closed form for exponential-family claims (sums and differences of
-    exponentials, an Erlang factor when b0 matches a claim rate); numeric
-    convolution against the equilibrium density otherwise.
-    """
+def ladder_density(pm: PerturbedModel, t):
+    """Density a(t) = e_1 exp(T t) t_exit of one ladder step L_o + L_c."""
+    T, exit_rates = _ladder_phase_type(pm)
     arr = np.asarray(t, dtype=float)
-    comps = _closed_form_components(pm)
-    if comps is not None:
-        out = np.zeros_like(arr)
-        for w, r in comps:
-            out += w * _exp_conv_density(pm.b0, r, arr)
-        return float(out) if np.ndim(t) == 0 else out
-
-    b0, mu = pm.b0, pm.base.mu
-    tail = pm.base.claims.tail
-
-    def point(x):
-        if x == 0.0:
-            return 0.0
-        val, _ = integrate.quad(
-            lambda z: np.exp(-b0 * (x - z)) * float(tail(z)), 0.0, x,
-            epsabs=settings.abs_tol, epsrel=settings.rel_tol, limit=500)
-        return b0 * val / mu
-
-    out = np.vectorize(point)(arr)
+    out = _expm(arr[..., None, None] * T)[..., 0, :] @ exit_rates
     return float(out) if np.ndim(t) == 0 else out
 
 
-def _ladder_density_grid(pm: PerturbedModel, grid: np.ndarray) -> np.ndarray:
-    """a on a uniform grid; O(n) scaled trapezoid accumulation for the
-    variants without closed form."""
-    comps = _closed_form_components(pm)
-    if comps is not None:
-        return np.asarray(ladder_density(pm, grid))
-    b0, mu = pm.b0, pm.base.mu
-    h = grid[1] - grid[0]
-    tail = np.asarray(pm.base.claims.tail(grid))
-    decay = np.exp(-b0 * h)
-    acc = np.zeros_like(grid)
-    # J_i = e^{-b0 h} J_{i-1} + trapezoid of e^{-b0 (t_i - z)} tail(z) over the cell
-    for i in range(1, len(grid)):
-        acc[i] = decay * acc[i - 1] + 0.5 * h * (decay * tail[i - 1] + tail[i])
-    return b0 * acc / mu
+def _ladder_density_grid(pm: PerturbedModel, n: int, h: float) -> np.ndarray:
+    """a at the nodes 0, h, ..., (n-1) h from one exp(T h).
+
+    Node i m + j is (e_1 E^{i m}) (E^j t_exit) with E = exp(T h), so about
+    2 sqrt(n) matrix-vector products give all n values.
+    """
+    T, exit_rates = _ladder_phase_type(pm)
+    step = _expm(T * h)
+    m = int(math.ceil(math.sqrt(n)))
+    big = np.linalg.matrix_power(step, m)
+    cols, rows = np.empty((len(T), m)), np.empty((m, len(T)))
+    v, r = exit_rates, np.eye(len(T))[0]
+    for i in range(m):
+        cols[:, i], rows[i] = v, r
+        v, r = step @ v, r @ big
+    return (rows @ cols).ravel()[:n]
 
 
-def ladder_tail(pm: PerturbedModel, t,
-                settings: QuadratureSettings = DEFAULT_QUADRATURE):
+def ladder_tail(pm: PerturbedModel, t):
     """Tail A-bar(t) = Fe-bar(t) + a(t)/b0 of one ladder step."""
     fe = pm.base.claims.equilibrium()
-    a = ladder_density(pm, t, settings)
-    out = np.asarray(fe.tail(t)) + np.asarray(a) / pm.b0
+    out = np.asarray(fe.tail(t)) + np.asarray(ladder_density(pm, t)) / pm.b0
     return float(out) if np.ndim(t) == 0 else out
 
 
 def _k_problem(pm: PerturbedModel, h, u_max):
     n = int(round(u_max / h))
     grid = np.arange(n + 1) * h
-    a = _ladder_density_grid(pm, grid)
+    a = _ladder_density_grid(pm, n + 1, h)
     fe = pm.base.claims.equilibrium()
     abar = np.asarray(fe.tail(grid)) + a / pm.b0
     return RenewalProblem(phi=pm.phi, forcing=pm.phi * abar, kernel=a,
                           h=h, u_max=u_max), grid, a, abar
 
 
-def _default_k_umax(pm: PerturbedModel) -> float:
-    phi = pm.phi
-    r = min(pm.b0, pm.base.claims.slowest_rate)
-    u = np.log(phi / ((1.0 - phi) * 1e-9)) / r
-    return float(max(10.0, np.ceil(u)))
-
-
 def k_tail(pm: PerturbedModel, h: float = DEFAULT_H,
            u_max: float | None = None) -> GridFunction:
     """Compound geometric tail K-bar on a grid; K-bar(0) = phi exactly."""
     if u_max is None:
-        u_max = _default_k_umax(pm)
+        u_max = _u_max(pm.phi, min(pm.b0, pm.base.claims.slowest_rate))
     problem, _, _, _ = _k_problem(pm, h, u_max)
     x = solve(problem)
     return GridFunction(h, x.values, is_tail=True)
@@ -255,7 +235,7 @@ def k_iterates(pm: PerturbedModel, k0: float, n: int, h: float = DEFAULT_H,
     if not 0.0 <= k0 <= 1.0:
         raise PreconditionError("starting constant must lie in [0, 1]")
     if u_max is None:
-        u_max = _default_k_umax(pm)
+        u_max = _u_max(pm.phi, min(pm.b0, pm.base.claims.slowest_rate))
     problem, grid, a, abar = _k_problem(pm, h, u_max)
     trace = iterate(problem, k0, n)
 

@@ -1,20 +1,21 @@
 """Claim-size distribution families.
 
-Light-tailed parametric families (exponential, hyperexponential, Erlang,
-mixtures of Erlangs with a common rate) plus a tabulated fallback.  Each
-family knows its survival function, density, low-order moments, equilibrium
-transform and an exact sampler, which is everything the renewal solvers,
-the probability metrics and the Monte Carlo checks need.
+Every parametric family is a mixture of Erlang laws: exponential,
+hyperexponential, Erlang and common-rate Erlang mixtures are thin
+constructors of one core class whose component i is Erlang(k_i, r_i).  The
+core gives the survival function, density, moments and mgf in closed form,
+the equilibrium transform as another Erlang mixture, an exact sampler, and
+the phase-type pair (alpha, T) that the perturbed model's ladder law is
+built from.  A tabulated tail is the one non-phase-type fallback.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import integrate
-from scipy.special import gammaincc, gammaln
 
 from .errors import PreconditionError, TruncationError
 
@@ -78,10 +79,13 @@ def partial_exp_sum(m, z):
     return total
 
 
+_NEGATIVE = "claim sizes are nonnegative; got a negative argument"
+
+
 def _as_array(t):
     arr = np.asarray(t, dtype=float)
     if np.any(arr < 0):
-        raise ValueError("claim sizes are nonnegative; got a negative argument")
+        raise ValueError(_NEGATIVE)
     return arr
 
 
@@ -94,7 +98,7 @@ class ClaimDistribution:
 
     Subclasses provide ``tail``, ``density``, ``mean``, ``second_moment``,
     ``equilibrium``, ``mgf``, ``sample`` and the ``slowest_rate`` of their
-    exponential envelope.
+    exponential envelope; phase-type laws also give ``phase_type``.
     """
 
     def tail(self, t):
@@ -120,6 +124,11 @@ class ClaimDistribution:
 
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
         raise NotImplementedError
+
+    def phase_type(self):
+        """Start vector alpha and sub-generator T with
+        tail(t) = alpha exp(T t) 1."""
+        raise PreconditionError(f"{type(self).__name__} is not phase-type")
 
     @property
     def slowest_rate(self) -> float:
@@ -164,249 +173,175 @@ class ClaimDistribution:
         return 4.0 * top / r * (1.0 + gamma / (r * (1.0 + T)))
 
 
-@dataclass(frozen=True)
-class Exponential(ClaimDistribution):
-    """Exponential claim sizes with rate beta (mean 1/beta)."""
+@dataclass(frozen=True, init=False)
+class _MixedErlang(ClaimDistribution):
+    """Mixture of Erlang laws: component i is Erlang(shapes[i], rates[i])
+    with probability weights[i].
 
-    beta: float
-
-    def __post_init__(self):
-        if self.beta <= 0:
-            raise ValueError("rate must be positive")
-
-    def tail(self, t):
-        arr = _as_array(t)
-        return _scalar_like(t, np.exp(-self.beta * arr))
-
-    def density(self, t):
-        arr = _as_array(t)
-        return _scalar_like(t, self.beta * np.exp(-self.beta * arr))
-
-    def mean(self):
-        return 1.0 / self.beta
-
-    def second_moment(self):
-        return 2.0 / self.beta**2
-
-    def equilibrium(self):
-        # memorylessness: the integrated tail is the same exponential
-        return self
-
-    def mgf(self, r):
-        if r >= self.beta:
-            raise PreconditionError("mgf diverges at and beyond the rate")
-        return self.beta / (self.beta - r)
-
-    def sample(self, rng, size):
-        return rng.exponential(1.0 / self.beta, size)
-
-    @property
-    def slowest_rate(self):
-        return self.beta
-
-
-@dataclass(frozen=True)
-class HyperExponential(ClaimDistribution):
-    """Mixture of exponentials: tail(t) = sum_i p_i exp(-beta_i t).
-
-    Rates must be distinct; components with equal rates are merged at
-    construction (their weights added) so partial-fraction manipulations
-    downstream never hit a repeated pole.
+    Every quantity has a closed form: the tail is
+    sum_i w_i exp(-r_i t) S_{k_i - 1}(r_i t) with S the partial exponential
+    sum, and the law is phase-type, each component a chain of k_i
+    exponential stages at rate r_i.  The four parametric families are thin
+    constructors of this class; equality and hashing compare the class and
+    the components.
     """
 
-    weights: tuple = field()
-    rates: tuple = field()
+    weights: tuple
+    shapes: tuple
+    rates: tuple
 
-    def __init__(self, weights, rates):
+    # family of the equilibrium law; None keeps the class of the law itself
+    _equilibrium_type = None
+
+    def __init__(self, weights, shapes, rates):
         w = np.asarray(weights, dtype=float)
-        b = np.asarray(rates, dtype=float)
-        if w.shape != b.shape or w.ndim != 1 or len(w) == 0:
-            raise ValueError("weights and rates must be 1-d sequences of equal length")
-        if np.any(w < 0) or np.any(b <= 0):
-            raise ValueError("weights must be >= 0 and rates > 0")
-        s = w.sum()
-        if abs(s - 1.0) > 1e-9:
-            raise ValueError(f"weights must sum to 1 (got {s!r})")
-        w = w / s
-        # merge components whose rates coincide to machine accuracy
-        order = np.argsort(b)
-        w, b = w[order], b[order]
-        mw, mb = [w[0]], [b[0]]
-        for wi, bi in zip(w[1:], b[1:]):
-            if abs(bi - mb[-1]) <= 1e-12 * bi:
-                mw[-1] += wi
+        k = np.asarray(shapes)
+        r = np.asarray(rates, dtype=float)
+        if w.ndim != 1 or len(w) == 0 or k.shape != w.shape or r.shape != w.shape:
+            raise ValueError("weights, shapes and rates must be 1-d sequences "
+                             "of equal length")
+        if np.any(w < 0) or abs(w.sum() - 1.0) > 1e-9:
+            raise ValueError(f"weights must be >= 0 and sum to 1 (got {w.sum()!r})")
+        if np.any(k != k.astype(int)) or np.any(k.astype(int) < 1):
+            raise ValueError("shapes must be positive integers")
+        if np.any(r <= 0):
+            raise ValueError("rates must be positive")
+        # merge components whose shapes agree and whose rates coincide to
+        # machine accuracy, keeping the order of first appearance
+        parts = []
+        for wi, ki, ri in zip(w / w.sum(), k.astype(int), r):
+            for n, (wj, kj, rj) in enumerate(parts):
+                if kj == ki and abs(ri - rj) <= 1e-12 * ri:
+                    parts[n] = (wj + wi, kj, rj)
+                    break
             else:
-                mw.append(wi)
-                mb.append(bi)
-        object.__setattr__(self, "weights", tuple(float(x) for x in mw))
-        object.__setattr__(self, "rates", tuple(float(x) for x in mb))
+                parts.append((wi, ki, ri))
+        wm, km, rm = zip(*parts)
+        object.__setattr__(self, "weights", tuple(float(x) for x in wm))
+        object.__setattr__(self, "shapes", tuple(int(x) for x in km))
+        object.__setattr__(self, "rates", tuple(float(x) for x in rm))
+        object.__setattr__(self, "_parts",
+                           tuple(zip(self.weights, self.shapes, self.rates)))
+
+    @classmethod
+    def _of(cls, weights, shapes, rates):
+        # an instance of cls from components, bypassing the family signature
+        law = object.__new__(cls)
+        _MixedErlang.__init__(law, weights, shapes, rates)
+        return law
+
+    def _erlang_sum(self, t, stage):
+        """sum_i w_i exp(-z_i) stage(k_i, r_i, z_i), z_i = r_i t."""
+        if np.ndim(t) == 0:
+            # quadrature integrands call this point by point; plain floats
+            # cost a fraction of 0-d numpy arithmetic
+            x, exp = float(t), math.exp
+            if x < 0:
+                raise ValueError(_NEGATIVE)
+        else:
+            x, exp = _as_array(t), np.exp
+        return sum(w * exp(-r * x) * stage(k, r, r * x) for w, k, r in self._parts)
 
     def tail(self, t):
-        arr = _as_array(t)
-        out = np.zeros_like(arr)
-        for p, b in zip(self.weights, self.rates):
-            out += p * np.exp(-b * arr)
-        return _scalar_like(t, out)
+        # P(Erlang(k, r) > t) = e^{-z} S_{k-1}(z)
+        return self._erlang_sum(t, lambda k, r, z: partial_exp_sum(k - 1, z))
 
     def density(self, t):
-        arr = _as_array(t)
-        out = np.zeros_like(arr)
-        for p, b in zip(self.weights, self.rates):
-            out += p * b * np.exp(-b * arr)
-        return _scalar_like(t, out)
+        # Erlang(k, r) density = e^{-z} r z^{k-1} / (k-1)!
+        return self._erlang_sum(
+            t, lambda k, r, z: r * z ** (k - 1) / math.factorial(k - 1))
 
     def mean(self):
-        return float(sum(p / b for p, b in zip(self.weights, self.rates)))
+        return float(sum(w * k / r for w, k, r in self._parts))
 
     def second_moment(self):
-        return float(sum(2.0 * p / b**2 for p, b in zip(self.weights, self.rates)))
+        return float(sum(w * k * (k + 1) / r**2 for w, k, r in self._parts))
 
     def equilibrium(self):
-        # reweight each component by 1/beta_i and renormalise
+        # stage j of component i leaves an Erlang(j, r_i) residual with
+        # weight w_i / (r_i mu); construction merges equal (shape, rate) pairs
         mu = self.mean()
-        w = [p / (b * mu) for p, b in zip(self.weights, self.rates)]
-        return HyperExponential(w, self.rates)
+        stages = [(w / (r * mu), j, r) for w, k, r in self._parts
+                  for j in range(1, k + 1)]
+        return (self._equilibrium_type or type(self))._of(*zip(*stages))
 
     def mgf(self, r):
-        if r >= min(self.rates):
+        if r >= self.slowest_rate:
             raise PreconditionError("mgf diverges at and beyond the slowest rate")
-        return float(sum(p * b / (b - r) for p, b in zip(self.weights, self.rates)))
+        return float(sum(w * (b / (b - r)) ** k for w, k, b in self._parts))
 
     def sample(self, rng, size):
-        u = rng.random(size)
-        cum = np.cumsum(self.weights)
-        idx = np.searchsorted(cum, u, side="right").clip(0, len(self.rates) - 1)
-        rates = np.asarray(self.rates)[idx]
-        return rng.exponential(1.0, size) / rates
+        if len(self._parts) == 1:
+            # gamma(1, s) draws exactly what exponential(s) draws
+            return rng.gamma(self.shapes[0], 1.0 / self.rates[0], size)
+        idx = np.searchsorted(np.cumsum(self.weights), rng.random(size),
+                              side="right").clip(0, len(self._parts) - 1)
+        return (rng.gamma(np.asarray(self.shapes, dtype=float)[idx])
+                / np.asarray(self.rates)[idx])
+
+    def phase_type(self):
+        d = sum(self.shapes)
+        alpha, T = np.zeros(d), np.zeros((d, d))
+        i = 0
+        for w, k, r in self._parts:
+            alpha[i] = w
+            T[i:i + k, i:i + k] = r * (np.eye(k, k=1) - np.eye(k))
+            i += k
+        return alpha, T
 
     @property
     def slowest_rate(self):
         return min(self.rates)
 
 
-@dataclass(frozen=True)
-class Erlang(ClaimDistribution):
-    """Erlang claim sizes: shape k (positive integer), rate beta."""
+class Exponential(_MixedErlang):
+    """Exponential claim sizes with rate beta (mean 1/beta)."""
 
-    shape: int
-    beta: float
+    def __init__(self, beta):
+        super().__init__((1.0,), (1,), (beta,))
 
-    def __post_init__(self):
-        if int(self.shape) != self.shape or self.shape < 1:
-            raise ValueError("shape must be a positive integer")
-        if self.beta <= 0:
-            raise ValueError("rate must be positive")
-        object.__setattr__(self, "shape", int(self.shape))
-
-    def tail(self, t):
-        arr = _as_array(t)
-        # survival of Erlang(k) = regularized upper incomplete gamma Q(k, beta t)
-        return _scalar_like(t, gammaincc(self.shape, self.beta * arr))
-
-    def density(self, t):
-        arr = _as_array(t)
-        k, b = self.shape, self.beta
-        with np.errstate(divide="ignore"):
-            logt = np.where(arr > 0, np.log(np.where(arr > 0, arr, 1.0)), 0.0)
-        out = np.exp(k * math.log(b) + (k - 1) * logt - b * arr - gammaln(k))
-        if k > 1:
-            out = np.where(arr == 0, 0.0, out)
-        return _scalar_like(t, out)
-
-    def mean(self):
-        return self.shape / self.beta
-
-    def second_moment(self):
-        return self.shape * (self.shape + 1) / self.beta**2
-
-    def equilibrium(self):
-        # equal-weight mixture of Erlang(1..k) with the same rate
-        k = self.shape
-        return ErlangMixture([1.0 / k] * k, list(range(1, k + 1)), self.beta)
-
-    def mgf(self, r):
-        if r >= self.beta:
-            raise PreconditionError("mgf diverges at and beyond the rate")
-        return (self.beta / (self.beta - r)) ** self.shape
-
-    def sample(self, rng, size):
-        return rng.gamma(self.shape, 1.0 / self.beta, size)
-
-    @property
-    def slowest_rate(self):
-        return self.beta
+    beta = property(lambda self: self.rates[0])
 
 
-@dataclass(frozen=True)
-class ErlangMixture(ClaimDistribution):
+class HyperExponential(_MixedErlang):
+    """Mixture of exponentials: tail(t) = sum_i p_i exp(-beta_i t).
+
+    Components are sorted by rate, and components with equal rates are
+    merged at construction (their weights added).
+    """
+
+    def __init__(self, weights, rates):
+        w = np.asarray(weights, dtype=float)
+        b = np.asarray(rates, dtype=float)
+        if w.shape != b.shape or w.ndim != 1:
+            raise ValueError("weights and rates must be 1-d sequences of equal length")
+        order = np.argsort(b)
+        super().__init__(w[order], np.ones(len(w), dtype=int), b[order])
+
+
+class ErlangMixture(_MixedErlang):
     """Mixture of Erlang laws sharing one rate.
 
     Mainly the image of ``Erlang.equilibrium``; closed under a further
     equilibrium transform, which keeps repeated transforms exact.
     """
 
-    weights: tuple
-    shapes: tuple
-    beta: float
-
     def __init__(self, weights, shapes, beta):
-        w = np.asarray(weights, dtype=float)
-        k = np.asarray(shapes)
-        if beta <= 0:
-            raise ValueError("rate must be positive")
-        if np.any(w < 0) or abs(w.sum() - 1.0) > 1e-9:
-            raise ValueError("weights must be >= 0 and sum to 1")
-        if np.any(k != k.astype(int)) or np.any(k.astype(int) < 1):
-            raise ValueError("shapes must be positive integers")
-        object.__setattr__(self, "weights", tuple(float(x) for x in w / w.sum()))
-        object.__setattr__(self, "shapes", tuple(int(x) for x in k))
-        object.__setattr__(self, "beta", float(beta))
+        super().__init__(weights, shapes, [beta] * len(weights))
 
-    def tail(self, t):
-        arr = _as_array(t)
-        out = np.zeros_like(arr)
-        for w, k in zip(self.weights, self.shapes):
-            out += w * gammaincc(k, self.beta * arr)
-        return _scalar_like(t, out)
+    beta = property(lambda self: self.rates[0])
 
-    def density(self, t):
-        arr = _as_array(t)
-        out = np.zeros_like(arr)
-        for w, k in zip(self.weights, self.shapes):
-            out += w * Erlang(k, self.beta).density(arr)
-        return _scalar_like(t, out)
 
-    def mean(self):
-        return float(sum(w * k for w, k in zip(self.weights, self.shapes)) / self.beta)
+class Erlang(_MixedErlang):
+    """Erlang claim sizes: shape k (positive integer), rate beta."""
 
-    def second_moment(self):
-        return float(sum(w * k * (k + 1) for w, k in zip(self.weights, self.shapes))
-                     / self.beta**2)
+    _equilibrium_type = ErlangMixture
 
-    def equilibrium(self):
-        kmax = max(self.shapes)
-        cum = np.zeros(kmax + 1)
-        for w, k in zip(self.weights, self.shapes):
-            cum[1:k + 1] += w  # stage i <= k contributes weight w
-        v = cum[1:] / (self.beta * self.mean())
-        return ErlangMixture(v, list(range(1, kmax + 1)), self.beta)
+    def __init__(self, shape, beta):
+        super().__init__((1.0,), (shape,), (beta,))
 
-    def mgf(self, r):
-        if r >= self.beta:
-            raise PreconditionError("mgf diverges at and beyond the rate")
-        return float(sum(w * (self.beta / (self.beta - r)) ** k
-                         for w, k in zip(self.weights, self.shapes)))
-
-    def sample(self, rng, size):
-        u = rng.random(size)
-        cum = np.cumsum(self.weights)
-        idx = np.searchsorted(cum, u, side="right").clip(0, len(self.shapes) - 1)
-        shapes = np.asarray(self.shapes, dtype=float)[idx]
-        return rng.gamma(shapes) / self.beta
-
-    @property
-    def slowest_rate(self):
-        return self.beta
+    shape = property(lambda self: self.shapes[0])
+    beta = property(lambda self: self.rates[0])
 
 
 @dataclass(frozen=True)

@@ -82,9 +82,6 @@ class GridFunction:
         out = np.interp(arr, self.grid, self.values)
         return float(out) if np.ndim(u) == 0 else out
 
-    def value_at(self, u: float) -> float:
-        return self(u)
-
 
 def _common_grid(x: GridFunction, y: GridFunction):
     if abs(x.h - y.h) > 1e-12 * max(x.h, y.h):

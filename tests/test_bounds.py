@@ -5,7 +5,8 @@ import pytest
 
 from ruinbounds import (Erlang, Exponential, HyperExponential,
                         PerturbedModel, PreconditionError, RiskModel,
-                        deficit_tail, dk1, dk2, dk3, q_y, sup_distance)
+                        deficit_tail, dk1, dk2, dk3, kantorovich, q_y,
+                        sup_distance)
 
 MIX54 = HyperExponential((0.5, 0.5), (1.25, 5.0 / 6.0))
 MIX26 = HyperExponential((0.5, 0.5), (2.0, 6.0))
@@ -134,6 +135,10 @@ class TestDK3:
         pm, pmt = pair_table3(D=1.0, Dt=0.1)
         rep = dk3(pm, pmt)
         assert rep.components["k_h1"] == pytest.approx(0.9, rel=1e-12)
+        # the quadrature route agrees with K(H1, H1~) = |D - D~|/c
+        closed = abs(pm.D - pmt.D) / pm.base.c
+        quad = kantorovich(Exponential(pm.b0), Exponential(pmt.b0))
+        assert abs(quad - closed) <= max(1e-10, 1e-8 * closed)
 
     def test_requires_shared_premium_rate(self):
         pm, _ = pair_table3()

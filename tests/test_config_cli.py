@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from ruinbounds import cli, config, tables
 from ruinbounds.config import ConfigError
@@ -161,6 +162,31 @@ class TestEvalCommand:
         assert code == 0
         value = float(out.strip().splitlines()[-1].split(",")[1])
         assert value == pytest.approx(0.3325717, abs=1e-5)
+
+    def test_deficit_rising_near_origin(self, tmp_path, capsys):
+        # G-bar(., y) of this model rises near u = 0, so it is not a tail;
+        # the value must match phi pi_e exp((T + phi t pi_e) u) exp(T y) 1
+        lam, c = 1.2723332304070554, 0.9681632079074355
+        w = np.array([0.29612722031470673, 0.7038727796852933])
+        r = np.array([1.1125396042730307, 2.13182602388415])
+        u, y = 1.0, 1.8426187690664193
+        path = tmp_path / "m.cfg"
+        path.write_text(f"[model]\nlambda = {lam!r}\nc = {c!r}\n"
+                        "claims = hyperexp\n"
+                        f"weights = {', '.join(map(repr, w.tolist()))}\n"
+                        f"rates = {', '.join(map(repr, r.tolist()))}\n"
+                        "[numeric]\nh = 0.0009765625\numax = 10.0\n")
+        code, out, _ = run_cli(capsys, "eval", "deficit", str(path),
+                               "--u", repr(u), "--y", repr(y))
+        assert code == 0
+        value = float(out.strip().splitlines()[-1].split(",")[1])
+        mu = np.sum(w / r)
+        phi = lam * mu / c
+        pi_e = w / r / mu
+        T = np.diag(-r)
+        exact = phi * pi_e @ expm((T + phi * np.outer(r, pi_e)) * u) \
+            @ expm(T * y) @ np.ones(2)
+        assert value == pytest.approx(exact, abs=1e-6)
 
     def test_mc_deterministic_bytes(self, tmp_path, capsys):
         path = tmp_path / "m.cfg"

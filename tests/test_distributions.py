@@ -239,6 +239,31 @@ class TestSampling:
         se = np.sqrt(dist.second_moment()) / np.sqrt(len(x))
         assert abs(x.mean() - dist.mean()) < 5 * se
 
+    def test_streams_fixed(self):
+        # each family draws what its defining numpy calls draw, bit for bit
+        def rng():
+            return np.random.Generator(np.random.PCG64(2024))
+
+        def by_component(law, draw):
+            g = rng()
+            idx = np.searchsorted(np.cumsum(law.weights), g.random(1000),
+                                  side="right").clip(0, len(law.weights) - 1)
+            return draw(g, idx)
+
+        exp, erl = Exponential(1.7), Erlang(3, 2.5)
+        hyp = HyperExponential((0.3, 0.7), (0.8, 3.0))
+        mix = ErlangMixture((0.2, 0.5, 0.3), (1, 2, 3), 2.5)
+        expect = {
+            exp: rng().exponential(1.0 / 1.7, 1000),
+            erl: rng().gamma(3, 1.0 / 2.5, 1000),
+            hyp: by_component(hyp, lambda g, i: g.exponential(1.0, 1000)
+                              / np.asarray(hyp.rates)[i]),
+            mix: by_component(mix, lambda g, i: g.gamma(
+                np.asarray(mix.shapes, dtype=float)[i]) / 2.5),
+        }
+        for law, draws in expect.items():
+            assert np.array_equal(law.sample(rng(), 1000), draws)
+
     def test_sample_tail_matches(self):
         rng = np.random.Generator(np.random.PCG64(99))
         d = Erlang(3, 3.0)

@@ -1,0 +1,121 @@
+"""The Erlang-mixture core against matrix exponentials of its phase-type form.
+
+Each drawn law is a mixture of Erlang(k_i, r_i) components.  The reference
+(alpha, T) is built here from the weights, shapes and rates alone: component
+i is a chain of k_i stages at rate r_i, entered at its first stage with
+probability w_i.  Every closed form of the core, and the ladder density of
+the perturbed model, must agree with alpha exp(T t) expressions.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from scipy.linalg import expm
+
+from ruinbounds import PerturbedModel, RiskModel, ladder_density
+from ruinbounds.distributions import _MixedErlang
+from ruinbounds.diffusion import _ladder_density_grid
+
+# a few shared rates make equal (shape, rate) pairs, which the equilibrium merges
+RATES = st.one_of(st.floats(0.3, 8.0), st.sampled_from([0.5, 2.0]))
+COMPONENT = st.tuples(st.floats(0.05, 1.0), st.integers(1, 4), RATES)
+MIXTURES = st.lists(COMPONENT, min_size=1, max_size=3)
+POINTS = st.lists(st.floats(0.0, 10.0), min_size=1, max_size=4)
+
+
+def build(components):
+    w = np.array([c[0] for c in components])
+    w /= w.sum()
+    shapes = [c[1] for c in components]
+    rates = [c[2] for c in components]
+    return _MixedErlang(w, shapes, rates), reference(w, shapes, rates)
+
+
+def reference(weights, shapes, rates):
+    d = sum(shapes)
+    alpha, T = np.zeros(d), np.zeros((d, d))
+    i = 0
+    for w, k, r in zip(weights, shapes, rates):
+        alpha[i] = w
+        for j in range(k):
+            T[i + j, i + j] = -r
+            if j + 1 < k:
+                T[i + j, i + j + 1] = r
+        i += k
+    return alpha, T
+
+
+def ref_expm(A):
+    # through an orthogonal similarity: scipy's expm then takes its general
+    # route, not the triangular one, which loses accuracy when two diagonal
+    # entries nearly agree
+    Q = np.linalg.qr(np.random.default_rng(len(A)).normal(size=A.shape))[0]
+    return Q.T @ expm(Q @ A @ Q.T) @ Q
+
+
+def close(got, expect):
+    return got == pytest.approx(expect, rel=1e-9, abs=1e-13)
+
+
+@settings(max_examples=60, deadline=None)
+@given(MIXTURES, POINTS)
+def test_tail_and_density(components, ts):
+    law, (alpha, T) = build(components)
+    exit_rates = -T.sum(axis=1)
+    for t in ts:
+        E = ref_expm(T * t)
+        assert close(law.tail(t), alpha @ E.sum(axis=1))
+        assert close(law.density(t), alpha @ E @ exit_rates)
+    arr = np.array(ts)
+    assert close(law.tail(arr), [alpha @ ref_expm(T * t).sum(axis=1) for t in ts])
+
+
+@settings(max_examples=60, deadline=None)
+@given(MIXTURES, st.floats(-2.0, 0.95))
+def test_moments_and_mgf(components, frac):
+    law, (alpha, T) = build(components)
+    ones = np.ones(len(alpha))
+    m1 = np.linalg.solve(-T, ones)
+    assert close(law.mean(), alpha @ m1)
+    assert close(law.second_moment(), 2.0 * alpha @ np.linalg.solve(-T, m1))
+    s = frac * law.slowest_rate
+    exit_rates = -T.sum(axis=1)
+    expect = alpha @ np.linalg.solve(-(T + s * np.eye(len(alpha))), exit_rates)
+    assert close(law.mgf(s), expect)
+
+
+@settings(max_examples=60, deadline=None)
+@given(MIXTURES, POINTS)
+def test_equilibrium_tail(components, ts):
+    law, (alpha, T) = build(components)
+    pi_e = np.linalg.solve(-T.T, alpha) / (alpha @ np.linalg.solve(-T, np.ones(len(alpha))))
+    eq = law.equilibrium()
+    assert len(set(zip(eq.shapes, eq.rates))) == len(eq.shapes)
+    for t in ts:
+        assert close(eq.tail(t), pi_e @ ref_expm(T * t).sum(axis=1))
+
+
+@settings(max_examples=40, deadline=None)
+@given(MIXTURES, st.floats(0.1, 0.9), st.one_of(st.floats(0.3, 8.0), st.just(None)),
+       POINTS)
+@example([(1.0, 1, 6.4375)], 0.5, None, [1.0])   # b0 = 6.437500000000001
+def test_ladder_density(components, phi, b0, ts):
+    # b0 = None puts the oscillation rate on a claim rate, the matched case
+    law, (alpha, T) = build(components)
+    c = 1.0
+    pm = PerturbedModel(RiskModel(phi * c / law.mean(), c, law),
+                        c / (law.rates[0] if b0 is None else b0))
+    b0 = pm.b0      # c / (c / b0) may sit one rounding away from b0
+    pi_e = np.linalg.solve(-T.T, alpha) / law.mean()
+    d = len(alpha)
+    L = np.zeros((d + 1, d + 1))
+    L[0, 0], L[0, 1:], L[1:, 1:] = -b0, b0 * pi_e, T
+    exit_rates = np.concatenate(([0.0], -T.sum(axis=1)))
+    for t in ts:
+        assert close(ladder_density(pm, t), ref_expm(L * t)[0] @ exit_rates)
+    h, n = 2.0**-6, 641
+    grid = _ladder_density_grid(pm, n, h)
+    for i in (0, 1, 7, 200, 640):
+        assert grid[i] == pytest.approx(ref_expm(L * (i * h))[0] @ exit_rates,
+                                        rel=1e-9, abs=1e-12)
