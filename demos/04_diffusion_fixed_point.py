@@ -17,14 +17,14 @@ exact = k_exact_exponential(pm, 1.0)
 print(f"\nexact K-bar(1) = {exact:.7f}")
 
 print("\nfixed-point iterates from K_0 = 0.4 (value at u = 1):")
-res = k_iterates(pm, 0.4, 5, u_max=6.0)
+trace = k_iterates(pm, 0.4, 5, u_max=6.0)
 for n in range(1, 6):
-    op = res.trace.iterates[n - 1](1.0)
+    op = trace.iterates[n - 1](1.0)
     closed = k_iterate_erlang(pm, 0.4, n, 1.0)
-    cert = res.trace.a_priori[n - 1]
+    cert = trace.a_priori[n - 1]
     print(f"  n = {n}: operator {op:.7f}  closed form {closed:.7f}  "
           f"true err {abs(closed - exact):.1e}  a priori bound {cert:.1e}")
-print(f"  operator/convolution-route max gap: {res.path_disagreement:.1e}")
+print(f"  a posteriori bound on K_5: {trace.a_posteriori_error_bound(5):.1e}")
 
 # Adding one more oscillation on top of K gives the total ruin probability,
 # which splits into psi_d (ruin by oscillation) and psi_s (ruin by a claim).

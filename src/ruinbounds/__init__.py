@@ -7,12 +7,12 @@ from .classical import (RiskModel, adjustment_rate, deficit_tail,
                         deficit_tail_family, exact_ruin_exponential,
                         pk_truncated_series, ruin_probability,
                         weighted_psi_moment)
-from .diffusion import (KIterates, PerturbedModel, decompose,
-                        k_exact_exponential, k_iterate_erlang, k_iterates,
-                        k_tail, ladder_density, ladder_tail, psi_total)
-from .distributions import (DEFAULT_QUADRATURE, ClaimDistribution, Erlang,
-                            ErlangMixture, Exponential, HyperExponential,
-                            QuadratureSettings, Tabulated, partial_exp_sum)
+from .diffusion import (PerturbedModel, decompose, k_exact_exponential,
+                        k_iterate_erlang, k_iterates, k_tail, ladder_density,
+                        ladder_tail, psi_total)
+from .distributions import (ClaimDistribution, Erlang, ErlangMixture,
+                            Exponential, HyperExponential, Tabulated,
+                            partial_exp_sum)
 from .errors import (GridMismatchError, NumericalError, PreconditionError,
                      RuinboundsError, TruncationError)
 from .metrics import (GridFunction, SupDistance, kantorovich, nu_gamma, q_y,
@@ -28,12 +28,10 @@ __all__ = [
     "RiskModel", "adjustment_rate", "deficit_tail", "deficit_tail_family",
     "exact_ruin_exponential", "pk_truncated_series", "ruin_probability",
     "weighted_psi_moment",
-    "KIterates", "PerturbedModel", "decompose", "k_exact_exponential",
-    "k_iterate_erlang", "k_iterates", "k_tail", "ladder_density",
-    "ladder_tail", "psi_total",
-    "DEFAULT_QUADRATURE", "ClaimDistribution", "Erlang", "ErlangMixture",
-    "Exponential", "HyperExponential", "QuadratureSettings", "Tabulated",
-    "partial_exp_sum",
+    "PerturbedModel", "decompose", "k_exact_exponential", "k_iterate_erlang",
+    "k_iterates", "k_tail", "ladder_density", "ladder_tail", "psi_total",
+    "ClaimDistribution", "Erlang", "ErlangMixture", "Exponential",
+    "HyperExponential", "Tabulated", "partial_exp_sum",
     "GridMismatchError", "NumericalError", "PreconditionError",
     "RuinboundsError", "TruncationError",
     "GridFunction", "SupDistance", "kantorovich", "nu_gamma", "q_y",

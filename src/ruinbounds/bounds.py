@@ -12,20 +12,10 @@ from dataclasses import dataclass, field
 
 from .classical import RiskModel, weighted_psi_moment
 from .diffusion import PerturbedModel
-from .distributions import DEFAULT_QUADRATURE, QuadratureSettings
-from .errors import NumericalError, PreconditionError
+from .errors import PreconditionError
 from .metrics import GridFunction, kantorovich, nu_gamma, q_y
-from .renewal import DEFAULT_H
 
 __all__ = ["BoundReport", "dk1", "dk2", "dk3"]
-
-
-def _tight(settings: QuadratureSettings) -> QuadratureSettings:
-    # metric evaluations inside bounds run 10x tighter than the caller asked
-    return QuadratureSettings(abs_tol=settings.abs_tol / 10.0,
-                              rel_tol=settings.rel_tol / 10.0,
-                              tail_epsilon=settings.tail_epsilon / 10.0,
-                              max_subdivisions=settings.max_subdivisions)
 
 
 @dataclass(frozen=True)
@@ -67,8 +57,7 @@ def _check(preconditions):
 
 
 def dk1(m: RiskModel, mt: RiskModel, gamma: float = 0.0,
-        settings: QuadratureSettings = DEFAULT_QUADRATURE,
-        h: float | None = None, u_max: float | None = None,
+        u_max: float | None = None,
         psi: GridFunction | None = None) -> BoundReport:
     """Weighted-L1 continuity bound for the ruin probability:
 
@@ -89,9 +78,8 @@ def dk1(m: RiskModel, mt: RiskModel, gamma: float = 0.0,
     """
     if gamma < 0:
         raise ValueError("gamma must be >= 0")
-    tq = _tight(settings)
     same_c = abs(m.c - mt.c) <= 1e-12 * max(m.c, mt.c)
-    mx = m.claims.weighted_tail_moment(gamma, tq)
+    mx = m.claims.weighted_tail_moment(gamma)
     contraction = m.lam * mx / m.c
     pre = [("shared premium rate c", same_c),
            ("contraction lam*M_gamma/c < 1", contraction < 1.0),
@@ -102,12 +90,11 @@ def dk1(m: RiskModel, mt: RiskModel, gamma: float = 0.0,
     if gamma == 0.0:
         ml = m.claims.second_moment() / (2.0 * m.theta * m.mu)
     else:
-        ml = weighted_psi_moment(m, gamma, tq, h=DEFAULT_H if h is None else h,
-                                 u_max=u_max, psi=psi)
+        ml = weighted_psi_moment(m, gamma, u_max=u_max, psi=psi)
 
-    nu_g = nu_gamma(m.claims, mt.claims, gamma, tq)
-    nu_g1 = nu_gamma(m.claims, mt.claims, gamma + 1.0, tq)
-    mt_g1 = mt.claims.weighted_tail_moment(gamma + 1.0, tq)
+    nu_g = nu_gamma(m.claims, mt.claims, gamma)
+    nu_g1 = nu_gamma(m.claims, mt.claims, gamma + 1.0)
+    mt_g1 = mt.claims.weighted_tail_moment(gamma + 1.0)
 
     prefactor = m.c / (m.c - m.lam * mx)
     term1 = nu_g1 / (gamma + 1.0)
@@ -125,9 +112,6 @@ def dk1(m: RiskModel, mt: RiskModel, gamma: float = 0.0,
         remark = prefactor * (nu_g1 + nu_g * ml
                               + abs(m.lam - mt.lam) * mt.mu / m.c * (1.0 + ml))
         notes.append(f"gamma=0 Kantorovich form: {remark:.10g}")
-        if m.lam == mt.lam and abs(remark - value) > 1e-9 * max(value, 1e-300):
-            raise NumericalError(
-                "gamma=0 reduced form disagrees with the assembled bound")
 
     return BoundReport(kind="dk1", value=value,
                        components={"prefactor": prefactor,
@@ -142,8 +126,7 @@ def dk1(m: RiskModel, mt: RiskModel, gamma: float = 0.0,
                        preconditions=pre, convention_notes=notes)
 
 
-def dk2(m: RiskModel, mt: RiskModel, y: float,
-        settings: QuadratureSettings = DEFAULT_QUADRATURE) -> BoundReport:
+def dk2(m: RiskModel, mt: RiskModel, y: float) -> BoundReport:
     """Uniform bound on the deficit-at-ruin tails:
 
         sup_u |G-bar(u,y) - G~-bar(u,y)| <= [lam * Q_y(F, F~) + |lam - lam~| mu~]
@@ -154,13 +137,12 @@ def dk2(m: RiskModel, mt: RiskModel, y: float,
     """
     if y < 0:
         raise ValueError("y must be >= 0")
-    tq = _tight(settings)
     same_c = abs(m.c - mt.c) <= 1e-12 * max(m.c, mt.c)
     pre = [("shared premium rate c", same_c),
            ("net profit (first model)", m.phi < 1.0)]
     _check(pre)
 
-    qy = q_y(m.claims, mt.claims, y, tq)
+    qy = q_y(m.claims, mt.claims, y)
     prefactor = 1.0 / (m.c - m.lam * m.mu)
     term_q = m.lam * qy
     term_i = abs(m.lam - mt.lam) * mt.mu
@@ -181,8 +163,7 @@ def dk2(m: RiskModel, mt: RiskModel, y: float,
                        preconditions=pre, convention_notes=notes)
 
 
-def dk3(pm: PerturbedModel, pmt: PerturbedModel,
-        settings: QuadratureSettings = DEFAULT_QUADRATURE) -> BoundReport:
+def dk3(pm: PerturbedModel, pmt: PerturbedModel) -> BoundReport:
     """Uniform bound on the perturbed compound geometric tails:
 
         sup_u |K-bar - K~-bar| <= [ lam mu ( (c/D) K(H1, H1~) + |D~-D|/D
@@ -193,7 +174,6 @@ def dk3(pm: PerturbedModel, pmt: PerturbedModel,
     K(H1, H1~) = |D - D~|/c in closed form.
     """
     m, mt = pm.base, pmt.base
-    tq = _tight(settings)
     same_c = abs(m.c - mt.c) <= 1e-12 * max(m.c, mt.c)
     pre = [("shared premium rate c", same_c),
            ("D >= D~ (swap the arguments otherwise)", pm.D >= pmt.D),
@@ -203,7 +183,7 @@ def dk3(pm: PerturbedModel, pmt: PerturbedModel,
     _check(pre)
 
     k_h1 = abs(pm.D - pmt.D) / m.c
-    k_ff = kantorovich(m.claims, mt.claims, tq)
+    k_ff = kantorovich(m.claims, mt.claims)
 
     lam_mu = m.lam * m.mu
     prefactor = 1.0 / (m.c - lam_mu)

@@ -17,8 +17,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy import integrate, optimize
 
-from .distributions import (DEFAULT_QUADRATURE, ClaimDistribution,
-                            Exponential, QuadratureSettings)
+from .distributions import ClaimDistribution, Exponential
 from .errors import PreconditionError
 from .metrics import GridFunction
 from .renewal import DEFAULT_H, RenewalProblem, solve, trapezoid_convolution
@@ -133,7 +132,6 @@ def adjustment_rate(model: RiskModel) -> float:
 
 
 def weighted_psi_moment(model: RiskModel, gamma: float,
-                        settings: QuadratureSettings = DEFAULT_QUADRATURE,
                         h: float = DEFAULT_H, u_max: float | None = None,
                         psi: GridFunction | None = None) -> float:
     """Integral of (1+z)^gamma * psi(z) dz over [0, inf).

@@ -44,10 +44,25 @@ def _write_csv(rows, header, comments=()):
     return buf.getvalue()
 
 
+def _at_least(cast, low):
+    """argparse type: ``cast(text)``, refused below ``low``."""
+    def parse(text):
+        value = cast(text)
+        if not value >= low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {text!r}")
+        return value
+    parse.__name__ = cast.__name__      # argparse names the type in errors
+    return parse
+
+
+_nonnegative = _at_least(float, 0.0)
+_positive_int = _at_least(int, 1)
+
+
 def _parse_u_values(spec: str):
-    """Accept '1.5', '0,1,2' or 'start:stop:step'."""
+    """Accept '1.5', '0,1,2' or 'start:stop:step'; every u must be >= 0."""
     if ":" in spec:
-        parts = [float(x) for x in spec.split(":")]
+        parts = [_nonnegative(x) for x in spec.split(":")]
         if len(parts) != 3 or parts[2] <= 0:
             raise argparse.ArgumentTypeError("u range must be start:stop:step")
         start, stop, step = parts
@@ -57,7 +72,7 @@ def _parse_u_values(spec: str):
             out.append(round(u, 12))
             u += step
         return out
-    return [float(x) for x in spec.split(",")]
+    return [_nonnegative(x) for x in spec.split(",")]
 
 
 def cmd_table(args) -> int:
@@ -97,29 +112,21 @@ def cmd_bound(args) -> int:
 def cmd_eval(args) -> int:
     cfg = config_mod.load(args.config)
     num = cfg.numeric
-    us = _parse_u_values(args.u)
     need_d = args.quantity in ("ktail", "psit", "iterate")
     if need_d and cfg.D is None:
         raise PreconditionError(f"{args.quantity} needs D in [diffusion]")
-    rows = []
     if args.quantity == "ruin":
         g = ruin_probability(cfg.model, h=num.h, u_max=num.umax)
-        rows = [(_fmt(u), _fmt(g(u))) for u in us]
     elif args.quantity == "deficit":
         g = deficit_tail(cfg.model, args.y, h=num.h, u_max=num.umax)
-        rows = [(_fmt(u), _fmt(g(u))) for u in us]
     elif args.quantity == "ktail":
         g = k_tail(PerturbedModel(cfg.model, cfg.D), h=num.h, u_max=num.umax)
-        rows = [(_fmt(u), _fmt(g(u))) for u in us]
     elif args.quantity == "psit":
         g = psi_total(PerturbedModel(cfg.model, cfg.D), h=num.h,
                       u_max=num.umax)
-        rows = [(_fmt(u), _fmt(g(u))) for u in us]
     elif args.quantity == "iterate":
-        res = k_iterates(PerturbedModel(cfg.model, cfg.D), args.k0, args.n,
-                         h=num.h, u_max=num.umax)
-        g = res.trace.iterates[-1]
-        rows = [(_fmt(u), _fmt(g(u))) for u in us]
+        g = k_iterates(PerturbedModel(cfg.model, cfg.D), args.k0, args.n,
+                       h=num.h, u_max=num.umax).iterates[-1]
     else:  # mc
         seed = args.seed if args.seed is not None else num.seed
         model = cfg.model
@@ -128,11 +135,15 @@ def cmd_eval(args) -> int:
                 raise PreconditionError("perturbed quantities need D")
             model = PerturbedModel(cfg.model, cfg.D)
         out = [oracle.estimate(model, args.mc_quantity, u, args.samples,
-                               seed, y=args.y) for u in us]
+                               seed, y=args.y) for u in args.u]
         rows = [(_fmt(u), _fmt(e.estimate), _fmt(e.standard_error))
-                for u, e in zip(us, out)]
+                for u, e in zip(args.u, out)]
         sys.stdout.write(_write_csv(rows, ("u", "value", "se")))
         return EXIT_OK
+    if max(args.u) > g.u_max + 1e-12:
+        raise config_mod.ConfigError(f"u = {max(args.u):g} lies past the grid end "
+                                     f"{g.u_max:g}; raise umax in [numeric]")
+    rows = [(_fmt(u), _fmt(g(u))) for u in args.u]
     sys.stdout.write(_write_csv(rows, ("u", "value")))
     return EXIT_OK
 
@@ -151,8 +162,8 @@ def build_parser() -> argparse.ArgumentParser:
     b = sub.add_parser("bound", help="evaluate a continuity bound")
     b.add_argument("kind", choices=("dk1", "dk2", "dk3"))
     b.add_argument("config", help="path to a config file with two models")
-    b.add_argument("--gamma", type=float, default=0.0)
-    b.add_argument("--y", type=float, default=0.0)
+    b.add_argument("--gamma", type=_nonnegative, default=0.0)
+    b.add_argument("--y", type=_nonnegative, default=0.0)
     b.set_defaults(func=cmd_bound)
 
     e = sub.add_parser("eval", help="evaluate model quantities")
@@ -160,12 +171,13 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=("ruin", "deficit", "ktail", "psit", "iterate",
                             "mc"))
     e.add_argument("config")
-    e.add_argument("--u", default="0", help="point, comma list or start:stop:step")
-    e.add_argument("--y", type=float, default=0.0)
-    e.add_argument("--n", type=int, default=5, help="iteration count")
+    e.add_argument("--u", type=_parse_u_values, default="0",
+                   help="point, comma list or start:stop:step")
+    e.add_argument("--y", type=_nonnegative, default=0.0)
+    e.add_argument("--n", type=_positive_int, default=5, help="iteration count")
     e.add_argument("--k0", type=float, default=0.0, help="starting constant")
-    e.add_argument("--samples", type=int, default=100_000)
-    e.add_argument("--seed", type=int, default=None)
+    e.add_argument("--samples", type=_positive_int, default=100_000)
+    e.add_argument("--seed", type=_at_least(int, 0), default=None)
     e.add_argument("--quantity", dest="mc_quantity", default="psi",
                    choices=("psi", "psi_t", "k_tail", "deficit"),
                    help="quantity for mc estimation")

@@ -9,6 +9,7 @@ with ``repr`` so a dump/parse round trip is lossless.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
 
@@ -47,8 +48,17 @@ class ModelConfig:
     numeric: NumericSpec = field(default_factory=NumericSpec)
 
 
-def _parse_floats(text):
-    return [float(x) for x in text.split(",")]
+def _number(text, line, cast=float, positive=True):
+    """``text`` as a finite positive (or, if not ``positive``, nonnegative)
+    number; a ConfigError at ``line`` if it is not."""
+    try:
+        value = cast(text)
+    except ValueError:
+        value = math.nan
+    if not (math.isfinite(value) and (value > 0 or (not positive and value == 0))):
+        sign = "positive" if positive else "nonnegative"
+        raise ConfigError(f"expected a {sign} number, got {text.strip()!r}", line)
+    return value
 
 
 def _build_claims(keys, line_of):
@@ -58,18 +68,22 @@ def _build_claims(keys, line_of):
     if kind == "exp":
         if "rate" not in keys:
             raise ConfigError("exp claims need 'rate'", line_of.get("claims"))
-        return Exponential(float(keys["rate"]))
+        return Exponential(_number(keys["rate"], line_of["rate"]))
     if kind == "hyperexp":
         for need in ("weights", "rates"):
             if need not in keys:
                 raise ConfigError(f"hyperexp claims need '{need}'",
                                   line_of.get("claims"))
-        weights = _parse_floats(keys["weights"])
-        rates = _parse_floats(keys["rates"])
+        weights = [_number(x, line_of["weights"], positive=False)
+                   for x in keys["weights"].split(",")]
+        rates = [_number(x, line_of["rates"]) for x in keys["rates"].split(",")]
+        if len(weights) != len(rates):
+            raise ConfigError(f"{len(weights)} weights for {len(rates)} rates",
+                              line_of["weights"])
         s = sum(weights)
         if abs(s - 1.0) > 1e-9:
             raise ConfigError(f"weights sum to {s!r}, not 1",
-                              line_of.get("weights"))
+                              line_of["weights"])
         if abs(s - 1.0) > 1e-12:
             warnings.warn(f"hyperexp weights sum to {s!r}; renormalizing")
         return HyperExponential(weights, rates)
@@ -78,7 +92,8 @@ def _build_claims(keys, line_of):
             if need not in keys:
                 raise ConfigError(f"erlang claims need '{need}'",
                                   line_of.get("claims"))
-        return Erlang(int(keys["shape"]), float(keys["rate"]))
+        return Erlang(_number(keys["shape"], line_of["shape"], int),
+                      _number(keys["rate"], line_of["rate"]))
     raise ConfigError(f"unknown claims kind {kind!r} (exp|hyperexp|erlang)",
                       line_of.get("claims"))
 
@@ -88,7 +103,8 @@ def _build_model(keys, line_of):
         if need not in keys:
             raise ConfigError(f"model section needs '{need}'",
                               min(line_of.values()) if line_of else None)
-    return RiskModel(lam=float(keys["lambda"]), c=float(keys["c"]),
+    return RiskModel(lam=_number(keys["lambda"], line_of["lambda"]),
+                     c=_number(keys["c"], line_of["c"]),
                      claims=_build_claims(keys, line_of))
 
 
@@ -138,24 +154,23 @@ def loads(text: str) -> ModelConfig:
 
     D = D2 = None
     if "diffusion" in sections:
-        diff = sections["diffusion"]
+        diff, line_of = sections["diffusion"], lines_of["diffusion"]
         if "d" in diff:
-            D = float(diff["d"])
+            D = _number(diff["d"], line_of["d"])
         if "d2" in diff:
-            D2 = float(diff["d2"])
+            D2 = _number(diff["d2"], line_of["d2"])
 
     numeric = NumericSpec()
     if "numeric" in sections:
-        num = sections["numeric"]
+        num, line_of = sections["numeric"], lines_of["numeric"]
         kwargs = {}
         if "h" in num:
-            kwargs["h"] = float(num["h"])
+            kwargs["h"] = _number(num["h"], line_of["h"])
         if "umax" in num:
-            kwargs["umax"] = float(num["umax"])
+            kwargs["umax"] = _number(num["umax"], line_of["umax"])
         if "seed" in num:
-            kwargs["seed"] = int(num["seed"])
-        if kwargs.get("h", 1.0) <= 0:
-            raise ConfigError("h must be positive", lines_of["numeric"].get("h"))
+            kwargs["seed"] = _number(num["seed"], line_of["seed"], int,
+                                     positive=False)
         numeric = NumericSpec(**kwargs)
 
     return ModelConfig(model=model, model2=model2, D=D, D2=D2, numeric=numeric)

@@ -24,13 +24,13 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import expm
+from scipy.signal import lfilter
 
 from .classical import RiskModel, _u_max
 from .distributions import Exponential, partial_exp_sum
-from .errors import NumericalError, PreconditionError
+from .errors import PreconditionError
 from .metrics import GridFunction
-from .renewal import (DEFAULT_H, IterationTrace, RenewalProblem, iterate,
-                      solve, trapezoid_convolution)
+from .renewal import DEFAULT_H, IterationTrace, RenewalProblem, iterate, solve
 
 __all__ = [
     "PerturbedModel",
@@ -38,7 +38,6 @@ __all__ = [
     "ladder_tail",
     "k_tail",
     "k_exact_exponential",
-    "KIterates",
     "k_iterates",
     "k_iterate_erlang",
     "psi_total",
@@ -142,22 +141,21 @@ def ladder_tail(pm: PerturbedModel, t):
 
 
 def _k_problem(pm: PerturbedModel, h, u_max):
+    if u_max is None:
+        u_max = _u_max(pm.phi, min(pm.b0, pm.base.claims.slowest_rate))
     n = int(round(u_max / h))
     grid = np.arange(n + 1) * h
     a = _ladder_density_grid(pm, n + 1, h)
     fe = pm.base.claims.equilibrium()
     abar = np.asarray(fe.tail(grid)) + a / pm.b0
     return RenewalProblem(phi=pm.phi, forcing=pm.phi * abar, kernel=a,
-                          h=h, u_max=u_max), grid, a, abar
+                          h=h, u_max=u_max)
 
 
 def k_tail(pm: PerturbedModel, h: float = DEFAULT_H,
            u_max: float | None = None) -> GridFunction:
     """Compound geometric tail K-bar on a grid; K-bar(0) = phi exactly."""
-    if u_max is None:
-        u_max = _u_max(pm.phi, min(pm.b0, pm.base.claims.slowest_rate))
-    problem, _, _, _ = _k_problem(pm, h, u_max)
-    x = solve(problem)
+    x = solve(_k_problem(pm, h, u_max))
     return GridFunction(h, x.values, is_tail=True)
 
 
@@ -185,77 +183,18 @@ def k_exact_exponential(pm: PerturbedModel, u):
     return float(out) if np.ndim(u) == 0 else out
 
 
-@dataclass(frozen=True)
-class KIterates:
-    """Fixed-point iterates of K-bar computed along two routes.
-
-    ``trace`` applies the renewal operator; ``power_route`` assembles the
-    same iterates from convolution powers of the ladder law,
-
-        K_n = phi - (1-k) phi^n A^{*n} - (1-phi) sum_{i<n} phi^i A^{*i},
-
-    with A^{*i} in closed form (Erlang) when b0 matches an exponential
-    claim rate and by grid self-convolution otherwise.  The two routes must
-    agree; their largest gap is recorded.
-    """
-
-    trace: IterationTrace
-    power_route: list
-    path_disagreement: float
-
-
-def _a_power_tails(pm, grid, a, abar, n, force_grid=False):
-    """Tails of A^{*i}, i = 1..n."""
-    claims = pm.base.claims
-    exact_erlang = (not force_grid and isinstance(claims, Exponential)
-                    and abs(claims.beta - pm.b0) <= _RATE_MATCH * pm.b0)
-    if exact_erlang:
-        beta = pm.b0
-        # A^{*i} is Erlang(2i, beta)
-        return [np.exp(-beta * grid) * partial_exp_sum(2 * i - 1, beta * grid)
-                for i in range(1, n + 1)]
-    h = grid[1] - grid[0]
-    cur = abar.copy()
-    tails = [cur]
-    for _ in range(2, n + 1):
-        cur = abar + trapezoid_convolution(cur, a, h)
-        tails.append(cur)
-    return tails
-
-
 def k_iterates(pm: PerturbedModel, k0: float, n: int, h: float = DEFAULT_H,
-               u_max: float | None = None, agreement_tol: float = 1e-6,
-               force_grid_powers: bool = False) -> KIterates:
+               u_max: float | None = None) -> IterationTrace:
     """n fixed-point iterates of K-bar from the constant start K_0 = k0.
 
     k0 must lie in [0, 1] (the interior is the textbook case; the endpoints
-    are admitted as limits).  Operator and convolution-power routes are both
-    evaluated and must agree to ``agreement_tol`` in sup norm.
+    are admitted as limits).  The renewal operator contracts with modulus
+    phi, so the trace carries the a priori and a posteriori error bound of
+    every iterate.
     """
     if not 0.0 <= k0 <= 1.0:
         raise PreconditionError("starting constant must lie in [0, 1]")
-    if u_max is None:
-        u_max = _u_max(pm.phi, min(pm.b0, pm.base.claims.slowest_rate))
-    problem, grid, a, abar = _k_problem(pm, h, u_max)
-    trace = iterate(problem, k0, n)
-
-    phi = pm.phi
-    a_tails = _a_power_tails(pm, grid, a, abar, n, force_grid=force_grid_powers)
-    power_route = []
-    partial = np.zeros_like(grid)
-    for j in range(1, n + 1):
-        a_cdf_j = 1.0 - a_tails[j - 1]
-        vals = phi - (1.0 - k0) * phi**j * a_cdf_j - (1.0 - phi) * partial
-        power_route.append(GridFunction(h, vals))
-        partial = partial + phi**j * a_cdf_j
-    gap = max(float(np.max(np.abs(t.values - l.values)))
-              for t, l in zip(trace.iterates, power_route))
-    if gap > agreement_tol:
-        raise NumericalError(
-            f"operator and convolution-power iterates disagree by {gap:.3e} "
-            f"(tolerance {agreement_tol:.1e}); refine the grid")
-    return KIterates(trace=trace, power_route=power_route,
-                     path_disagreement=gap)
+    return iterate(_k_problem(pm, h, u_max), k0, n)
 
 
 def k_iterate_erlang(pm: PerturbedModel, k0: float, n: int, u: float) -> float:
@@ -313,13 +252,10 @@ def psi_total(pm: PerturbedModel, h: float = DEFAULT_H,
     kv = k_grid.values
     h = k_grid.h
     b0, phi = pm.b0, pm.phi
-    n = len(kv)
     dk = kv[:-1] - kv[1:]            # continuous-part mass per cell
-    decay = math.exp(-b0 * h)
-    half = math.exp(-b0 * h / 2.0)
-    conv = np.zeros(n)
-    for i in range(1, n):
-        conv[i] = conv[i - 1] * decay + dk[i - 1] * half
+    # conv[i] = conv[i-1] e^{-b0 h} + dk[i-1] e^{-b0 h/2}, conv[0] = 0
+    conv = np.concatenate(([0.0], lfilter([math.exp(-b0 * h / 2.0)],
+                                          [1.0, -math.exp(-b0 * h)], dk)))
     vals = kv + (1.0 - phi) * np.exp(-b0 * k_grid.grid) + conv
     return GridFunction(h, np.clip(vals, 0.0, 1.0), is_tail=True)
 

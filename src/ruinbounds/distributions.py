@@ -20,8 +20,6 @@ from scipy import integrate
 from .errors import PreconditionError, TruncationError
 
 __all__ = [
-    "QuadratureSettings",
-    "DEFAULT_QUADRATURE",
     "ClaimDistribution",
     "Exponential",
     "HyperExponential",
@@ -31,29 +29,12 @@ __all__ = [
     "partial_exp_sum",
 ]
 
-
-@dataclass(frozen=True)
-class QuadratureSettings:
-    """Tolerances shared by the quadrature-based operations.
-
-    ``tail_epsilon`` is the threshold below which an exponential tail is
-    considered numerically dead; improper integrals are truncated where the
-    analytic envelope of the integrand drops under it.
-    """
-
-    abs_tol: float = 1e-10
-    rel_tol: float = 1e-9
-    tail_epsilon: float = 1e-12
-    max_subdivisions: int = 2**20
-
-    def __post_init__(self):
-        if not (self.abs_tol > 0 and self.rel_tol > 0 and self.tail_epsilon > 0):
-            raise ValueError("tolerances must be strictly positive")
-        if self.max_subdivisions < 1:
-            raise ValueError("max_subdivisions must be >= 1")
-
-
-DEFAULT_QUADRATURE = QuadratureSettings()
+# Quadrature tolerances of the tail integrals behind the moments and the
+# metrics.  An improper integral is truncated where the analytic envelope of
+# its integrand drops below _TAIL_EPSILON.
+_ABS_TOL = 1e-11
+_REL_TOL = 1e-10
+_TAIL_EPSILON = 1e-13
 
 # scipy.integrate.quad caps subdivisions at 2**31-ish; keep a sane limit
 _QUAD_LIMIT = 500
@@ -138,8 +119,7 @@ class ClaimDistribution:
 
     # -- generic quadrature-backed operations ---------------------------
 
-    def weighted_tail_moment(self, gamma: float,
-                             settings: QuadratureSettings = DEFAULT_QUADRATURE) -> float:
+    def weighted_tail_moment(self, gamma: float) -> float:
         """Weighted tail moment: integral of (1+t)^gamma * tail(t) over [0, inf).
 
         Equals (E(X+1)^(gamma+1) - 1)/(gamma+1) whenever the (gamma+1)-moment
@@ -147,20 +127,19 @@ class ClaimDistribution:
         """
         if gamma < 0:
             raise ValueError("gamma must be >= 0")
-        T = self.tail_cutoff(gamma, settings)
+        T = self.tail_cutoff(gamma)
         val, _ = integrate.quad(lambda t: (1.0 + t) ** gamma * float(self.tail(t)),
-                                0.0, T, epsabs=settings.abs_tol,
-                                epsrel=settings.rel_tol, limit=_QUAD_LIMIT)
+                                0.0, T, epsabs=_ABS_TOL, epsrel=_REL_TOL,
+                                limit=_QUAD_LIMIT)
         return val + self._tail_remainder(T, gamma)
 
-    def tail_cutoff(self, gamma: float,
-                    settings: QuadratureSettings = DEFAULT_QUADRATURE) -> float:
+    def tail_cutoff(self, gamma: float) -> float:
         """Truncation point T past which (1+t)^gamma * tail(t) integrates to
-        below ``tail_epsilon`` (estimated from the exponential envelope)."""
+        below 1e-13 (estimated from the exponential envelope)."""
         r = self.slowest_rate
         T = max(1.0, 20.0 / r)
         for _ in range(200):
-            if self._tail_remainder(T, gamma) < settings.tail_epsilon:
+            if self._tail_remainder(T, gamma) < _TAIL_EPSILON:
                 return T
             T *= 1.5
         raise TruncationError("tail does not decay within a workable window")
@@ -399,15 +378,15 @@ class Tabulated(ClaimDistribution):
         width = (arr + d) - np.maximum(arr - d, 0.0)
         return _scalar_like(t, (hi - lo) / width)
 
-    def mean(self, settings: QuadratureSettings = DEFAULT_QUADRATURE):
-        if self.values[-1] >= settings.tail_epsilon:
+    def mean(self):
+        if not self._decayed():
             raise TruncationError(
                 "tabulated tail has not decayed below tail_epsilon at the grid end; "
                 "the mean would be truncated")
         return float(integrate.trapezoid(self.values, dx=self.h))
 
-    def second_moment(self, settings: QuadratureSettings = DEFAULT_QUADRATURE):
-        if self.values[-1] >= settings.tail_epsilon:
+    def second_moment(self):
+        if not self._decayed():
             raise TruncationError("tabulated tail has not decayed; moment truncated")
         grid = np.arange(len(self.values)) * self.h
         return float(2.0 * integrate.trapezoid(grid * self.values, dx=self.h))

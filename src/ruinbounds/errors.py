@@ -21,4 +21,4 @@ class GridMismatchError(RuinboundsError):
 
 class NumericalError(RuinboundsError):
     """A numerical routine failed to reach its accuracy contract
-    (non-convergence, inconsistent dual-path evaluation)."""
+    (non-convergence)."""

@@ -15,8 +15,7 @@ from typing import NamedTuple
 import numpy as np
 from scipy import integrate
 
-from .distributions import (DEFAULT_QUADRATURE, ClaimDistribution,
-                            QuadratureSettings)
+from .distributions import _ABS_TOL, _QUAD_LIMIT, _REL_TOL, ClaimDistribution
 from .errors import GridMismatchError, TruncationError
 
 __all__ = [
@@ -31,7 +30,6 @@ __all__ = [
 
 _SCAN_POINTS = 10_000
 _BISECT_TOL = 1e-12
-_QUAD_LIMIT = 500
 
 
 @dataclass(frozen=True)
@@ -137,8 +135,7 @@ def _bisect(f, lo, hi):
 
 
 def tail_crossings(F: ClaimDistribution, G: ClaimDistribution,
-                   lower: float = 0.0, upper: float | None = None,
-                   settings: QuadratureSettings = DEFAULT_QUADRATURE) -> list:
+                   lower: float = 0.0, upper: float | None = None) -> list:
     """Interior sign changes of F.tail - G.tail on [lower, upper].
 
     Bracketed on a {_SCAN_POINTS}-point scan, then bisected to 1e-12.  The
@@ -146,7 +143,7 @@ def tail_crossings(F: ClaimDistribution, G: ClaimDistribution,
     tails with sub-1e-4-width sign lobes are out of scope.
     """
     if upper is None:
-        upper = max(F.tail_cutoff(0.0, settings), G.tail_cutoff(0.0, settings))
+        upper = max(F.tail_cutoff(0.0), G.tail_cutoff(0.0))
     ts = np.linspace(lower, upper, _SCAN_POINTS + 1)
     d = np.asarray(F.tail(ts)) - np.asarray(G.tail(ts))
     sign = np.sign(d)
@@ -155,18 +152,18 @@ def tail_crossings(F: ClaimDistribution, G: ClaimDistribution,
     return [_bisect(diff, ts[i], ts[i + 1]) for i in flips]
 
 
-def _nu_gamma_distributions(F, G, gamma, settings, lower=0.0):
-    T = max(F.tail_cutoff(gamma, settings), G.tail_cutoff(gamma, settings))
+def _nu_gamma_distributions(F, G, gamma, lower=0.0):
+    T = max(F.tail_cutoff(gamma), G.tail_cutoff(gamma))
     if T <= lower:
         return 0.0
-    pts = [lower] + [c for c in tail_crossings(F, G, lower, T, settings)] + [T]
+    pts = [lower] + [c for c in tail_crossings(F, G, lower, T)] + [T]
     diff = lambda t: (1.0 + t) ** gamma * (float(F.tail(t)) - float(G.tail(t)))
     total = 0.0
     for a, b in zip(pts[:-1], pts[1:]):
-        piece, _ = integrate.quad(diff, a, b, epsabs=settings.abs_tol / 10,
-                                  epsrel=settings.rel_tol, limit=_QUAD_LIMIT)
+        piece, _ = integrate.quad(diff, a, b, epsabs=_ABS_TOL / 10,
+                                  epsrel=_REL_TOL, limit=_QUAD_LIMIT)
         total += abs(piece)
-    # envelope remainder past T; both cutoffs already push it below tail_epsilon
+    # envelope remainder past T; both cutoffs already push it below 1e-13
     rem = F._tail_remainder(T, gamma) + G._tail_remainder(T, gamma)
     return total + rem
 
@@ -183,14 +180,13 @@ def _grid_tail_remainder(d_abs, h, t_end, gamma):
     return float(top / rate * (1.0 + gamma / (rate * (1.0 + t_end))))
 
 
-def _nu_gamma_grids(x, y, gamma, settings):
+def _nu_gamma_grids(x, y, gamma):
     h, xv, yv = _common_grid(x, y)
     d = xv - yv
     n = len(d)
     t = np.arange(n) * h
-    end_size = max(abs(d[-1]), 0.0)
     scale = max(np.max(np.abs(d)), 1.0)
-    if end_size > 1e-6 * scale and end_size > settings.tail_epsilon:
+    if abs(d[-1]) > 1e-6 * scale:
         raise TruncationError(
             "grid difference has not decayed at the domain end; extend the grid")
     w = (1.0 + t) ** gamma
@@ -208,8 +204,7 @@ def _nu_gamma_grids(x, y, gamma, settings):
     return float(cells.sum() + _grid_tail_remainder(np.abs(d), h, t[-1], gamma))
 
 
-def nu_gamma(x, y, gamma: float = 0.0,
-             settings: QuadratureSettings = DEFAULT_QUADRATURE) -> float:
+def nu_gamma(x, y, gamma: float = 0.0) -> float:
     """Weighted L1 distance: integral of (1+t)^gamma |x(t) - y(t)| dt.
 
     Accepts two claim distributions (their tails are compared) or two grid
@@ -218,22 +213,21 @@ def nu_gamma(x, y, gamma: float = 0.0,
     if gamma < 0:
         raise ValueError("gamma must be >= 0")
     if isinstance(x, ClaimDistribution) and isinstance(y, ClaimDistribution):
-        return _nu_gamma_distributions(x, y, gamma, settings)
+        return _nu_gamma_distributions(x, y, gamma)
     if isinstance(x, GridFunction) and isinstance(y, GridFunction):
-        return _nu_gamma_grids(x, y, gamma, settings)
+        return _nu_gamma_grids(x, y, gamma)
     raise TypeError("nu_gamma compares two ClaimDistributions or two GridFunctions")
 
 
-def kantorovich(F, G, settings: QuadratureSettings = DEFAULT_QUADRATURE) -> float:
+def kantorovich(F, G) -> float:
     """L1 distance between distribution functions; |F - G| = |F-bar - G-bar|,
     so this is nu_gamma at gamma = 0."""
-    return nu_gamma(F, G, 0.0, settings)
+    return nu_gamma(F, G, 0.0)
 
 
-def q_y(F: ClaimDistribution, G: ClaimDistribution, y: float,
-        settings: QuadratureSettings = DEFAULT_QUADRATURE) -> float:
+def q_y(F: ClaimDistribution, G: ClaimDistribution, y: float) -> float:
     """Tail-truncated Kantorovich distance: integral of |F-bar - G-bar| over
     [y, inf).  Coincides with ``kantorovich`` at y = 0."""
     if y < 0:
         raise ValueError("y must be >= 0")
-    return _nu_gamma_distributions(F, G, 0.0, settings, lower=y)
+    return _nu_gamma_distributions(F, G, 0.0, lower=y)

@@ -145,10 +145,6 @@ class IterationTrace:
         """Error bound for iterate j (1-based) from its residual."""
         return float(self.residuals[j - 1]) / (1.0 - self.phi)
 
-    def value_at(self, u: float, j: int | None = None) -> float:
-        gf = self.iterates[(self.n if j is None else j) - 1]
-        return gf(u)
-
 
 def iterate(problem: RenewalProblem, x0, n: int) -> IterationTrace:
     """Apply the renewal operator n times starting from x0.

@@ -1,96 +1,92 @@
-"""Independent closed forms used as test oracles.
+"""Exact phase-type oracles used by the tests.
 
-Everything here is derived by Laplace-transform residue calculus on the
-renewal equations, so it shares no code path with the grid solvers it
-checks.  All poles involved are simple and real for the families used in
-the tests.
+Every claim law in the tests is phase-type PH(alpha, T) with exit rates
+t = -T 1, and so is one ladder step of the perturbed model: an Exp(c/D)
+stage followed by the equilibrium law's phases.  The quantities the grid
+solvers approximate are then matrix exponentials (Asmussen & Albrecher,
+*Ruin Probabilities*, 2nd ed., 2010, ch. IX):
+
+    psi(u)   = a+ exp((T + t a+) u) 1,       a+ = phi pi_e,
+    K-bar(u) = the same on the ladder pair,   a+ = phi e_1,
+    K_n(u)   = phi - (1-k0) phi^n A^{*n}(u) - (1-phi) sum_{0<i<n} phi^i A^{*i}(u),
+
+with pi_e = alpha (-T)^-1 / mu the equilibrium start vector and A^{*i} the
+distribution function of i ladder steps, the PH law of i chained copies of
+the ladder pair.  None of this shares a discretization with the renewal
+solver.  The claim pairs come from ``phase_type()``, which
+``test_phase_type.py`` checks against pairs built there.  Matrix
+exponentials go through ``diffusion._expm``: scipy's ``expm`` loses
+accuracy on triangular matrices with nearly equal diagonal entries.
 """
 
 import numpy as np
 
-__all__ = ["psi_exponents_hyperexp", "k_exponents", "eval_exponents"]
+from ruinbounds.diffusion import _expm
+
+__all__ = ["psi_exact", "k_bar_exact", "k_iterate_exact"]
 
 
-def eval_exponents(terms, u):
-    """Evaluate sum of c * exp(-r u) for (c, r) pairs."""
+def _at(start, M, u, right=None):
+    """start exp(M u) right (right defaults to the ones vector), for a scalar
+    or an array of u."""
     u = np.asarray(u, dtype=float)
-    out = np.zeros_like(u)
-    for c, r in terms:
-        out = out + c * np.exp(-r * u)
-    return out
+    right = np.ones(len(start)) if right is None else right
+    out = start @ _expm(u[..., None, None] * M) @ right
+    return float(out) if out.ndim == 0 else out
 
 
-def _poly_from_roots(roots):
-    p = np.array([1.0])
-    for r in roots:
-        p = np.convolve(p, [1.0, r])
-    return p
+def _exit(T):
+    return -T.sum(axis=1)
 
 
-def psi_exponents_hyperexp(weights, rates, phi):
-    """Ruin probability for hyperexponential claims as a sum of
-    exponentials: residues of phi (1 - fe^)/(s (1 - phi fe^))."""
-    weights = np.asarray(weights, dtype=float)
-    rates = np.asarray(rates, dtype=float)
-    mu = np.sum(weights / rates)
-    w = weights / (rates * mu)                 # equilibrium mixture weights
-
-    def fe_hat(s):
-        return np.sum(w * rates / (s + rates))
-
-    def fe_hat_prime(s):
-        return np.sum(-w * rates / (s + rates) ** 2)
-
-    # denominator polynomial of 1 - phi*fe_hat over the common denominator
-    full = _poly_from_roots(rates)
-    sub = np.zeros_like(full)
-    for i in range(len(rates)):
-        rest = _poly_from_roots(np.delete(rates, i))
-        term = phi * w[i] * rates[i] * rest
-        sub[len(sub) - len(term):] += term
-    den = full - sub
-    poles = np.roots(den)
-    terms = []
-    for s in poles:
-        s = float(np.real(s))
-        coef = (1.0 - phi) / (s * phi * fe_hat_prime(s))
-        terms.append((coef, -s))
-    return terms
+def _equilibrium_start(alpha, T):
+    w = np.linalg.solve(-T.T, alpha)       # alpha (-T)^-1
+    return w / w.sum()
 
 
-def k_exponents(weights, rates, phi, b0):
-    """Perturbed compound geometric tail for hyperexponential-type claims as
-    a sum of exponentials: residues of phi (1 - a^)/(s (1 - phi a^)) with
-    a^ = (b0/(s+b0)) fe^."""
-    weights = np.asarray(weights, dtype=float)
-    rates = np.asarray(rates, dtype=float)
-    mu = np.sum(weights / rates)
-    w = weights / (rates * mu)
+def _ladder_pair(pm):
+    """(e_1, T_A): an Exp(b0) stage, then the equilibrium law's phases."""
+    alpha, T = pm.base.claims.phase_type()
+    d = len(alpha)
+    TA = np.zeros((d + 1, d + 1))
+    TA[0, 0] = -pm.b0
+    TA[0, 1:] = pm.b0 * _equilibrium_start(alpha, T)
+    TA[1:, 1:] = T
+    return np.eye(d + 1)[0], TA
 
-    def fe_hat(s):
-        return np.sum(w * rates / (s + rates))
 
-    def fe_hat_prime(s):
-        return np.sum(-w * rates / (s + rates) ** 2)
+def _compound_geometric_tail(start, T, phi, u):
+    a = phi * start
+    return _at(a, T + np.outer(_exit(T), a), u)
 
-    def a_hat(s):
-        return b0 / (s + b0) * fe_hat(s)
 
-    def a_hat_prime(s):
-        return (-b0 / (s + b0) ** 2 * fe_hat(s)
-                + b0 / (s + b0) * fe_hat_prime(s))
+def psi_exact(model, u):
+    """Ruin probability of a classical model with phase-type claims."""
+    alpha, T = model.claims.phase_type()
+    return _compound_geometric_tail(_equilibrium_start(alpha, T), T,
+                                    model.phi, u)
 
-    full = _poly_from_roots(np.concatenate(([b0], rates)))
-    sub = np.zeros_like(full)
-    for i in range(len(rates)):
-        rest = _poly_from_roots(np.delete(rates, i))
-        term = phi * b0 * w[i] * rates[i] * rest
-        sub[len(sub) - len(term):] += term
-    den = full - sub
-    poles = np.roots(den)
-    terms = []
-    for s in poles:
-        s = float(np.real(s))
-        coef = phi * (1.0 - a_hat(s)) / (s * (-phi) * a_hat_prime(s))
-        terms.append((coef, -s))
-    return terms
+
+def k_bar_exact(pm, u):
+    """Compound geometric tail K-bar of a perturbed model."""
+    start, TA = _ladder_pair(pm)
+    return _compound_geometric_tail(start, TA, pm.phi, u)
+
+
+def k_iterate_exact(pm, k0, n, u):
+    """n-th fixed-point iterate K_n of K-bar from the constant K_0 = k0."""
+    start, TA = _ladder_pair(pm)
+    d = len(start)
+    # n chained ladder steps; mass left in the first i blocks at time u is
+    # the tail of A^{*i}
+    M = np.kron(np.eye(n), TA) + np.kron(np.eye(n, k=1),
+                                         np.outer(_exit(TA), start))
+    big_start = np.concatenate([start, np.zeros((n - 1) * d)])
+    blocks = np.kron(np.tri(n).T, np.ones((d, 1)))  # column i: blocks <= i
+    tails = np.atleast_2d(_at(big_start, M, u, blocks))
+    cdf = 1.0 - tails                                 # A^{*i}, i = 1..n
+    phi = pm.phi
+    powers = phi ** np.arange(1, n)
+    out = (phi - (1.0 - k0) * phi**n * cdf[..., n - 1]
+           - (1.0 - phi) * (cdf[..., :n - 1] @ powers))
+    return float(out[0]) if np.ndim(u) == 0 else out

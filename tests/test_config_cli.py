@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from ruinbounds import cli, config, tables
+from helpers import k_iterate_exact
+from ruinbounds import Erlang, PerturbedModel, RiskModel, cli, config, tables
 from ruinbounds.config import ConfigError
 
 GOOD_CONFIG = """\
@@ -188,6 +189,26 @@ class TestEvalCommand:
             @ expm(T * y) @ np.ones(2)
         assert value == pytest.approx(exact, abs=1e-6)
 
+    def test_iterate_within_grid_accuracy(self, tmp_path, capsys):
+        # the grid iterate here is 6e-6 from the exact K_5, an O(h^2) error
+        # at h = 2^-8, and must be printed, not refused
+        lam, c, rate, D = (1.1627594992517192, 1.0274064763125792,
+                           4.502568538951676, 0.2851784107480418)
+        k0, h = 0.6974534998820221, 2.0**-8
+        path = tmp_path / "m.cfg"
+        path.write_text(f"[model]\nlambda = {lam!r}\nc = {c!r}\n"
+                        f"claims = erlang\nshape = 3\nrate = {rate!r}\n"
+                        f"[diffusion]\nD = {D!r}\n"
+                        f"[numeric]\nh = {h!r}\numax = 10.0\n")
+        code, out, _ = run_cli(capsys, "eval", "iterate", str(path), "--u", "1",
+                               "--k0", repr(k0), "--n", "5")
+        assert code == 0
+        value = float(out.strip().splitlines()[-1].split(",")[1])
+        pm = PerturbedModel(RiskModel(lam, c, Erlang(3, rate)), D)
+        fastest = max(rate, pm.b0)
+        assert value == pytest.approx(k_iterate_exact(pm, k0, 5, 1.0),
+                                      abs=0.5 * (fastest * h)**2)
+
     def test_mc_deterministic_bytes(self, tmp_path, capsys):
         path = tmp_path / "m.cfg"
         path.write_text("[model]\nlambda = 0.5\nc = 0.5\nclaims = exp\n"
@@ -206,6 +227,55 @@ class TestEvalCommand:
                                "--u", "0:2:0.5")
         rows = out.strip().splitlines()[1:]
         assert [r.split(",")[0] for r in rows] == ["0", "0.5", "1", "1.5", "2"]
+
+
+EXP_MODEL = "[model]\nlambda = 0.5\nc = 0.5\nclaims = exp\nrate = 2.0\n"
+PAIR = (EXP_MODEL + "[model2]\nlambda = 0.5\nc = 0.5\nclaims = exp\n"
+        "rate = 2.0\n")
+
+
+@pytest.mark.parametrize("text,argv,code", [
+    (EXP_MODEL, ["eval", "ruin", "{cfg}", "--u", "1"], 0),
+    (EXP_MODEL.replace("2.0", "abc"), ["eval", "ruin", "{cfg}"], 2),
+    (EXP_MODEL.replace("0.5\nclaims", "-0.5\nclaims"), ["eval", "ruin", "{cfg}"], 2),
+    (EXP_MODEL.replace("lambda = 0.5", "lambda = 0"), ["eval", "ruin", "{cfg}"], 2),
+    (EXP_MODEL.replace("rate = 2.0", "rate = 0"), ["eval", "ruin", "{cfg}"], 2),
+    (EXP_MODEL.replace("exp\nrate", "erlang\nshape = 2.5\nrate"),
+     ["eval", "ruin", "{cfg}"], 2),
+    (EXP_MODEL.replace("exp\nrate = 2.0", "hyperexp\nweights = 0.5, 0.5\n"
+                                        "rates = 2.0"), ["eval", "ruin", "{cfg}"], 2),
+    (EXP_MODEL + "[diffusion]\nD = -1\n", ["eval", "ktail", "{cfg}"], 2),
+    (PAIR + "[diffusion]\nD = 0.5\nD2 = 0\n", ["bound", "dk3", "{cfg}"], 2),
+    (EXP_MODEL + "[numeric]\nseed = x\n", ["eval", "ruin", "{cfg}"], 2),
+    (EXP_MODEL, ["eval", "ruin", "{cfg}", "--u", "100"], 2),
+    (EXP_MODEL, ["eval", "ruin", "{cfg}", "--u", "-1"], 2),
+    (EXP_MODEL, ["eval", "ruin", "{cfg}", "--u=-1:2:0.5"], 2),
+    (EXP_MODEL, ["eval", "ruin", "{cfg}", "--u", "one"], 2),
+    (EXP_MODEL, ["eval", "deficit", "{cfg}", "--y", "-1"], 2),
+    (PAIR, ["bound", "dk1", "{cfg}", "--gamma", "-1"], 2),
+    (EXP_MODEL + "[diffusion]\nD = 0.25\n",
+     ["eval", "iterate", "{cfg}", "--n", "0"], 2),
+    (EXP_MODEL, ["eval", "mc", "{cfg}", "--samples", "0", "--u", "1"], 2),
+    (EXP_MODEL, ["eval", "mc", "{cfg}", "--samples", "1.5", "--u", "1"], 2),
+    (EXP_MODEL, ["eval", "mc", "{cfg}", "--seed", "-1", "--u", "1"], 2),
+    (EXP_MODEL.replace("c = 0.5", "c = 0.2"), ["eval", "ruin", "{cfg}"], 3),
+])
+def test_exit_codes(tmp_path, capsys, text, argv, code):
+    path = tmp_path / "m.cfg"
+    path.write_text(text)
+    try:
+        got = cli.main([a.format(cfg=path) for a in argv])
+    except SystemExit as exc:   # argparse rejects the argument itself
+        got = exc.code
+    assert got == code, capsys.readouterr().err
+
+
+def test_u_past_grid_end_names_grid_end_and_umax(tmp_path, capsys):
+    path = tmp_path / "m.cfg"
+    path.write_text(EXP_MODEL)
+    code, out, err = run_cli(capsys, "eval", "ruin", str(path), "--u", "1,100")
+    assert code == 2 and out == ""
+    assert "grid end 11" in err and "umax" in err
 
 
 class TestCsvShape:

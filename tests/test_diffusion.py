@@ -1,10 +1,12 @@
 """Perturbed model: ladder law, K-bar routes, iterates, total ruin split."""
 
+import math
+
 import numpy as np
 import pytest
 from scipy import integrate
 
-from helpers import eval_exponents, k_exponents
+from helpers import k_bar_exact, k_iterate_exact
 from ruinbounds import (Erlang, Exponential, HyperExponential,
                         PerturbedModel, PreconditionError, RiskModel,
                         decompose, k_exact_exponential, k_iterate_erlang,
@@ -88,22 +90,18 @@ class TestKTail:
     def test_mixture_matches_residue_closed_form(self):
         pm = pm_mix()
         g = k_tail(pm, u_max=10.0)
-        terms = k_exponents(MIX26.weights, MIX26.rates, pm.phi, pm.b0)
-        exact = eval_exponents(terms, g.grid)
-        assert np.max(np.abs(g.values - exact)) <= 1e-6
+        exact = k_bar_exact(pm, g.grid[::16])
+        assert np.max(np.abs(g.values[::16] - exact)) <= 1e-6
 
     def test_series_consistency(self):
-        # truncated (1-phi) sum phi^i A-bar^{*i} reconstructs K-bar
-        pm = pm_table4()
+        # the exact n-th iterate, a truncated series in phi^i A^{*i}, is
+        # within phi^n of K-bar whatever the start
         n_terms = 40
-        g = k_tail(pm, u_max=6.0)
-        from ruinbounds.diffusion import _a_power_tails, _k_problem
-        problem, grid, a, abar = _k_problem(pm, g.h, 6.0)
-        tails = _a_power_tails(pm, grid, a, abar, n_terms)
-        acc = np.zeros_like(grid)
-        for i, tail_i in enumerate(tails, start=1):
-            acc += (1.0 - pm.phi) * pm.phi**i * tail_i
-        assert np.max(np.abs(acc - g.values)) <= pm.phi ** (n_terms + 1) + 1e-6
+        for pm in (pm_table4(), pm_mix()):
+            g = k_tail(pm, u_max=6.0)
+            us = g.grid[::64]
+            series = k_iterate_exact(pm, 0.0, n_terms, us)
+            assert np.max(np.abs(series - g(us))) <= pm.phi**n_terms + 1e-6
 
     def test_monte_carlo_agreement(self):
         pm = pm_table4()
@@ -134,32 +132,35 @@ class TestKIterates:
     def test_first_iterate_closed_form(self):
         # K_1 = phi - (1-k) phi A(u)
         pm = pm_table4()
-        res = k_iterates(pm, 0.3, 1, u_max=5.0)
-        g = res.trace.iterates[0]
+        g = k_iterates(pm, 0.3, 1, u_max=5.0).iterates[0]
         a_cdf = 1.0 - np.exp(-2.0 * g.grid) * (1.0 + 2.0 * g.grid)
         expect = pm.phi - 0.7 * pm.phi * a_cdf
         assert np.max(np.abs(g.values - expect)) <= 1e-7
 
     def test_paths_agree(self):
+        # operator iterates on the grid against the exact phase-type K_n
         for pm in (pm_table4(), pm_mix()):
-            res = k_iterates(pm, 0.5, 5, u_max=6.0)
-            assert res.path_disagreement <= 1e-6
+            trace = k_iterates(pm, 0.5, 5, u_max=6.0)
+            us = trace.x0.grid[::32]
+            for n, g in enumerate(trace.iterates, start=1):
+                exact = k_iterate_exact(pm, 0.5, n, us)
+                assert np.max(np.abs(g(us) - exact)) <= 1e-6
 
-    def test_grid_power_route_agrees_with_closed_route(self):
+    def test_operator_route_agrees_with_closed_route(self):
+        # matched rates: every grid node against the Erlang closed form
         pm = pm_table4()
-        a = k_iterates(pm, 0.2, 4, u_max=5.0)
-        b = k_iterates(pm, 0.2, 4, u_max=5.0, force_grid_powers=True)
-        gap = max(np.max(np.abs(x.values - y.values))
-                  for x, y in zip(a.power_route, b.power_route))
-        assert gap <= 1e-6
+        trace = k_iterates(pm, 0.2, 4, u_max=5.0)
+        for n, g in enumerate(trace.iterates, start=1):
+            exact = [k_iterate_erlang(pm, 0.2, n, u) for u in g.grid]
+            assert np.max(np.abs(g.values - exact)) <= 1e-6
 
     @pytest.mark.parametrize("n,k0,expect", [(1, 0.0, 0.2030029),
                                              (2, 0.2, 0.3229262),
                                              (5, 1.0, 0.3325724)])
     def test_table4_cells_via_operator_route(self, n, k0, expect):
         pm = pm_table4()
-        res = k_iterates(pm, k0, n, u_max=4.0)
-        assert res.trace.iterates[-1](1.0) == pytest.approx(expect, abs=1e-6)
+        trace = k_iterates(pm, k0, n, u_max=4.0)
+        assert trace.iterates[-1](1.0) == pytest.approx(expect, abs=1e-6)
 
     def test_rejects_bad_start(self):
         with pytest.raises(PreconditionError):
@@ -167,11 +168,10 @@ class TestKIterates:
 
     def test_a_priori_certificate_reported(self):
         pm = pm_table5()
-        res = k_iterates(pm, 0.4, 6, u_max=5.0)
-        first = np.max(np.abs(res.trace.iterates[0].values
-                              - res.trace.x0.values))
+        trace = k_iterates(pm, 0.4, 6, u_max=5.0)
+        first = np.max(np.abs(trace.iterates[0].values - trace.x0.values))
         expect = [pm.phi**j / (1.0 - pm.phi) * first for j in range(1, 7)]
-        assert res.trace.a_priori == pytest.approx(expect, rel=1e-12)
+        assert trace.a_priori == pytest.approx(expect, rel=1e-12)
 
 
 class TestKIterateErlang:
@@ -185,13 +185,12 @@ class TestKIterateErlang:
         assert k_iterate_erlang(pm_table5(), 0.6, 4, 1.0) == pytest.approx(
             0.6573699, abs=5e-7)
 
-    def test_agrees_with_power_route(self):
+    def test_agrees_with_phase_type_iterates(self):
         for pm in (pm_table4(), pm_table5()):
-            res = k_iterates(pm, 0.35, 5, u_max=4.0)
             for n in range(1, 6):
-                grid_val = res.power_route[n - 1](1.0)
-                point_val = k_iterate_erlang(pm, 0.35, n, 1.0)
-                assert point_val == pytest.approx(grid_val, abs=5e-7)
+                for u in (0.0, 1.0, 3.5):
+                    assert k_iterate_erlang(pm, 0.35, n, u) == pytest.approx(
+                        k_iterate_exact(pm, 0.35, n, u), abs=1e-13)
 
     def test_requires_matched_rates(self):
         pm = PerturbedModel(RiskModel(0.5, 1.0, Exponential(2.0)), 1.0)
@@ -204,6 +203,20 @@ class TestPsiTotal:
         for pm in (pm_table4(), pm_mix()):
             g = psi_total(pm, u_max=6.0)
             assert g.values[0] == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("pm,h", [(pm_table4(), 2.0**-6), (pm_mix(), 2.0**-8),
+                                      (PerturbedModel(RiskModel(1.0, 2.0, Erlang(3, 3.0)),
+                                                      0.5), 2.0**-10)])
+    def test_filter_matches_recursion(self, pm, h):
+        k = k_tail(pm, h=h, u_max=6.0)
+        kv, b0 = k.values, pm.b0
+        conv = np.zeros(len(kv))
+        for i in range(1, len(kv)):
+            conv[i] = (conv[i - 1] * math.exp(-b0 * h)
+                       + (kv[i - 1] - kv[i]) * math.exp(-b0 * h / 2.0))
+        expect = kv + (1.0 - pm.phi) * np.exp(-b0 * k.grid) + conv
+        assert np.array_equal(psi_total(pm, k_grid=k).values,
+                              np.clip(expect, 0.0, 1.0))
 
     def test_dominates_k_tail(self):
         pm = pm_table5()

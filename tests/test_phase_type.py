@@ -3,8 +3,10 @@
 Each drawn law is a mixture of Erlang(k_i, r_i) components.  The reference
 (alpha, T) is built here from the weights, shapes and rates alone: component
 i is a chain of k_i stages at rate r_i, entered at its first stage with
-probability w_i.  Every closed form of the core, and the ladder density of
-the perturbed model, must agree with alpha exp(T t) expressions.
+probability w_i.  Every closed form of the core, the law's own
+``phase_type()`` pair, and the ladder density of the perturbed model must
+agree with alpha exp(T t) expressions, and the grid iterates of K-bar must
+come within O(h^2) of the exact phase-type iterates of ``helpers``.
 """
 
 import numpy as np
@@ -13,7 +15,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
-from ruinbounds import PerturbedModel, RiskModel, ladder_density
+from helpers import k_iterate_exact
+from ruinbounds import PerturbedModel, RiskModel, k_iterates, ladder_density
 from ruinbounds.distributions import _MixedErlang
 from ruinbounds.diffusion import _ladder_density_grid
 
@@ -63,10 +66,13 @@ def close(got, expect):
 def test_tail_and_density(components, ts):
     law, (alpha, T) = build(components)
     exit_rates = -T.sum(axis=1)
+    own_alpha, own_T = law.phase_type()
     for t in ts:
         E = ref_expm(T * t)
         assert close(law.tail(t), alpha @ E.sum(axis=1))
         assert close(law.density(t), alpha @ E @ exit_rates)
+        assert close(own_alpha @ ref_expm(own_T * t).sum(axis=1),
+                     alpha @ E.sum(axis=1))
     arr = np.array(ts)
     assert close(law.tail(arr), [alpha @ ref_expm(T * t).sum(axis=1) for t in ts])
 
@@ -119,3 +125,17 @@ def test_ladder_density(components, phi, b0, ts):
     for i in (0, 1, 7, 200, 640):
         assert grid[i] == pytest.approx(ref_expm(L * (i * h))[0] @ exit_rates,
                                         rel=1e-9, abs=1e-12)
+
+
+@settings(max_examples=30, deadline=None)
+@given(MIXTURES, st.floats(0.1, 0.9), st.floats(0.3, 8.0), st.floats(0.0, 1.0),
+       st.integers(1, 5))
+def test_k_iterates(components, phi, b0, k0, n):
+    # the trapezoid error is O((r h)^2) with r the fastest rate in the model
+    law, _ = build(components)
+    pm = PerturbedModel(RiskModel(phi / law.mean(), 1.0, law), 1.0 / b0)
+    h = 2.0**-6
+    g = k_iterates(pm, k0, n, h=h, u_max=4.0).iterates[-1]
+    us = g.grid[::8]
+    rate = max(max(law.rates), pm.b0)
+    assert np.max(np.abs(g(us) - k_iterate_exact(pm, k0, n, us))) <= 0.5 * (rate * h)**2
