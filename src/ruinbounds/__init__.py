@@ -13,8 +13,8 @@ from .diffusion import (PerturbedModel, decompose, k_exact_exponential,
 from .distributions import (ClaimDistribution, Erlang, ErlangMixture,
                             Exponential, HyperExponential, Tabulated,
                             partial_exp_sum)
-from .errors import (GridMismatchError, NumericalError, PreconditionError,
-                     RuinboundsError, TruncationError)
+from .errors import (GridMismatchError, PreconditionError, RuinboundsError,
+                     TruncationError)
 from .metrics import (GridFunction, SupDistance, kantorovich, nu_gamma, q_y,
                       sup_distance, tail_crossings)
 from .oracle import MCEstimate, estimate as mc_estimate
@@ -32,8 +32,8 @@ __all__ = [
     "k_iterates", "k_tail", "ladder_density", "ladder_tail", "psi_total",
     "ClaimDistribution", "Erlang", "ErlangMixture", "Exponential",
     "HyperExponential", "Tabulated", "partial_exp_sum",
-    "GridMismatchError", "NumericalError", "PreconditionError",
-    "RuinboundsError", "TruncationError",
+    "GridMismatchError", "PreconditionError", "RuinboundsError",
+    "TruncationError",
     "GridFunction", "SupDistance", "kantorovich", "nu_gamma", "q_y",
     "sup_distance", "tail_crossings",
     "MCEstimate", "mc_estimate",

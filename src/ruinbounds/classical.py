@@ -169,7 +169,8 @@ def deficit_tail_family(model: RiskModel, ys, h: float = DEFAULT_H,
     """G-bar(., y) for several y at once, reusing one kernel evaluation.
 
     The kernel (equilibrium density) does not depend on y; only the forcing
-    changes, so sharing it cuts the per-table cost.
+    changes, so the kernel is sampled once and ``solve``, which keeps the
+    reciprocal of the last kernel's Toeplitz column, builds that once.
     """
     if u_max is None:
         u_max = default_u_max(model)

@@ -5,7 +5,8 @@
     ruinbounds eval QUANTITY CONFIG [...] evaluate model quantities as CSV
 
 Exit codes: 0 success, 2 usage or config parse error, 3 mathematical
-precondition violated, 4 numerical failure.
+precondition violated, 4 a table cell graded MISMATCH or a tail that has not
+decayed enough (TruncationError).
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from . import config as config_mod
 from . import oracle, tables
 from .classical import deficit_tail, ruin_probability
 from .diffusion import PerturbedModel, k_iterates, k_tail, psi_total
-from .errors import NumericalError, PreconditionError, TruncationError
+from .errors import PreconditionError, TruncationError
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -199,7 +200,7 @@ def main(argv=None) -> int:
     except PreconditionError as exc:
         print(f"precondition violated: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
-    except (NumericalError, TruncationError) as exc:
+    except TruncationError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 

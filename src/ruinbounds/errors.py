@@ -17,8 +17,3 @@ class TruncationError(RuinboundsError):
 
 class GridMismatchError(RuinboundsError):
     """Two grid functions live on incompatible grids."""
-
-
-class NumericalError(RuinboundsError):
-    """A numerical routine failed to reach its accuracy contract
-    (non-convergence)."""

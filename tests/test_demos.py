@@ -1,8 +1,4 @@
-"""Every narrative demo runs to completion against the source tree.
-
-Demo 06 is left out: it reruns the table reproduction, which
-``test_acceptance.py`` already covers.
-"""
+"""Every narrative demo runs to completion against the source tree."""
 
 import os
 import subprocess
@@ -14,7 +10,7 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = ("01_claim_distributions.py", "02_ruin_probabilities.py",
          "03_deficit_at_ruin.py", "04_diffusion_fixed_point.py",
-         "05_continuity_bounds.py")
+         "05_continuity_bounds.py", "06_reproduce_tables.py")
 
 
 @pytest.mark.parametrize("name", DEMOS)

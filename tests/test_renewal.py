@@ -1,12 +1,68 @@
-"""Volterra solver and contraction iteration: convergence order, error
+"""Volterra solver and contraction iteration: agreement with the forward
+recursion and with exact phase-type values, convergence order, error
 certificates, contraction behaviour."""
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from ruinbounds import (Exponential, GridFunction, PreconditionError,
-                        RenewalProblem, iterate, residual, solve)
-from ruinbounds.renewal import trapezoid_convolution
+from helpers import psi_exact
+from ruinbounds import (Erlang, Exponential, GridFunction, HyperExponential,
+                        PerturbedModel, PreconditionError, RenewalProblem,
+                        RiskModel, iterate, residual, ruin_probability, solve)
+from ruinbounds.classical import _psi_problem
+from ruinbounds.diffusion import _k_problem
+from ruinbounds.distributions import _MixedErlang
+from ruinbounds.renewal import _system, trapezoid_convolution
+
+EPS = np.finfo(float).eps
+
+
+def forward_recursion(problem):
+    """The O(n^2) forward trapezoid recursion ``solve`` replaced; the
+    reference for its numbers."""
+    grid, z, k = problem.arrays()
+    phi, h = problem.phi, problem.h
+    n = len(grid)
+    x = np.empty(n)
+    x[0] = z[0]
+    # contiguous reversed kernel keeps the inner dot on the BLAS fast path
+    krev = k[::-1].copy()
+    denom = 1.0 - 0.5 * phi * h * k[0]
+    for i in range(1, n):
+        s = 0.5 * k[i] * x[0]
+        if i > 1:
+            s += np.dot(x[1:i], krev[n - i:n - 1])
+        x[i] = (z[i] + phi * h * s) / denom
+    return x
+
+
+def long_double_substitution(problem):
+    """The float64 Toeplitz system ``solve`` inverts, C y = r, solved by
+    forward substitution in long double: its exact solution to about 1e-19
+    where long double is 80-bit."""
+    c, x = _system(problem)
+    c = c.astype(np.longdouble)
+    r = x[1:].astype(np.longdouble)
+    crev = c[::-1].copy()
+    m = len(c)
+    y = np.empty(m, dtype=np.longdouble)
+    for i in range(m):
+        y[i] = (r[i] - np.dot(y[:i], crev[m - 1 - i:m - 1])) / c[0]
+    return np.concatenate((x[:1].astype(np.longdouble), y))
+
+
+MIX = HyperExponential((0.5, 0.5), (1.25, 5.0 / 6.0))
+# phi 1/2, the table-1 mixture at phi 5/18, Erlang(3, 3) at phi 1/2, and
+# the K-bar ladder kernel of the table-4 model at phi 3/4
+KERNELS = {
+    "exponential": lambda h, u: _psi_problem(RiskModel(0.5, 0.5, Exponential(2.0)), h, u),
+    "hyperexponential": lambda h, u: _psi_problem(RiskModel(5.0 / 6.0, 3.0, MIX), h, u),
+    "erlang": lambda h, u: _psi_problem(RiskModel(0.5, 1.0, Erlang(3, 3.0)), h, u),
+    "ladder": lambda h, u: _k_problem(
+        PerturbedModel(RiskModel(0.75, 2.0 / 3.0, Exponential(1.5)), 4.0 / 9.0), h, u),
+}
 
 
 def exp_psi_problem(h=2.0**-10, u_max=12.0):
@@ -24,6 +80,67 @@ def k_problem_table4(h=2.0**-10, u_max=6.0):
     abar = lambda t: np.exp(-2.0 * t) * (1.0 + 2.0 * t)
     return RenewalProblem(phi=0.5, forcing=lambda t: 0.5 * abar(t),
                           kernel=a, h=h, u_max=u_max)
+
+
+class TestAgreement:
+    @pytest.mark.parametrize("name,n", [(name, 4097) for name in KERNELS]
+                             + [("hyperexponential", 40961)])
+    def test_matches_forward_recursion(self, name, n):
+        # the recursion rounds at every node and sums in another order; its
+        # own error reaches a few units in the last place of max|x|
+        p = KERNELS[name](2.0**-10, (n - 1) * 2.0**-10)
+        x = solve(p).values
+        assert len(x) == n
+        ref = forward_recursion(p)
+        assert np.max(np.abs(x - ref)) <= 4.0 * EPS * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("name", KERNELS)
+    @pytest.mark.parametrize("h,u_max", [(2.0**-10, 4.0), (2.0**-7, 32.0)])
+    def test_within_rounding_of_exact_system(self, name, h, u_max):
+        # FFT products alone are off by several units in the last place; the
+        # refinement step leaves only the rounding of each node
+        p = KERNELS[name](h, u_max)
+        ref = long_double_substitution(p)
+        err = np.abs(solve(p).values - ref).astype(float)
+        assert np.max(err) <= EPS * float(np.max(np.abs(ref)))
+
+    @pytest.mark.parametrize("u_max", [0.7, 1.0, 1.5])      # n = 2, 3, 4
+    @pytest.mark.parametrize("phi", [0.0, 0.5, 0.99])
+    def test_short_grids(self, u_max, phi):
+        p = RenewalProblem(phi=phi, forcing=lambda t: np.exp(-t),
+                           kernel=lambda t: 2.0 * np.exp(-2.0 * t), h=0.5,
+                           u_max=u_max)
+        x = solve(p).values
+        assert len(x) == int(round(u_max / 0.5)) + 1
+        ref = long_double_substitution(p)
+        assert np.max(np.abs(x - ref)) <= EPS * float(np.max(np.abs(ref)))
+        if phi == 0.0:
+            assert np.array_equal(x, np.exp(-p.grid))
+
+
+RATES = st.floats(0.3, 8.0)
+MIXTURES = st.lists(st.tuples(st.floats(0.05, 1.0), st.integers(1, 4), RATES),
+                    min_size=1, max_size=3)
+# the trapezoid rule's local error is O((r h)^2), r the fastest claim rate,
+# and the contraction amplifies it by at most 1/(1 - phi); over 300 seeded
+# models the largest error / ((r h)^2 / (1 - phi)) was 0.017
+PSI_C = 0.1
+
+
+@settings(max_examples=40, deadline=None)
+@given(MIXTURES, st.floats(0.01, 0.99), st.integers(6, 14))
+@example([(1.0, 1, 7.23)], 0.99, 12)
+@example([(0.5, 3, 7.33), (0.3, 1, 2.0), (0.2, 4, 5.0)], 0.99, 14)
+def test_psi_within_c_h2_of_phase_type(components, phi, log2_step):
+    w = np.array([c[0] for c in components])
+    law = _MixedErlang(w / w.sum(), [c[1] for c in components],
+                       [c[2] for c in components])
+    model = RiskModel(phi / law.mean(), 1.0, law)
+    h = 2.0**-log2_step
+    g = ruin_probability(model, h=h, u_max=4.0)
+    us = g.grid[::len(g.grid) // 64]
+    bound = PSI_C * (max(law.rates) * h)**2 / (1.0 - model.phi)
+    assert np.max(np.abs(g(us) - psi_exact(model, us))) <= bound
 
 
 class TestSolve:
