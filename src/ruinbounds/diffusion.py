@@ -21,10 +21,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 from scipy.linalg import expm
-from scipy.signal import lfilter
 
 from .classical import RiskModel, _u_max
 from .distributions import Exponential, partial_exp_sum
@@ -254,8 +254,9 @@ def psi_total(pm: PerturbedModel, h: float = DEFAULT_H,
     b0, phi = pm.b0, pm.phi
     dk = kv[:-1] - kv[1:]            # continuous-part mass per cell
     # conv[i] = conv[i-1] e^{-b0 h} + dk[i-1] e^{-b0 h/2}, conv[0] = 0
-    conv = np.concatenate(([0.0], lfilter([math.exp(-b0 * h / 2.0)],
-                                          [1.0, -math.exp(-b0 * h)], dk)))
+    a, b = math.exp(-b0 * h), math.exp(-b0 * h / 2.0)
+    conv = np.fromiter(accumulate(dk.tolist(), lambda y, d: y * a + d * b,
+                                  initial=0.0), float, len(kv))
     vals = kv + (1.0 - phi) * np.exp(-b0 * k_grid.grid) + conv
     return GridFunction(h, np.clip(vals, 0.0, 1.0), is_tail=True)
 

@@ -25,7 +25,6 @@ import numpy as np
 from numpy.fft import irfft, rfft
 from scipy.fft import next_fast_len
 from scipy.integrate import trapezoid
-from scipy.signal import fftconvolve
 
 from .errors import PreconditionError
 from .metrics import GridFunction
@@ -103,6 +102,8 @@ def solve(problem: RenewalProblem) -> GridFunction:
     float64 system.  The step gains only where ``np.longdouble`` is wider than
     float64 (80-bit extended on x86-64); where the two are the same type
     the result keeps the float64 accuracy of the FFT products.
+    A step with c_0 <= 0, that is h >= 2/(phi kappa(0)), raises
+    ``PreconditionError``.
     """
     c, x = _system(problem)
     b = _reciprocal(c.tobytes())
@@ -123,6 +124,12 @@ def _system(problem):
     w = problem.phi * problem.h
     c = -w * k[:-1]
     c[0] = 1.0 - 0.5 * w * k[0]
+    if c[0] <= 0.0:
+        raise PreconditionError(
+            f"step h = {problem.h:g} too coarse for the implicit diagonal: "
+            f"phi = {problem.phi:g} and kappa(0) = {k[0]:g} make "
+            f"1 - phi h kappa(0)/2 <= 0; need h < 2/(phi kappa(0)) = "
+            f"{2.0 / (problem.phi * k[0]):g}")
     x = z.copy()
     x[1:] += 0.5 * w * k[1:] * z[0]
     return c, x
@@ -177,8 +184,13 @@ def _reciprocal(coeffs: bytes) -> np.ndarray:
 
 
 def trapezoid_convolution(x: np.ndarray, k: np.ndarray, h: float) -> np.ndarray:
-    """Trapezoid discretization of int_0^{u_i} x(u_i - t) k(t) dt for all i."""
-    full = fftconvolve(x, k)[:len(x)]
+    """Trapezoid discretization of int_0^{u_i} x(u_i - t) k(t) dt for all i.
+
+    x and k are sampled on the same grid; only the first len(x) terms of
+    their convolution are needed, which is the truncated product that
+    ``solve`` uses, with every FFT about len(x) long.
+    """
+    full = _product(x, k, np.float64)
     return h * (full - 0.5 * x[0] * k - 0.5 * x * k[0])
 
 

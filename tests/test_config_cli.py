@@ -245,6 +245,9 @@ class TestEvalCommand:
 EXP_MODEL = "[model]\nlambda = 0.5\nc = 0.5\nclaims = exp\nrate = 2.0\n"
 PAIR = (EXP_MODEL + "[model2]\nlambda = 0.5\nc = 0.5\nclaims = exp\n"
         "rate = 2.0\n")
+# phi = 0.99 and kappa(0) = 10: steps 0.5 and 0.25 exceed 2/(phi kappa(0))
+COARSE = ("[model]\nlambda = 9.9\nc = 1\nclaims = exp\nrate = 10\n"
+          "[numeric]\nh = {h}\numax = 5\n")
 
 
 @pytest.mark.parametrize("text,argv,code", [
@@ -272,6 +275,9 @@ PAIR = (EXP_MODEL + "[model2]\nlambda = 0.5\nc = 0.5\nclaims = exp\n"
     (EXP_MODEL, ["eval", "mc", "{cfg}", "--samples", "1.5", "--u", "1"], 2),
     (EXP_MODEL, ["eval", "mc", "{cfg}", "--seed", "-1", "--u", "1"], 2),
     (EXP_MODEL.replace("c = 0.5", "c = 0.2"), ["eval", "ruin", "{cfg}"], 3),
+    *[(COARSE.format(h=h), ["eval", q, "{cfg}", "--u", "1,2", *extra], 3)
+      for h in (0.5, 0.25)
+      for q, extra in (("ruin", []), ("deficit", ["--y", "1"]))],
 ])
 def test_exit_codes(tmp_path, capsys, text, argv, code):
     path = tmp_path / "m.cfg"

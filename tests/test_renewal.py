@@ -181,6 +181,17 @@ class TestSolve:
             RenewalProblem(phi=0.5, forcing=lambda t: t, kernel=lambda t: t,
                            h=-0.1, u_max=1.0)
 
+    @pytest.mark.parametrize("h", [0.5, 0.25])
+    def test_rejects_step_without_positive_diagonal(self, h):
+        # the implicit diagonal 1 - phi h kappa(0)/2 is not positive; the
+        # message names the largest admissible step
+        p = RenewalProblem(phi=0.99, forcing=lambda t: 0.99 * np.exp(-t),
+                           kernel=lambda t: 10.0 * np.exp(-10.0 * t), h=h,
+                           u_max=5.0)
+        with pytest.raises(PreconditionError,
+                           match=r"h < 2/\(phi kappa\(0\)\) = 0\.20202"):
+            solve(p)
+
     def test_rejects_non_density_kernel(self):
         p = RenewalProblem(phi=0.5, forcing=lambda t: np.exp(-t),
                            kernel=lambda t: 5.0 * np.exp(-t), h=2.0**-6,
@@ -253,3 +264,13 @@ class TestContraction:
         lhs = np.max(np.abs(tx - ty))
         rhs = p.phi * np.max(np.abs(x - y)) + 2.0 * p.h * np.max(k)
         assert lhs <= rhs
+
+
+@pytest.mark.parametrize("n", [2, 3, 5, 4097, 40961])
+def test_trapezoid_convolution_matches_direct_sum(n):
+    rng = np.random.default_rng(n)
+    x, k, h = rng.standard_normal(n), rng.standard_normal(n), 2.0**-10
+    full = np.convolve(x, k)[:n]
+    expect = h * (full - 0.5 * x[0] * k - 0.5 * x * k[0])
+    bound = 16.0 * EPS * h * np.max(np.abs(x)) * np.sum(np.abs(k))
+    assert np.max(np.abs(trapezoid_convolution(x, k, h) - expect)) <= bound
