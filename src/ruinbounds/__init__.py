@@ -11,8 +11,7 @@ from .diffusion import (PerturbedModel, decompose, k_exact_exponential,
                         k_iterate_erlang, k_iterates, k_tail, ladder_density,
                         ladder_tail, psi_total)
 from .distributions import (ClaimDistribution, Erlang, ErlangMixture,
-                            Exponential, HyperExponential, Tabulated,
-                            partial_exp_sum)
+                            Exponential, HyperExponential, partial_exp_sum)
 from .errors import (GridMismatchError, PreconditionError, RuinboundsError,
                      TruncationError)
 from .metrics import (GridFunction, SupDistance, kantorovich, nu_gamma, q_y,
@@ -31,7 +30,7 @@ __all__ = [
     "PerturbedModel", "decompose", "k_exact_exponential", "k_iterate_erlang",
     "k_iterates", "k_tail", "ladder_density", "ladder_tail", "psi_total",
     "ClaimDistribution", "Erlang", "ErlangMixture", "Exponential",
-    "HyperExponential", "Tabulated", "partial_exp_sum",
+    "HyperExponential", "partial_exp_sum",
     "GridMismatchError", "PreconditionError", "RuinboundsError",
     "TruncationError",
     "GridFunction", "SupDistance", "kantorovich", "nu_gamma", "q_y",

@@ -85,8 +85,8 @@ def _psi_problem(model, h, u_max, y=0.0):
         raise ValueError("y must be >= 0")
     fe = model.claims.equilibrium()
     mu = model.mu
-    kernel = lambda t: np.asarray(model.claims.tail(t)) / mu
-    forcing = lambda t: model.phi * np.asarray(fe.tail(t + y))
+    kernel = lambda t: model.claims.tail(t) / mu
+    forcing = lambda t: model.phi * fe.tail(t + y)
     return RenewalProblem(phi=model.phi, forcing=forcing, kernel=kernel,
                           h=h, u_max=u_max)
 
@@ -195,7 +195,7 @@ def pk_truncated_series(model: RiskModel, n_terms: int, h: float = DEFAULT_H,
         u_max = default_u_max(model)
     problem = _psi_problem(model, h, u_max)
     grid = problem.grid
-    fe_tail = np.asarray(model.claims.equilibrium().tail(grid))
+    fe_tail = model.claims.equilibrium().tail(grid)
     fe_dens = problem.kernel(grid)
     phi = model.phi
     tail_k = fe_tail.copy()          # tail of the 1-fold sum

@@ -77,7 +77,7 @@ def _parse_u_values(spec: str):
 
 
 def cmd_table(args) -> int:
-    result = tables.run_table(args.id, getattr(args, "_config", None))
+    result = tables.run_table(args.id)
     rows = [(result.table_id, r.inputs, r.quantity, _fmt(r.computed),
              _fmt(r.paper), _fmt(r.deviation), r.flag, r.note)
             for r in result.rows]

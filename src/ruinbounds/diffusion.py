@@ -147,7 +147,7 @@ def _k_problem(pm: PerturbedModel, h, u_max):
     grid = np.arange(n + 1) * h
     a = _ladder_density_grid(pm, n + 1, h)
     fe = pm.base.claims.equilibrium()
-    abar = np.asarray(fe.tail(grid)) + a / pm.b0
+    abar = fe.tail(grid) + a / pm.b0
     return RenewalProblem(phi=pm.phi, forcing=pm.phi * abar, kernel=a,
                           h=h, u_max=u_max)
 

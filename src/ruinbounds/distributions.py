@@ -1,12 +1,13 @@
-"""Claim-size distribution families.
+"""Claim-size laws.
 
-Every parametric family is a mixture of Erlang laws: exponential,
+Every claim law is a mixture of Erlang laws, and so phase-type: one class,
+``ClaimDistribution``, is built from its components (weights, shapes,
+rates), component i being Erlang(k_i, r_i).  Exponential,
 hyperexponential, Erlang and common-rate Erlang mixtures are thin
-constructors of one core class whose component i is Erlang(k_i, r_i).  The
-core gives the survival function, density, moments and mgf in closed form,
-the equilibrium transform as another Erlang mixture, an exact sampler, and
-the phase-type pair (alpha, T) that the perturbed model's ladder law is
-built from.  A tabulated tail is the one non-phase-type fallback.
+constructors of it.  The class gives the survival function, density,
+moments and mgf in closed form, the equilibrium transform as another Erlang
+mixture, an exact sampler, and the phase-type pair (alpha, T) that the
+perturbed model's ladder law is built from.
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ __all__ = [
     "HyperExponential",
     "Erlang",
     "ErlangMixture",
-    "Tabulated",
     "partial_exp_sum",
 ]
 
@@ -60,109 +60,18 @@ def partial_exp_sum(m, z):
     return total
 
 
-_NEGATIVE = "claim sizes are nonnegative; got a negative argument"
-
-
-def _as_array(t):
-    arr = np.asarray(t, dtype=float)
-    if np.any(arr < 0):
-        raise ValueError(_NEGATIVE)
-    return arr
-
-
-def _scalar_like(t, values):
-    return float(values) if np.isscalar(t) or np.ndim(t) == 0 else values
-
-
-class ClaimDistribution:
-    """Common interface of all claim-size laws.
-
-    Subclasses provide ``tail``, ``density``, ``mean``, ``second_moment``,
-    ``equilibrium``, ``mgf``, ``sample`` and the ``slowest_rate`` of their
-    exponential envelope; phase-type laws also give ``phase_type``.
-    """
-
-    def tail(self, t):
-        """Survival function F-bar(t) = 1 - F(t)."""
-        raise NotImplementedError
-
-    def density(self, t):
-        raise NotImplementedError
-
-    def mean(self) -> float:
-        raise NotImplementedError
-
-    def second_moment(self) -> float:
-        raise NotImplementedError
-
-    def equilibrium(self) -> "ClaimDistribution":
-        """Integrated-tail (equilibrium) transform of this law."""
-        raise NotImplementedError
-
-    def mgf(self, r: float) -> float:
-        """E exp(rX) for r below the slowest exponential rate."""
-        raise NotImplementedError
-
-    def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        raise NotImplementedError
-
-    def phase_type(self):
-        """Start vector alpha and sub-generator T with
-        tail(t) = alpha exp(T t) 1."""
-        raise PreconditionError(f"{type(self).__name__} is not phase-type")
-
-    @property
-    def slowest_rate(self) -> float:
-        """Rate of the slowest exponential component; the tail is
-        O(poly(t) * exp(-slowest_rate * t))."""
-        raise NotImplementedError
-
-    # -- generic quadrature-backed operations ---------------------------
-
-    def weighted_tail_moment(self, gamma: float) -> float:
-        """Weighted tail moment: integral of (1+t)^gamma * tail(t) over [0, inf).
-
-        Equals (E(X+1)^(gamma+1) - 1)/(gamma+1) whenever the (gamma+1)-moment
-        is finite; the identity is exercised by the test suite.
-        """
-        if gamma < 0:
-            raise ValueError("gamma must be >= 0")
-        T = self.tail_cutoff(gamma)
-        val, _ = integrate.quad(lambda t: (1.0 + t) ** gamma * float(self.tail(t)),
-                                0.0, T, epsabs=_ABS_TOL, epsrel=_REL_TOL,
-                                limit=_QUAD_LIMIT)
-        return val + self._tail_remainder(T, gamma)
-
-    def tail_cutoff(self, gamma: float) -> float:
-        """Truncation point T past which (1+t)^gamma * tail(t) integrates to
-        below 1e-13 (estimated from the exponential envelope)."""
-        r = self.slowest_rate
-        T = max(1.0, 20.0 / r)
-        for _ in range(200):
-            if self._tail_remainder(T, gamma) < _TAIL_EPSILON:
-                return T
-            T *= 1.5
-        raise TruncationError("tail does not decay within a workable window")
-
-    def _tail_remainder(self, T: float, gamma: float) -> float:
-        # First-order envelope estimate of int_T^inf (1+t)^gamma tail(t) dt.
-        # A factor 4 absorbs polynomial slack (Erlang-type components).
-        r = self.slowest_rate
-        top = (1.0 + T) ** gamma * float(self.tail(T))
-        return 4.0 * top / r * (1.0 + gamma / (r * (1.0 + T)))
-
-
 @dataclass(frozen=True, init=False)
-class _MixedErlang(ClaimDistribution):
-    """Mixture of Erlang laws: component i is Erlang(shapes[i], rates[i])
-    with probability weights[i].
+class ClaimDistribution:
+    """Claim-size law: a mixture of Erlang laws, component i being
+    Erlang(shapes[i], rates[i]) with probability weights[i].
 
-    Every quantity has a closed form: the tail is
-    sum_i w_i exp(-r_i t) S_{k_i - 1}(r_i t) with S the partial exponential
-    sum, and the law is phase-type, each component a chain of k_i
-    exponential stages at rate r_i.  The four parametric families are thin
-    constructors of this class; equality and hashing compare the class and
-    the components.
+    Constructible from components, ``ClaimDistribution(weights, shapes,
+    rates)``; the four parametric families are thin constructors of it.
+    Every quantity but the weighted tail moment has a closed form: the tail
+    is sum_i w_i exp(-r_i t) S_{k_i - 1}(r_i t) with S the partial
+    exponential sum, and the law is phase-type, each component a chain of
+    k_i exponential stages at rate r_i.  Equality and hashing compare the
+    class and the components.
     """
 
     weights: tuple
@@ -206,7 +115,7 @@ class _MixedErlang(ClaimDistribution):
     def _of(cls, weights, shapes, rates):
         # an instance of cls from components, bypassing the family signature
         law = object.__new__(cls)
-        _MixedErlang.__init__(law, weights, shapes, rates)
+        ClaimDistribution.__init__(law, weights, shapes, rates)
         return law
 
     def _erlang_sum(self, t, stage):
@@ -215,13 +124,16 @@ class _MixedErlang(ClaimDistribution):
             # quadrature integrands call this point by point; plain floats
             # cost a fraction of 0-d numpy arithmetic
             x, exp = float(t), math.exp
-            if x < 0:
-                raise ValueError(_NEGATIVE)
+            negative = x < 0
         else:
-            x, exp = _as_array(t), np.exp
+            x, exp = np.asarray(t, dtype=float), np.exp
+            negative = np.any(x < 0)
+        if negative:
+            raise ValueError("claim sizes are nonnegative; got a negative argument")
         return sum(w * exp(-r * x) * stage(k, r, r * x) for w, k, r in self._parts)
 
     def tail(self, t):
+        """Survival function F-bar(t) = 1 - F(t); a float for a scalar t."""
         # P(Erlang(k, r) > t) = e^{-z} S_{k-1}(z)
         return self._erlang_sum(t, lambda k, r, z: partial_exp_sum(k - 1, z))
 
@@ -237,6 +149,7 @@ class _MixedErlang(ClaimDistribution):
         return float(sum(w * k * (k + 1) / r**2 for w, k, r in self._parts))
 
     def equilibrium(self):
+        """Integrated-tail (equilibrium) transform of this law."""
         # stage j of component i leaves an Erlang(j, r_i) residual with
         # weight w_i / (r_i mu); construction merges equal (shape, rate) pairs
         mu = self.mean()
@@ -245,6 +158,7 @@ class _MixedErlang(ClaimDistribution):
         return (self._equilibrium_type or type(self))._of(*zip(*stages))
 
     def mgf(self, r):
+        """E exp(rX) for r below the slowest rate."""
         if r >= self.slowest_rate:
             raise PreconditionError("mgf diverges at and beyond the slowest rate")
         return float(sum(w * (b / (b - r)) ** k for w, k, b in self._parts))
@@ -259,6 +173,8 @@ class _MixedErlang(ClaimDistribution):
                 / np.asarray(self.rates)[idx])
 
     def phase_type(self):
+        """Start vector alpha and sub-generator T with
+        tail(t) = alpha exp(T t) 1."""
         d = sum(self.shapes)
         alpha, T = np.zeros(d), np.zeros((d, d))
         i = 0
@@ -270,10 +186,51 @@ class _MixedErlang(ClaimDistribution):
 
     @property
     def slowest_rate(self):
+        """Rate of the slowest component; the tail is
+        O(poly(t) * exp(-slowest_rate * t))."""
         return min(self.rates)
 
+    # -- quadrature-backed operations -----------------------------------
 
-class Exponential(_MixedErlang):
+    def weighted_tail_moment(self, gamma: float) -> float:
+        """Weighted tail moment: integral of (1+t)^gamma * tail(t) over [0, inf).
+
+        Equals (E(X+1)^(gamma+1) - 1)/(gamma+1); the identity is exercised
+        by the test suite.  Where (1+t)^gamma overflows float before the
+        tail has decayed, the moment is reported as ``math.inf``, and any
+        hypothesis that bounds it fails.
+        """
+        if gamma < 0:
+            raise ValueError("gamma must be >= 0")
+        try:
+            T = self.tail_cutoff(gamma)
+            val, _ = integrate.quad(lambda t: (1.0 + t) ** gamma * self.tail(t),
+                                    0.0, T, epsabs=_ABS_TOL, epsrel=_REL_TOL,
+                                    limit=_QUAD_LIMIT)
+        except OverflowError:
+            return math.inf
+        return val + self._tail_remainder(T, gamma)
+
+    def tail_cutoff(self, gamma: float) -> float:
+        """Truncation point T past which (1+t)^gamma * tail(t) integrates to
+        below 1e-13 (estimated from the exponential envelope)."""
+        r = self.slowest_rate
+        T = max(1.0, 20.0 / r)
+        for _ in range(200):
+            if self._tail_remainder(T, gamma) < _TAIL_EPSILON:
+                return T
+            T *= 1.5
+        raise TruncationError("tail does not decay within a workable window")
+
+    def _tail_remainder(self, T: float, gamma: float) -> float:
+        # First-order envelope estimate of int_T^inf (1+t)^gamma tail(t) dt.
+        # A factor 4 absorbs polynomial slack (Erlang-type components).
+        r = self.slowest_rate
+        top = (1.0 + T) ** gamma * self.tail(T)
+        return 4.0 * top / r * (1.0 + gamma / (r * (1.0 + T)))
+
+
+class Exponential(ClaimDistribution):
     """Exponential claim sizes with rate beta (mean 1/beta)."""
 
     def __init__(self, beta):
@@ -282,7 +239,7 @@ class Exponential(_MixedErlang):
     beta = property(lambda self: self.rates[0])
 
 
-class HyperExponential(_MixedErlang):
+class HyperExponential(ClaimDistribution):
     """Mixture of exponentials: tail(t) = sum_i p_i exp(-beta_i t).
 
     Components are sorted by rate, and components with equal rates are
@@ -298,7 +255,7 @@ class HyperExponential(_MixedErlang):
         super().__init__(w[order], np.ones(len(w), dtype=int), b[order])
 
 
-class ErlangMixture(_MixedErlang):
+class ErlangMixture(ClaimDistribution):
     """Mixture of Erlang laws sharing one rate.
 
     Mainly the image of ``Erlang.equilibrium``; closed under a further
@@ -311,7 +268,7 @@ class ErlangMixture(_MixedErlang):
     beta = property(lambda self: self.rates[0])
 
 
-class Erlang(_MixedErlang):
+class Erlang(ClaimDistribution):
     """Erlang claim sizes: shape k (positive integer), rate beta."""
 
     _equilibrium_type = ErlangMixture
@@ -321,107 +278,3 @@ class Erlang(_MixedErlang):
 
     shape = property(lambda self: self.shapes[0])
     beta = property(lambda self: self.rates[0])
-
-
-@dataclass(frozen=True)
-class Tabulated(ClaimDistribution):
-    """Tail given on a uniform grid with step h, linearly interpolated.
-
-    Queries past the grid return 0 once the recorded tail has decayed below
-    ``tail_epsilon``; otherwise they fail, because extrapolating an
-    undecayed tail silently truncates mass.
-    """
-
-    h: float
-    values: np.ndarray
-    tail_epsilon: float = 1e-12
-
-    def __init__(self, h, values, tail_epsilon=1e-12):
-        v = np.asarray(values, dtype=float)
-        if h <= 0:
-            raise ValueError("grid step must be positive")
-        if v.ndim != 1 or len(v) < 2:
-            raise ValueError("need at least two tail values")
-        if abs(v[0] - 1.0) > 1e-9:
-            raise ValueError("tail must start at 1 at the origin")
-        if np.any(v < 0) or np.any(v > 1 + 1e-12):
-            raise ValueError("tail values must lie in [0, 1]")
-        if np.any(np.diff(v) > 1e-12):
-            raise ValueError("tail values must be nonincreasing")
-        object.__setattr__(self, "h", float(h))
-        object.__setattr__(self, "values", v.copy())
-        object.__setattr__(self, "tail_epsilon", float(tail_epsilon))
-        self.values.setflags(write=False)
-
-    @property
-    def grid_end(self):
-        return (len(self.values) - 1) * self.h
-
-    def _decayed(self):
-        return self.values[-1] < self.tail_epsilon
-
-    def tail(self, t):
-        arr = _as_array(t)
-        if np.any(arr > self.grid_end + 1e-12) and not self._decayed():
-            raise TruncationError(
-                "query beyond the tabulated grid while the tail has not decayed")
-        grid = np.arange(len(self.values)) * self.h
-        out = np.interp(arr, grid, self.values, right=0.0)
-        return _scalar_like(t, out)
-
-    def density(self, t):
-        # central finite differences of the CDF; one-sided at the origin
-        arr = _as_array(t)
-        d = self.h / 2.0
-        hi = self.tail(np.maximum(arr - d, 0.0))
-        lo = self.tail(arr + d)
-        width = (arr + d) - np.maximum(arr - d, 0.0)
-        return _scalar_like(t, (hi - lo) / width)
-
-    def mean(self):
-        if not self._decayed():
-            raise TruncationError(
-                "tabulated tail has not decayed below tail_epsilon at the grid end; "
-                "the mean would be truncated")
-        return float(integrate.trapezoid(self.values, dx=self.h))
-
-    def second_moment(self):
-        if not self._decayed():
-            raise TruncationError("tabulated tail has not decayed; moment truncated")
-        grid = np.arange(len(self.values)) * self.h
-        return float(2.0 * integrate.trapezoid(grid * self.values, dx=self.h))
-
-    def equilibrium(self):
-        mu = self.mean()
-        # reverse cumulative trapezoid of the tail
-        cells = 0.5 * self.h * (self.values[:-1] + self.values[1:])
-        rest = np.concatenate([np.cumsum(cells[::-1])[::-1], [0.0]])
-        return Tabulated(self.h, rest / mu, self.tail_epsilon)
-
-    def mgf(self, r):
-        if not self._decayed():
-            raise TruncationError("tabulated tail has not decayed; mgf truncated")
-        grid = np.arange(len(self.values)) * self.h
-        # E e^{rX} = 1 + r * int e^{rt} tail(t) dt
-        return float(1.0 + r * integrate.trapezoid(np.exp(r * grid) * self.values,
-                                                    dx=self.h))
-
-    def sample(self, rng, size):
-        u = rng.random(size)
-        cdf = 1.0 - self.values
-        grid = np.arange(len(self.values)) * self.h
-        return np.interp(u, cdf, grid)
-
-    @property
-    def slowest_rate(self):
-        # empirical decay rate over the last decade of the recorded tail
-        v = self.values
-        pos = v > 0
-        if pos.sum() < 2:
-            return 1.0 / self.h
-        i0 = max(0, int(0.9 * pos.sum()) - 1)
-        j = np.nonzero(pos)[0]
-        a, b = j[i0], j[-1]
-        if b == a or v[b] >= v[a]:
-            return 1.0 / ((b - a + 1) * self.h)
-        return float(np.log(v[a] / v[b]) / ((b - a) * self.h))

@@ -12,7 +12,7 @@ class PreconditionError(RuinboundsError):
 
 class TruncationError(RuinboundsError):
     """A tail has not decayed enough for the requested computation
-    (tabulated grid too short, divergent improper integral)."""
+    (grid too short, divergent improper integral)."""
 
 
 class GridMismatchError(RuinboundsError):

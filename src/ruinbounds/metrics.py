@@ -145,10 +145,10 @@ def tail_crossings(F: ClaimDistribution, G: ClaimDistribution,
     if upper is None:
         upper = max(F.tail_cutoff(0.0), G.tail_cutoff(0.0))
     ts = np.linspace(lower, upper, _SCAN_POINTS + 1)
-    d = np.asarray(F.tail(ts)) - np.asarray(G.tail(ts))
+    d = F.tail(ts) - G.tail(ts)
     sign = np.sign(d)
     flips = np.nonzero(sign[:-1] * sign[1:] < 0)[0]
-    diff = lambda t: float(F.tail(t)) - float(G.tail(t))
+    diff = lambda t: F.tail(t) - G.tail(t)
     return [_bisect(diff, ts[i], ts[i + 1]) for i in flips]
 
 
@@ -157,7 +157,7 @@ def _nu_gamma_distributions(F, G, gamma, lower=0.0):
     if T <= lower:
         return 0.0
     pts = [lower] + [c for c in tail_crossings(F, G, lower, T)] + [T]
-    diff = lambda t: (1.0 + t) ** gamma * (float(F.tail(t)) - float(G.tail(t)))
+    diff = lambda t: (1.0 + t) ** gamma * (F.tail(t) - G.tail(t))
     total = 0.0
     for a, b in zip(pts[:-1], pts[1:]):
         piece, _ = integrate.quad(diff, a, b, epsabs=_ABS_TOL / 10,

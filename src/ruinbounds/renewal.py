@@ -102,8 +102,10 @@ def solve(problem: RenewalProblem) -> GridFunction:
     float64 system.  The step gains only where ``np.longdouble`` is wider than
     float64 (80-bit extended on x86-64); where the two are the same type
     the result keeps the float64 accuracy of the FFT products.
-    A step with c_0 <= 0, that is h >= 2/(phi kappa(0)), raises
-    ``PreconditionError``.
+    The discrete equation must be defective, as the continuous one is: a
+    step with margin c(1) = sum_p c_p <= 0 raises ``PreconditionError``.
+    When c(1) > 0, 1/c(t) has nonnegative coefficients (c_p <= 0 for
+    p >= 1) summing to 1/c(1), so sup|y| <= sup|r|/c(1).
     """
     c, x = _system(problem)
     b = _reciprocal(c.tobytes())
@@ -124,12 +126,14 @@ def _system(problem):
     w = problem.phi * problem.h
     c = -w * k[:-1]
     c[0] = 1.0 - 0.5 * w * k[0]
-    if c[0] <= 0.0:
+    # c_p <= 0 for p >= 1, so c(1) > 0 also gives c_0 > 0
+    margin = c.sum()
+    if margin <= 0.0:
         raise PreconditionError(
-            f"step h = {problem.h:g} too coarse for the implicit diagonal: "
-            f"phi = {problem.phi:g} and kappa(0) = {k[0]:g} make "
-            f"1 - phi h kappa(0)/2 <= 0; need h < 2/(phi kappa(0)) = "
-            f"{2.0 / (problem.phi * k[0]):g}")
+            f"discrete equation is not defective: margin c(1) = {margin:.3g} "
+            f"<= 0 at phi = {problem.phi:g} and step h = {problem.h:g}; "
+            f"a smaller step is needed (h < 2/(phi kappa(0)) = "
+            f"{2.0 / (problem.phi * k[0]):g} is necessary)")
     x = z.copy()
     x[1:] += 0.5 * w * k[1:] * z[0]
     return c, x

@@ -245,7 +245,8 @@ class TestEvalCommand:
 EXP_MODEL = "[model]\nlambda = 0.5\nc = 0.5\nclaims = exp\nrate = 2.0\n"
 PAIR = (EXP_MODEL + "[model2]\nlambda = 0.5\nc = 0.5\nclaims = exp\n"
         "rate = 2.0\n")
-# phi = 0.99 and kappa(0) = 10: steps 0.5 and 0.25 exceed 2/(phi kappa(0))
+# phi = 0.99 and kappa(0) = 10: steps 0.5 and 0.25 exceed 2/(phi kappa(0));
+# down to 0.05 the discrete margin c(1) is still <= 0
 COARSE = ("[model]\nlambda = 9.9\nc = 1\nclaims = exp\nrate = 10\n"
           "[numeric]\nh = {h}\numax = 5\n")
 
@@ -276,8 +277,10 @@ COARSE = ("[model]\nlambda = 9.9\nc = 1\nclaims = exp\nrate = 10\n"
     (EXP_MODEL, ["eval", "mc", "{cfg}", "--seed", "-1", "--u", "1"], 2),
     (EXP_MODEL.replace("c = 0.5", "c = 0.2"), ["eval", "ruin", "{cfg}"], 3),
     *[(COARSE.format(h=h), ["eval", q, "{cfg}", "--u", "1,2", *extra], 3)
-      for h in (0.5, 0.25)
+      for h in (0.5, 0.25, 0.2, 0.1, 0.05)
       for q, extra in (("ruin", []), ("deficit", ["--y", "1"]))],
+    # (1+t)^gamma overflows float: the moment is inf, so the contraction fails
+    *[(PAIR, ["bound", "dk1", "{cfg}", "--gamma", g], 3) for g in ("150", "400")],
 ])
 def test_exit_codes(tmp_path, capsys, text, argv, code):
     path = tmp_path / "m.cfg"

@@ -1,25 +1,14 @@
 """Distribution families: tails, moments, equilibrium transforms, samplers."""
 
 import math
-import warnings
-from contextlib import contextmanager
 from fractions import Fraction
 
 import numpy as np
 import pytest
 from scipy import integrate
 
-
-@contextmanager
-def _quiet_quad_warnings():
-    # quad reports roundoff when fed a piecewise-linear interpolant; the
-    # assertion tolerance already covers it
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", integrate.IntegrationWarning)
-        yield
-
-from ruinbounds import (Erlang, ErlangMixture, Exponential, HyperExponential,
-                        Tabulated, TruncationError, partial_exp_sum)
+from ruinbounds import (ClaimDistribution, Erlang, ErlangMixture, Exponential,
+                        HyperExponential, partial_exp_sum)
 
 MIX = HyperExponential((0.5, 0.5), (1.25, 5.0 / 6.0))
 ALL_PARAMETRIC = [
@@ -31,10 +20,6 @@ ALL_PARAMETRIC = [
     Erlang(2, 0.7),
     ErlangMixture((0.25, 0.75), (1, 3), 2.0),
 ]
-
-
-def make_tabulated(dist=Exponential(2.0), h=2.0**-8, n=2**13):
-    return Tabulated(h, dist.tail(np.arange(n) * h))
 
 
 class TestTail:
@@ -82,11 +67,6 @@ class TestDensity:
         val, _ = integrate.quad(dist.density, 0.0, 200.0, limit=500)
         assert val == pytest.approx(1.0, abs=1e-7)
 
-    def test_tabulated_finite_differences(self):
-        tab = make_tabulated()
-        t = np.array([0.5, 1.0, 2.0])
-        assert tab.density(t) == pytest.approx(2.0 * np.exp(-2.0 * t), rel=1e-3)
-
 
 class TestMoments:
     def test_known_means(self):
@@ -96,19 +76,6 @@ class TestMoments:
 
     def test_mixture_second_moment(self):
         assert MIX.second_moment() == pytest.approx(2.08, rel=1e-12)
-
-    def test_tabulated_mean_requires_decay(self):
-        short = Tabulated(0.1, Exponential(1.0).tail(np.arange(20) * 0.1))
-        with pytest.raises(TruncationError):
-            short.mean()
-
-    def test_tabulated_weighted_moment_requires_decay(self):
-        short = Tabulated(0.1, Exponential(1.0).tail(np.arange(20) * 0.1))
-        with pytest.raises(TruncationError):
-            short.weighted_tail_moment(1.0)
-
-    def test_tabulated_mean(self):
-        assert make_tabulated().mean() == pytest.approx(0.5, abs=1e-5)
 
 
 class TestWeightedTailMoment:
@@ -150,18 +117,14 @@ class TestEquilibrium:
         assert eq.weights == pytest.approx((0.5, 0.5), rel=1e-12)
         assert eq.shapes == (1, 2)
 
-    @pytest.mark.parametrize("dist", ALL_PARAMETRIC + [make_tabulated()])
+    @pytest.mark.parametrize("dist", ALL_PARAMETRIC)
     def test_tail_identity(self, dist):
         # mu * tail_e(t) = integral of the tail from t to infinity
         eq = dist.equilibrium()
         mu = dist.mean()
-        tabulated = isinstance(dist, Tabulated)
-        upper = dist.grid_end if tabulated else 150.0
-        tol = 1e-5 if tabulated else 1e-6  # interpolant carries O(h^2) error
         for t in (0.0, 0.4, 1.3, 2.7):
-            with np.errstate(all="ignore"), _quiet_quad_warnings():
-                rest, _ = integrate.quad(dist.tail, t, upper, limit=500)
-            assert mu * eq.tail(t) == pytest.approx(rest, abs=tol)
+            rest, _ = integrate.quad(dist.tail, t, 150.0, limit=500)
+            assert mu * eq.tail(t) == pytest.approx(rest, abs=1e-6)
 
     @pytest.mark.parametrize("dist", ALL_PARAMETRIC)
     def test_equilibrium_mean(self, dist):
@@ -219,16 +182,22 @@ class TestConstruction:
         with pytest.raises(ValueError):
             Erlang(0, 1.0)
 
-    def test_tabulated_rejects_increasing(self):
-        with pytest.raises(ValueError):
-            Tabulated(0.1, [1.0, 0.5, 0.6])
+    def test_from_components(self):
+        # the core class is a law in its own right; a family is the same
+        # components under another class, so the two compare unequal
+        law = ClaimDistribution((0.5, 0.5), (1, 3), (2.0, 2.0))
+        mix = ErlangMixture((0.5, 0.5), (1, 3), 2.0)
+        assert law.tail(1.3) == mix.tail(1.3)
+        assert law.mean() == pytest.approx(1.0, rel=1e-14)
+        assert type(law.equilibrium()) is ClaimDistribution
+        assert law != mix and law == ClaimDistribution((0.5, 0.5), (1, 3), (2.0, 2.0))
+        assert isinstance(mix, ClaimDistribution)
 
-    def test_tabulated_extrapolation_rules(self):
-        tab = make_tabulated()          # decayed tail: queries past end give 0
-        assert tab.tail(tab.grid_end + 5.0) == 0.0
-        short = Tabulated(0.1, Exponential(1.0).tail(np.arange(20) * 0.1))
-        with pytest.raises(TruncationError):
-            short.tail(5.0)
+    def test_rejects_negative_argument(self):
+        with pytest.raises(ValueError):
+            Exponential(1.0).tail(-0.5)
+        with pytest.raises(ValueError):
+            Exponential(1.0).density(np.array([0.0, -0.5]))
 
 
 class TestSampling:

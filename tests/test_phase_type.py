@@ -9,6 +9,8 @@ agree with alpha exp(T t) expressions, and the grid iterates of K-bar must
 come within O(h^2) of the exact phase-type iterates of ``helpers``.
 """
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -16,8 +18,8 @@ from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from helpers import k_iterate_exact
-from ruinbounds import PerturbedModel, RiskModel, k_iterates, ladder_density
-from ruinbounds.distributions import _MixedErlang
+from ruinbounds import (ClaimDistribution, PerturbedModel, RiskModel,
+                        k_iterates, ladder_density)
 from ruinbounds.diffusion import _ladder_density_grid
 
 # a few shared rates make equal (shape, rate) pairs, which the equilibrium merges
@@ -32,7 +34,7 @@ def build(components):
     w /= w.sum()
     shapes = [c[1] for c in components]
     rates = [c[2] for c in components]
-    return _MixedErlang(w, shapes, rates), reference(w, shapes, rates)
+    return ClaimDistribution(w, shapes, rates), reference(w, shapes, rates)
 
 
 def reference(weights, shapes, rates):
@@ -89,6 +91,16 @@ def test_moments_and_mgf(components, frac):
     exit_rates = -T.sum(axis=1)
     expect = alpha @ np.linalg.solve(-(T + s * np.eye(len(alpha))), exit_rates)
     assert close(law.mgf(s), expect)
+    # E X^j = j! alpha (-T)^-j 1, and the weighted tail moment of integer
+    # order g is (E(1+X)^(g+1) - 1)/(g+1)
+    moments, v = [1.0], ones
+    for j in range(1, 5):
+        v = np.linalg.solve(-T, v)
+        moments.append(math.factorial(j) * alpha @ v)
+    for g in range(4):
+        shifted = sum(math.comb(g + 1, j) * moments[j] for j in range(g + 2))
+        assert law.weighted_tail_moment(g) == pytest.approx(
+            (shifted - 1.0) / (g + 1), rel=1e-10)
 
 
 @settings(max_examples=60, deadline=None)

@@ -8,12 +8,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import psi_exact
-from ruinbounds import (Erlang, Exponential, GridFunction, HyperExponential,
-                        PerturbedModel, PreconditionError, RenewalProblem,
-                        RiskModel, iterate, residual, ruin_probability, solve)
+from ruinbounds import (ClaimDistribution, Erlang, Exponential, GridFunction,
+                        HyperExponential, PerturbedModel, PreconditionError,
+                        RenewalProblem, RiskModel, iterate, residual,
+                        ruin_probability, solve)
 from ruinbounds.classical import _psi_problem
 from ruinbounds.diffusion import _k_problem
-from ruinbounds.distributions import _MixedErlang
 from ruinbounds.renewal import _system, trapezoid_convolution
 
 EPS = np.finfo(float).eps
@@ -133,7 +133,7 @@ PSI_C = 0.1
 @example([(0.5, 3, 7.33), (0.3, 1, 2.0), (0.2, 4, 5.0)], 0.99, 14)
 def test_psi_within_c_h2_of_phase_type(components, phi, log2_step):
     w = np.array([c[0] for c in components])
-    law = _MixedErlang(w / w.sum(), [c[1] for c in components],
+    law = ClaimDistribution(w / w.sum(), [c[1] for c in components],
                        [c[2] for c in components])
     model = RiskModel(phi / law.mean(), 1.0, law)
     h = 2.0**-log2_step
@@ -191,6 +191,19 @@ class TestSolve:
         with pytest.raises(PreconditionError,
                            match=r"h < 2/\(phi kappa\(0\)\) = 0\.20202"):
             solve(p)
+
+    def test_rejects_nondefective_discrete_equation(self):
+        # psi for Exp(10) claims at phi = 0.99: at h = 0.05 the diagonal
+        # 1 - phi h kappa(0)/2 is positive but the margin c(1) is not; at
+        # h = 0.02 it is, and the solution stays a probability
+        def problem(h):
+            return RenewalProblem(phi=0.99, forcing=lambda t: 0.99 * np.exp(-10.0 * t),
+                                  kernel=lambda t: 10.0 * np.exp(-10.0 * t), h=h,
+                                  u_max=5.0)
+        with pytest.raises(PreconditionError, match=r"margin c\(1\) = -0\.0105"):
+            solve(problem(0.05))
+        x = solve(problem(0.02)).values
+        assert np.all((0.0 <= x) & (x <= 1.0))
 
     def test_rejects_non_density_kernel(self):
         p = RenewalProblem(phi=0.5, forcing=lambda t: np.exp(-t),
