@@ -12,12 +12,12 @@ so both delegate to the generic renewal solver.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy import integrate, optimize
 
-from .distributions import ClaimDistribution, Exponential
+from .distributions import ClaimDistribution, Exponential, _gauss_legendre
 from .errors import PreconditionError
 from .metrics import GridFunction
 from .renewal import DEFAULT_H, RenewalProblem, solve, trapezoid_convolution
@@ -128,7 +128,15 @@ def adjustment_rate(model: RiskModel) -> float:
         hi = top - (top - hi) * 0.1
         if top - hi < 1e-15 * top:
             raise PreconditionError("no Lundberg root below the slowest rate")
-    return float(optimize.brentq(g, lo, hi, xtol=1e-14, rtol=1e-14))
+    # bisect until the midpoint rounds to an endpoint
+    mid = 0.5 * (lo + hi)
+    while lo < mid < hi:
+        if g(mid) < 0:
+            lo = mid
+        else:
+            hi = mid
+        mid = 0.5 * (lo + hi)
+    return mid
 
 
 def weighted_psi_moment(model: RiskModel, gamma: float,
@@ -138,19 +146,22 @@ def weighted_psi_moment(model: RiskModel, gamma: float,
 
     Trapezoid over the solver grid plus an analytic remainder: past the grid
     end, psi is extrapolated as psi(U) * exp(-R (z - U)) with R the Lundberg
-    rate.  ``psi`` may be passed in to reuse an existing solve.
+    rate.  ``psi`` may be passed in to reuse an existing solve.  Where
+    (1+z)^gamma overflows float, the moment is reported as ``math.inf``.
     """
     if gamma < 0:
         raise ValueError("gamma must be >= 0")
     if psi is None:
         psi = ruin_probability(model, h=h, u_max=u_max)
     z = psi.grid
-    core = float(integrate.trapezoid((1.0 + z) ** gamma * psi.values, dx=psi.h))
+    with np.errstate(over="ignore", invalid="ignore"):
+        core = float(np.trapezoid((1.0 + z) ** gamma * psi.values, dx=psi.h))
     R = adjustment_rate(model)
     U = psi.u_max
-    tail_w, _ = integrate.quad(lambda s: (1.0 + U + s) ** gamma * np.exp(-R * s),
-                               0.0, 60.0 / R, limit=200)
-    return core + float(psi.values[-1]) * tail_w
+    (tail_w,) = _gauss_legendre(lambda s: (1.0 + U + s) ** gamma * np.exp(-R * s),
+                                (0.0, 60.0 / R), R)
+    total = core + float(psi.values[-1]) * float(tail_w)
+    return total if math.isfinite(total) else math.inf
 
 
 def deficit_tail(model: RiskModel, y: float, h: float = DEFAULT_H,

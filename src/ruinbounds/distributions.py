@@ -14,9 +14,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
-from scipy import integrate
 
 from .errors import PreconditionError, TruncationError
 
@@ -29,15 +29,13 @@ __all__ = [
     "partial_exp_sum",
 ]
 
-# Quadrature tolerances of the tail integrals behind the moments and the
-# metrics.  An improper integral is truncated where the analytic envelope of
-# its integrand drops below _TAIL_EPSILON.
-_ABS_TOL = 1e-11
-_REL_TOL = 1e-10
+# An improper tail integral is truncated where the analytic envelope of its
+# integrand drops below _TAIL_EPSILON.
 _TAIL_EPSILON = 1e-13
 
-# scipy.integrate.quad caps subdivisions at 2**31-ish; keep a sane limit
-_QUAD_LIMIT = 500
+# Gauss-Legendre nodes per panel, and panel width in units of 1/rate
+_GL_NODES = 40
+_PANEL_WIDTH = 4.0
 
 
 def partial_exp_sum(m, z):
@@ -58,6 +56,36 @@ def partial_exp_sum(m, z):
         term = term * z / r
         total = total + term
     return total
+
+
+@lru_cache(maxsize=1)
+def _legendre_rule():
+    rule = np.polynomial.legendre.leggauss(_GL_NODES)
+    for arr in rule:
+        arr.flags.writeable = False
+    return rule
+
+
+def _gauss_legendre(f, points, rate):
+    """Integrals of f over [points[i], points[i + 1]] for every i.
+
+    Each stretch is cut into equal panels at most 4/rate wide, rate being
+    the fastest decay rate of the integrand, and each panel takes 40-node
+    Gauss-Legendre; f is called once, on the array of all nodes.  A stretch
+    whose integrand overflows to inf or nan integrates to ``math.inf``.
+    """
+    x, w = _legendre_rule()
+    pts = np.asarray(points, dtype=float)
+    width = np.diff(pts)
+    count = np.maximum(1, np.ceil(width * rate / _PANEL_WIDTH)).astype(int)
+    first = np.cumsum(count) - count        # first panel of each stretch
+    step = np.repeat(width / count, count)
+    left = (np.repeat(pts[:-1], count)
+            + (np.arange(count.sum()) - np.repeat(first, count)) * step)
+    with np.errstate(over="ignore", invalid="ignore"):
+        nodes = left[:, None] + (0.5 * step)[:, None] * (x + 1.0)
+        out = np.add.reduceat((f(nodes) @ w) * (0.5 * step), first)
+    return np.where(np.isfinite(out), out, math.inf)
 
 
 @dataclass(frozen=True, init=False)
@@ -121,7 +149,7 @@ class ClaimDistribution:
     def _erlang_sum(self, t, stage):
         """sum_i w_i exp(-z_i) stage(k_i, r_i, z_i), z_i = r_i t."""
         if np.ndim(t) == 0:
-            # quadrature integrands call this point by point; plain floats
+            # the cutoff search calls this point by point; plain floats
             # cost a fraction of 0-d numpy arithmetic
             x, exp = float(t), math.exp
             negative = x < 0
@@ -204,12 +232,11 @@ class ClaimDistribution:
             raise ValueError("gamma must be >= 0")
         try:
             T = self.tail_cutoff(gamma)
-            val, _ = integrate.quad(lambda t: (1.0 + t) ** gamma * self.tail(t),
-                                    0.0, T, epsabs=_ABS_TOL, epsrel=_REL_TOL,
-                                    limit=_QUAD_LIMIT)
         except OverflowError:
             return math.inf
-        return val + self._tail_remainder(T, gamma)
+        (val,) = _gauss_legendre(lambda t: (1.0 + t) ** gamma * self.tail(t),
+                                 (0.0, T), max(self.rates))
+        return float(val) + self._tail_remainder(T, gamma)
 
     def tail_cutoff(self, gamma: float) -> float:
         """Truncation point T past which (1+t)^gamma * tail(t) integrates to

@@ -3,19 +3,20 @@
 The weighted L1 distance nu_gamma drives everything else: the Kantorovich
 distance is its gamma = 0 case, the truncated variant integrates from y
 instead of 0.  Tail differences of two light-tailed laws cross finitely
-often; each crossing is bracketed and bisected before quadrature so the
-absolute value never degrades the integration order.
+often; each crossing is bracketed and bisected before quadrature, and each
+stretch between two crossings is integrated on its own by Gauss-Legendre
+panels, so the absolute value never degrades the integration order.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy import integrate
 
-from .distributions import _ABS_TOL, _QUAD_LIMIT, _REL_TOL, ClaimDistribution
+from .distributions import ClaimDistribution, _gauss_legendre
 from .errors import GridMismatchError, TruncationError
 
 __all__ = [
@@ -30,6 +31,7 @@ __all__ = [
 
 _SCAN_POINTS = 10_000
 _BISECT_TOL = 1e-12
+_HALVINGS = 8   # bisection steps per evaluation of the tails
 
 
 @dataclass(frozen=True)
@@ -119,18 +121,27 @@ def sup_distance(x: GridFunction, y: GridFunction) -> SupDistance:
 # ---------------------------------------------------------------------------
 
 def _bisect(f, lo, hi):
-    flo = f(lo)
-    for _ in range(200):
-        if hi - lo <= _BISECT_TOL:
+    """Bisect every bracket [lo[i], hi[i]] of a sign change of the array
+    function f at once, to width 1e-12 in at most 200 halvings.
+
+    A round makes eight halvings from one call of f, on the 257 points
+    lo + (hi - lo) j / 256 of every bracket: the piece that ends at the
+    first point at or past the sign change is the bracket eight bisection
+    steps keep.  Tail evaluations cost about as much on a few hundred
+    points as on one, so rounds, not points, set the time.
+    """
+    frac = np.arange(2**_HALVINGS + 1) / 2**_HALVINGS
+    rows = np.arange(len(lo))
+    for _ in range(200 // _HALVINGS):
+        width = hi - lo
+        if width.max() <= _BISECT_TOL:
             break
-        mid = 0.5 * (lo + hi)
-        fm = f(mid)
-        if fm == 0.0:
-            return mid
-        if (flo < 0) != (fm < 0):
-            hi = mid
-        else:
-            lo, flo = mid, fm
+        pts = lo[:, None] + width[:, None] * frac
+        fp = f(pts)
+        past = ((fp < 0) != (fp[:, :1] < 0)) | (fp == 0.0)
+        past[:, 0], past[:, -1] = False, True
+        j = past.argmax(axis=1)
+        lo, hi = pts[rows, j - 1], pts[rows, j]
     return 0.5 * (lo + hi)
 
 
@@ -148,24 +159,27 @@ def tail_crossings(F: ClaimDistribution, G: ClaimDistribution,
     d = F.tail(ts) - G.tail(ts)
     sign = np.sign(d)
     flips = np.nonzero(sign[:-1] * sign[1:] < 0)[0]
+    if len(flips) == 0:
+        return []
     diff = lambda t: F.tail(t) - G.tail(t)
-    return [_bisect(diff, ts[i], ts[i + 1]) for i in flips]
+    return _bisect(diff, ts[flips], ts[flips + 1]).tolist()
 
 
 def _nu_gamma_distributions(F, G, gamma, lower=0.0):
-    T = max(F.tail_cutoff(gamma), G.tail_cutoff(gamma))
+    # (1+t)^gamma past the float range while the tails still matter: the
+    # distance is reported as inf, like ``weighted_tail_moment``
+    try:
+        T = max(F.tail_cutoff(gamma), G.tail_cutoff(gamma))
+        # envelope remainder past T; both cutoffs already push it below 1e-13
+        rem = F._tail_remainder(T, gamma) + G._tail_remainder(T, gamma)
+    except OverflowError:
+        return math.inf
     if T <= lower:
         return 0.0
-    pts = [lower] + [c for c in tail_crossings(F, G, lower, T)] + [T]
+    pts = [lower, *tail_crossings(F, G, lower, T), T]
     diff = lambda t: (1.0 + t) ** gamma * (F.tail(t) - G.tail(t))
-    total = 0.0
-    for a, b in zip(pts[:-1], pts[1:]):
-        piece, _ = integrate.quad(diff, a, b, epsabs=_ABS_TOL / 10,
-                                  epsrel=_REL_TOL, limit=_QUAD_LIMIT)
-        total += abs(piece)
-    # envelope remainder past T; both cutoffs already push it below 1e-13
-    rem = F._tail_remainder(T, gamma) + G._tail_remainder(T, gamma)
-    return total + rem
+    pieces = _gauss_legendre(diff, pts, max(F.rates + G.rates))
+    return float(np.abs(pieces).sum()) + rem
 
 
 def _grid_tail_remainder(d_abs, h, t_end, gamma):

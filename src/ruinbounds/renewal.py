@@ -18,13 +18,12 @@ error certificates for the fixed-point iteration.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
 from numpy.fft import irfft, rfft
-from scipy.fft import next_fast_len
-from scipy.integrate import trapezoid
 
 from .errors import PreconditionError
 from .metrics import GridFunction
@@ -78,7 +77,7 @@ class RenewalProblem:
         k = _on_grid(self.kernel, grid)
         if np.any(k < -1e-12):
             raise PreconditionError("kernel density must be nonnegative")
-        mass = trapezoid(k, dx=self.h)
+        mass = np.trapezoid(k, dx=self.h)
         # trapezoid overshoots a convex density by O(h^2); allow that much
         if mass > 1.0 + max(1e-6, 10.0 * self.h**2):
             raise PreconditionError(
@@ -139,6 +138,29 @@ def _system(problem):
     return c, x
 
 
+@lru_cache(maxsize=1)
+def _smooth_sizes():
+    """The 5-smooth integers 2^a 3^b 5^c up to 2^32, ascending; no grid
+    that fits in memory needs a longer FFT."""
+    sizes = [1]
+    for p in (2, 3, 5):
+        grown = []
+        for s in sizes:
+            while s <= 2**32:
+                grown.append(s)
+                s *= p
+        sizes = grown
+    return tuple(sorted(sizes))
+
+
+def _fast_len(n):
+    """Smallest 5-smooth integer >= n: the real-FFT length that the FFT's
+    radix-2/3/5 kernels handle fastest.  Fixing these sizes fixes the
+    rounding of every FFT product, and so the table bytes."""
+    sizes = _smooth_sizes()
+    return sizes[bisect_left(sizes, n)]
+
+
 def _product(a, x, dtype):
     """(a x) mod t^m for power series a and x of m terms, in ``dtype``.
 
@@ -148,7 +170,7 @@ def _product(a, x, dtype):
     """
     m = len(a)
     half = (m + 1) // 2
-    size = next_fast_len(m, real=True)
+    size = _fast_len(m)
     a_lo = rfft(np.asarray(a[:half], dtype), size)
     x_lo = rfft(np.asarray(x[:half], dtype), size)
     out = irfft(a_lo * x_lo, size)[:m]
@@ -174,7 +196,7 @@ def _reciprocal(coeffs: bytes) -> np.ndarray:
     b[0] = 1.0 / c[0]
     k = 1
     for K in reversed(sizes[:-1]):
-        size = next_fast_len(K, real=True)
+        size = _fast_len(K)
         B = rfft(b[:k], size)
         # coefficients k..K-1 of c b; the cyclic wrap only reaches below k
         e = rfft(c[:K], size)

@@ -1,5 +1,8 @@
 """Classical model: ruin probability, weighted moments, deficit tails."""
 
+import math
+import warnings
+
 import numpy as np
 import pytest
 
@@ -131,6 +134,13 @@ class TestWeightedPsiMoment:
         el2 = en * ey2 + enn1 * ey**2
         got = weighted_psi_moment(m, 1.0, u_max=35.0)
         assert got == pytest.approx(el + el2 / 2.0, rel=1e-4)
+
+    def test_weight_overflow_is_inf(self):
+        # (1+z)^300 overflows float on the grid and in the remainder
+        m = model_exp2()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert weighted_psi_moment(m, 300.0, h=2.0**-6, u_max=10.0) == math.inf
 
 
 class TestDeficitTail:

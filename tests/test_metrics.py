@@ -1,17 +1,21 @@
 """Probability metrics: frozen oracle values, metric axioms, crossing logic."""
 
+import math
+
 import numpy as np
 import pytest
 
-from ruinbounds import (Erlang, Exponential, GridFunction, GridMismatchError,
-                        HyperExponential, kantorovich, nu_gamma, q_y,
-                        sup_distance, tail_crossings)
+from ruinbounds import (ClaimDistribution, Erlang, Exponential, GridFunction,
+                        GridMismatchError, HyperExponential, kantorovich,
+                        nu_gamma, q_y, sup_distance, tail_crossings)
 
 ERL = Erlang(3, 3.0)
 EXP1 = Exponential(1.0)
 EXP3 = Exponential(3.0)
 MIX26 = HyperExponential((0.5, 0.5), (2.0, 6.0))
 MIX54 = HyperExponential((0.5, 0.5), (1.25, 5.0 / 6.0))
+# its tail crosses EXP1's twice, near t = 0.469 and t = 3.218
+TWICE = ClaimDistribution((0.2, 0.8), (1, 3), (0.5, 5.0))
 
 # frozen independent oracle values (30-digit quadrature with analytic
 # antiderivatives and bisected crossings)
@@ -48,6 +52,10 @@ class TestNuGamma:
         for f, g in pairs:
             vals = [nu_gamma(f, g, gamma) for gamma in (0.0, 0.5, 1.0, 2.0)]
             assert all(a <= b + 1e-12 for a, b in zip(vals, vals[1:]))
+
+    def test_weight_overflow_is_inf(self):
+        # (1+t)^150 leaves the float range before the tails have decayed
+        assert nu_gamma(Exponential(2.0), Exponential(2.1), 150.0) == math.inf
 
     def test_rejects_mixed_types(self):
         grid = GridFunction(0.1, np.linspace(1, 0, 11))
@@ -130,6 +138,37 @@ class TestCrossings:
         # every sampled flip lies inside a reported bracket
         for i in flips:
             assert any(ts[i] <= p <= ts[i + 1] for p in pts)
+
+    @pytest.mark.parametrize("pair,count", [((EXP1, Exponential(2.0)), 0),
+                                            ((ERL, EXP1), 1), ((EXP1, TWICE), 2)])
+    def test_array_bisection_matches_scalar(self, pair, count):
+        f, g = pair
+        upper = max(f.tail_cutoff(0.0), g.tail_cutoff(0.0))
+        ts = np.linspace(0.0, upper, 10_001)
+        sign = np.sign(f.tail(ts) - g.tail(ts))
+        flips = np.nonzero(sign[:-1] * sign[1:] < 0)[0]
+        diff = lambda t: f.tail(t) - g.tail(t)
+        expect = [scalar_bisect(diff, ts[i], ts[i + 1]) for i in flips]
+        got = tail_crossings(f, g)
+        assert len(got) == count
+        assert got == pytest.approx(expect, abs=1e-12)
+
+
+def scalar_bisect(f, lo, hi):
+    # the one-bracket-at-a-time bisection that the array bisection replaced
+    flo = f(lo)
+    for _ in range(200):
+        if hi - lo <= 1e-12:
+            break
+        mid = 0.5 * (lo + hi)
+        fm = f(mid)
+        if fm == 0.0:
+            return mid
+        if (flo < 0) != (fm < 0):
+            hi = mid
+        else:
+            lo, flo = mid, fm
+    return 0.5 * (lo + hi)
 
 
 def _tail_grid(dist, h=2.0**-9, u_max=30.0):
