@@ -58,21 +58,25 @@ def _at_least(cast, low):
 
 _nonnegative = _at_least(float, 0.0)
 _positive_int = _at_least(int, 1)
+_MAX_U_POINTS = 10**6
 
 
 def _parse_u_values(spec: str):
-    """Accept '1.5', '0,1,2' or 'start:stop:step'; every u must be >= 0."""
+    """Accept '1.5', '0,1,2' or 'start:stop:step'; every u must be >= 0.
+
+    A range holds the points start + i*step up to stop, at least one and at
+    most ``_MAX_U_POINTS`` of them.
+    """
     if ":" in spec:
         parts = [_nonnegative(x) for x in spec.split(":")]
         if len(parts) != 3 or parts[2] <= 0:
             raise argparse.ArgumentTypeError("u range must be start:stop:step")
         start, stop, step = parts
-        out = []
-        u = start
-        while u <= stop + 1e-12:
-            out.append(round(u, 12))
-            u += step
-        return out
+        count = (stop - start + 1e-12) // step + 1
+        if not 1 <= count <= _MAX_U_POINTS:
+            raise argparse.ArgumentTypeError(
+                f"u range {spec!r} must hold 1 to {_MAX_U_POINTS} points")
+        return [round(start + i * step, 12) for i in range(int(count))]
     return [_nonnegative(x) for x in spec.split(",")]
 
 
@@ -91,14 +95,14 @@ def cmd_table(args) -> int:
 def cmd_bound(args) -> int:
     cfg = config_mod.load(args.config)
     if cfg.model2 is None:
-        raise PreconditionError("bound evaluation needs a [model2] section")
+        raise config_mod.ConfigError("bound evaluation needs a [model2] section")
     if args.kind == "dk1":
         rep = bounds_mod.dk1(cfg.model, cfg.model2, gamma=args.gamma)
     elif args.kind == "dk2":
         rep = bounds_mod.dk2(cfg.model, cfg.model2, y=args.y)
     else:
         if cfg.D is None or cfg.D2 is None:
-            raise PreconditionError("dk3 needs D and D2 in [diffusion]")
+            raise config_mod.ConfigError("dk3 needs D and D2 in [diffusion]")
         rep = bounds_mod.dk3(PerturbedModel(cfg.model, cfg.D),
                              PerturbedModel(cfg.model2, cfg.D2))
     names = sorted(rep.components)
@@ -115,7 +119,7 @@ def cmd_eval(args) -> int:
     num = cfg.numeric
     need_d = args.quantity in ("ktail", "psit", "iterate")
     if need_d and cfg.D is None:
-        raise PreconditionError(f"{args.quantity} needs D in [diffusion]")
+        raise config_mod.ConfigError(f"{args.quantity} needs D in [diffusion]")
     if args.quantity == "ruin":
         g = ruin_probability(cfg.model, h=num.h, u_max=num.umax)
     elif args.quantity == "deficit":
@@ -133,7 +137,8 @@ def cmd_eval(args) -> int:
         model = cfg.model
         if args.mc_quantity in ("psi_t", "k_tail"):
             if cfg.D is None:
-                raise PreconditionError("perturbed quantities need D")
+                raise config_mod.ConfigError("perturbed quantities need D in "
+                                             "[diffusion]")
             model = PerturbedModel(cfg.model, cfg.D)
         out = [oracle.estimate(model, args.mc_quantity, u, args.samples,
                                seed, y=args.y) for u in args.u]

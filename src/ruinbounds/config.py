@@ -3,8 +3,7 @@
 Sections ``[model]``, ``[model2]``, ``[diffusion]``, ``[numeric]``; one
 ``key = value`` per line; ``#`` starts a comment.  Claim laws are selected
 by ``claims = exp | hyperexp | erlang`` with ``rate``, ``rates`` +
-``weights`` (comma separated) or ``shape`` + ``rate``.  Floats are dumped
-with ``repr`` so a dump/parse round trip is lossless.
+``weights`` (comma separated) or ``shape`` + ``rate``.
 """
 
 from __future__ import annotations
@@ -16,7 +15,7 @@ from dataclasses import dataclass, field
 from .classical import RiskModel
 from .distributions import Erlang, Exponential, HyperExponential
 
-__all__ = ["NumericSpec", "ModelConfig", "ConfigError", "loads", "load", "dumps"]
+__all__ = ["NumericSpec", "ModelConfig", "ConfigError", "loads", "load"]
 
 _SECTIONS = ("model", "model2", "diffusion", "numeric")
 _MODEL_KEYS = {"lambda", "c", "claims", "rate", "rates", "weights", "shape"}
@@ -179,38 +178,3 @@ def loads(text: str) -> ModelConfig:
 def load(path) -> ModelConfig:
     with open(path, "r", encoding="utf-8") as fh:
         return loads(fh.read())
-
-
-def _claims_lines(claims):
-    if isinstance(claims, Exponential):
-        return [f"claims = exp", f"rate = {claims.beta!r}"]
-    if isinstance(claims, HyperExponential):
-        return [f"claims = hyperexp",
-                "weights = " + ", ".join(repr(w) for w in claims.weights),
-                "rates = " + ", ".join(repr(r) for r in claims.rates)]
-    if isinstance(claims, Erlang):
-        return [f"claims = erlang", f"shape = {claims.shape}",
-                f"rate = {claims.beta!r}"]
-    raise TypeError(f"cannot serialize claims of type {type(claims).__name__}")
-
-
-def dumps(cfg: ModelConfig) -> str:
-    """Write a config back out; parsing the result reproduces cfg exactly."""
-    out = ["[model]", f"lambda = {cfg.model.lam!r}", f"c = {cfg.model.c!r}"]
-    out += _claims_lines(cfg.model.claims)
-    if cfg.model2 is not None:
-        out += ["", "[model2]", f"lambda = {cfg.model2.lam!r}",
-                f"c = {cfg.model2.c!r}"]
-        out += _claims_lines(cfg.model2.claims)
-    if cfg.D is not None or cfg.D2 is not None:
-        out += ["", "[diffusion]"]
-        if cfg.D is not None:
-            out.append(f"D = {cfg.D!r}")
-        if cfg.D2 is not None:
-            out.append(f"D2 = {cfg.D2!r}")
-    num = cfg.numeric
-    out += ["", "[numeric]", f"h = {num.h!r}"]
-    if num.umax is not None:
-        out.append(f"umax = {num.umax!r}")
-    out.append(f"seed = {num.seed}")
-    return "\n".join(out) + "\n"

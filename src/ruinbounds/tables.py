@@ -17,16 +17,16 @@ import numpy as np
 
 from . import bounds as bounds_mod
 from .classical import RiskModel, deficit_tail_family, ruin_probability
-from .config import ModelConfig, NumericSpec
 from .diffusion import (PerturbedModel, k_exact_exponential, k_iterate_erlang,
                         k_tail)
 from .distributions import Erlang, Exponential, HyperExponential
-from .metrics import GridFunction, nu_gamma, sup_distance
+from .metrics import nu_gamma, sup_distance
 
-__all__ = ["TableRow", "TableResult", "TABLE_IDS", "builtin_config",
-           "run_table"]
+__all__ = ["TableRow", "TableResult", "TABLE_IDS", "run_table"]
 
 TABLE_IDS = ("1a", "1b", "1c", "1d", "2a", "2b", "2c", "2d", "3", "4", "5")
+
+H = 2.0**-10    # grid step of every solved table
 
 MIX_54_56 = HyperExponential((0.5, 0.5), (1.25, 5.0 / 6.0))   # mean 1
 MIX_2_6 = HyperExponential((0.5, 0.5), (2.0, 6.0))            # mean 1/3
@@ -99,6 +99,7 @@ PAPER_TABLE_3 = [
 _T45_KS = (0.0, 0.2, 0.4, 0.6, 0.8, 1.0)
 
 PAPER_TABLE_4 = {
+    "model": PerturbedModel(RiskModel(0.5, 0.5, Exponential(2.0)), 0.25),
     "cells": [
         [0.2030029, 0.2624023, 0.3218018, 0.3812012, 0.4406006, 0.5000000],
         [0.3157823, 0.3229262, 0.3300700, 0.3372138, 0.3443576, 0.3515015],
@@ -110,6 +111,8 @@ PAPER_TABLE_4 = {
 }
 
 PAPER_TABLE_5 = {
+    "model": PerturbedModel(RiskModel(0.75, 2.0 / 3.0, Exponential(1.5)),
+                            4.0 / 9.0),
     "cells": [
         [0.4183691, 0.4846952, 0.5510214, 0.6173476, 0.6836738, 0.7500000],
         [0.6301684, 0.6375532, 0.6449379, 0.6523227, 0.6597075, 0.6670923],
@@ -218,45 +221,6 @@ def _row(table_id, inputs, quantity, computed, paper, tol, doc_key=None,
 
 
 # ---------------------------------------------------------------------------
-# built-in configurations
-# ---------------------------------------------------------------------------
-
-def builtin_config(table_id: str) -> ModelConfig:
-    """Model pair and numeric settings behind each table id.
-
-    Panel sweeps (the premium rates of table 1, the D pairs of table 3, the
-    iteration grid of tables 4-5) are table data, not configuration.
-    """
-    if table_id not in TABLE_IDS:
-        raise KeyError(f"unknown table id {table_id!r}")
-    if table_id.startswith("1"):
-        lam, _, _ = PAPER_TABLE_1[table_id]
-        return ModelConfig(
-            model=RiskModel(lam, 3.0, MIX_54_56),
-            model2=RiskModel(lam, 3.0, EXP_1),
-            numeric=NumericSpec(h=2.0**-10, umax=40.0))
-    if table_id.startswith("2"):
-        theta, (law1, law2), _ = PAPER_TABLE_2[table_id]
-        c = 1.0 + theta  # lambda = 1, mu = 1
-        return ModelConfig(
-            model=RiskModel(1.0, c, law1),
-            model2=RiskModel(1.0, c, law2),
-            numeric=NumericSpec(h=2.0**-10, umax=2.0))
-    if table_id == "3":
-        # reconciled loading: lambda*mu/c = 1/5, i.e. theta = 4
-        return ModelConfig(
-            model=RiskModel(0.6, 1.0, EXP_3),
-            model2=RiskModel(0.6, 1.0, MIX_2_6),
-            D=1.0, D2=0.1,
-            numeric=NumericSpec(h=2.0**-10, umax=15.0))
-    if table_id == "4":
-        return ModelConfig(model=RiskModel(0.5, 0.5, Exponential(2.0)),
-                           D=0.25, numeric=NumericSpec(h=2.0**-10, umax=4.0))
-    return ModelConfig(model=RiskModel(0.75, 2.0 / 3.0, Exponential(1.5)),
-                       D=4.0 / 9.0, numeric=NumericSpec(h=2.0**-10, umax=4.0))
-
-
-# ---------------------------------------------------------------------------
 # runners
 # ---------------------------------------------------------------------------
 
@@ -266,22 +230,20 @@ def _psi_cached(model, h, u_max):
     return ruin_probability(model, h=h, u_max=u_max)
 
 
-def _run_table_1(table_id, cfg):
+def _run_table_1(table_id):
     lam, gamma, cells = PAPER_TABLE_1[table_id]
     tol = TOLERANCES["1"]
-    num = cfg.numeric
-    u_max = num.umax if num.umax is not None else 40.0
     rows = []
     for c, (paper_exact, paper_dk1) in cells.items():
-        m = replace(cfg.model, c=c)
-        mt = replace(cfg.model2, c=c)
-        psi_m = _psi_cached(m, num.h, u_max)
-        psi_t = _psi_cached(mt, num.h, u_max)
+        m = RiskModel(lam, c, MIX_54_56)
+        mt = RiskModel(lam, c, EXP_1)
+        psi_m = _psi_cached(m, H, 40.0)
+        psi_t = _psi_cached(mt, H, 40.0)
         inputs = f"gamma={gamma:g} lambda={lam:.6g} c={c:g}"
         exact = nu_gamma(psi_m, psi_t, gamma)
         rows.append(_row(table_id, inputs, "exact", exact, paper_exact,
                          tol["exact"], doc_key=c))
-        rep = bounds_mod.dk1(m, mt, gamma, u_max=u_max, psi=psi_m)
+        rep = bounds_mod.dk1(m, mt, gamma, u_max=40.0, psi=psi_m)
         rows.append(_row(table_id, inputs, "dk1", rep.value, paper_dk1,
                          tol["dk1"], doc_key=c))
     comments = [f"table {table_id}: claims mixture(1/2,1/2; 5/4, 5/6) vs "
@@ -290,14 +252,14 @@ def _run_table_1(table_id, cfg):
     return TableResult(table_id, comments, rows)
 
 
-def _run_table_2(table_id, cfg):
-    theta, _, data = PAPER_TABLE_2[table_id]
+def _run_table_2(table_id):
+    theta, (law1, law2), data = PAPER_TABLE_2[table_id]
     tol = TOLERANCES["2"]
-    num = cfg.numeric
-    u_max = num.umax if num.umax is not None else 2.0
-    m, mt = cfg.model, cfg.model2
-    g1 = deficit_tail_family(m, _T2_YS, h=num.h, u_max=u_max)
-    g2 = deficit_tail_family(mt, _T2_YS, h=num.h, u_max=u_max)
+    # lambda = 1 and mu = 1, so c = 1 + theta
+    m = RiskModel(1.0, 1.0 + theta, law1)
+    mt = RiskModel(1.0, 1.0 + theta, law2)
+    g1 = deficit_tail_family(m, _T2_YS, h=H, u_max=2.0)
+    g2 = deficit_tail_family(mt, _T2_YS, h=H, u_max=2.0)
     rows = []
     for y in _T2_YS:
         paper_dk2, paper_cells = data[y]
@@ -309,39 +271,35 @@ def _run_table_2(table_id, cfg):
             rows.append(_row(table_id, f"theta={theta:g} y={y:g} u={u:g}",
                              "exact", d, pv, tol["exact"], doc_key=(y, u)))
     comments = [f"table {table_id}: theta={theta:g}; deficit tails from the "
-                f"renewal solver at h={num.h:g}"]
+                f"renewal solver at h={H:g}"]
     return TableResult(table_id, comments, rows)
 
 
-def _run_table_3(cfg):
+def _run_table_3():
     tol = TOLERANCES["3"]
-    num = cfg.numeric
-    u_max = num.umax if num.umax is not None else 15.0
-    m, mt = cfg.model, cfg.model2
+    # reconciled loading: lambda*mu/c = 1/5, i.e. theta = 4
+    m = RiskModel(0.6, 1.0, EXP_3)
+    mt = RiskModel(0.6, 1.0, MIX_2_6)
     # theta=1 reading of the source text: lam*mu/c = 1/2, i.e. lam = c/(2 mu)
     m1 = replace(m, lam=m.c / (2.0 * m.mu))
     mt1 = replace(mt, lam=mt.c / (2.0 * mt.mu))
-    k_cache = {}
-
-    def k_grid(model, D):
-        key = (model, D)
-        if key not in k_cache:
-            k_cache[key] = k_tail(PerturbedModel(model, D), h=num.h, u_max=u_max)
-        return k_cache[key]
-
+    pairs = [(PerturbedModel(m, D), PerturbedModel(mt, Dt))
+             for D, Dt, _, _ in PAPER_TABLE_3]
+    # rows share their D values: one solve per distinct perturbed model
+    k = {pm: k_tail(pm, h=H, u_max=15.0)
+         for pm in dict.fromkeys(p for pair in pairs for p in pair)}
     rows = []
-    for D, Dt, paper_sup, paper_dk3 in PAPER_TABLE_3:
+    for (pm, pmt), (D, Dt, paper_sup, paper_dk3) in zip(pairs, PAPER_TABLE_3):
         inputs = f"D={D:g} Dt={Dt:g}"
-        g_left = k_grid(m, D)
-        g_right = k_grid(mt, Dt)
+        g_left = k[pm]
         # analytic anchor for the exponential side
-        exact_left = k_exact_exponential(PerturbedModel(m, D), g_left.grid)
+        exact_left = k_exact_exponential(pm, g_left.grid)
         anchor_gap = float(np.max(np.abs(exact_left - g_left.values)))
-        sup = sup_distance(g_left, g_right).value
+        sup = sup_distance(g_left, k[pmt]).value
         rows.append(_row("3", inputs, "sup", sup, paper_sup, tol["sup"],
                          doc_key=(D, Dt),
                          note=f"closed-form anchor gap {anchor_gap:.1e}"))
-        rep = bounds_mod.dk3(PerturbedModel(m, D), PerturbedModel(mt, Dt))
+        rep = bounds_mod.dk3(pm, pmt)
         rep1 = bounds_mod.dk3(PerturbedModel(m1, D), PerturbedModel(mt1, Dt))
         rows.append(_row("3", inputs, "dk3", rep.value, paper_dk3,
                          tol["dk3"], doc_key=(D, Dt),
@@ -354,10 +312,10 @@ def _run_table_3(cfg):
     return TableResult("3", comments, rows)
 
 
-def _run_table_45(table_id, cfg):
+def _run_table_45(table_id):
     data = PAPER_TABLE_4 if table_id == "4" else PAPER_TABLE_5
     tol = TOLERANCES[table_id]
-    pm = PerturbedModel(cfg.model, cfg.D)
+    pm = data["model"]
     u = 1.0
     rows = []
     for n in range(1, 6):
@@ -368,22 +326,20 @@ def _run_table_45(table_id, cfg):
     exact = k_exact_exponential(pm, u)
     rows.append(_row(table_id, f"u={u:g}", "exact", exact, data["exact"],
                      tol["exact"], doc_key="exact"))
-    beta = cfg.model.claims.beta
+    beta = pm.base.claims.beta
     comments = [f"table {table_id}: matched-rate case beta = c/D = {beta:g}; "
                 f"iterates from the partial-exponential-sum closed form"]
     return TableResult(table_id, comments, rows)
 
 
-def run_table(table_id: str, cfg: ModelConfig | None = None) -> TableResult:
+def run_table(table_id: str) -> TableResult:
     """Recompute one published table and grade it cell by cell."""
     if table_id not in TABLE_IDS:
         raise KeyError(f"unknown table id {table_id!r}")
-    if cfg is None:
-        cfg = builtin_config(table_id)
     if table_id.startswith("1"):
-        return _run_table_1(table_id, cfg)
+        return _run_table_1(table_id)
     if table_id.startswith("2"):
-        return _run_table_2(table_id, cfg)
+        return _run_table_2(table_id)
     if table_id == "3":
-        return _run_table_3(cfg)
-    return _run_table_45(table_id, cfg)
+        return _run_table_3()
+    return _run_table_45(table_id)
