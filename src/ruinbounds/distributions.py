@@ -197,8 +197,9 @@ class ClaimDistribution:
             return rng.gamma(self.shapes[0], 1.0 / self.rates[0], size)
         idx = np.searchsorted(np.cumsum(self.weights), rng.random(size),
                               side="right").clip(0, len(self._parts) - 1)
-        return (rng.gamma(np.asarray(self.shapes, dtype=float)[idx])
-                / np.asarray(self.rates)[idx])
+        draws = rng.gamma(np.asarray(self.shapes, dtype=float)[idx])
+        draws /= np.asarray(self.rates)[idx]
+        return draws
 
     def phase_type(self):
         """Start vector alpha and sub-generator T with

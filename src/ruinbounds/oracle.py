@@ -7,16 +7,26 @@ ladder laws.  The record count N is geometric with P(N = n) =
 equilibrium law (exact samplers exist for every family in scope) and
 oscillation ladder heights are exponential with rate c/D.
 
-Streams: the generator is PCG64 (explicitly constructed, never a platform
-default) seeded per block through SeedSequence((seed, block_index)) with a
-fixed block size, so an estimate depends only on (seed, n_samples) and is
-reproducible across platforms and numpy-compatible parallel schedules.
+Streams: the samples are cut into blocks of ``BLOCK_SIZE`` paths, and
+block b draws from its own PCG64 generator (explicitly constructed, never a
+platform default) seeded through SeedSequence((seed, b)).  Each block
+returns an integer count of hits, and the estimate is the sum of the
+counts over n_samples.  The blocks run on threads, one per CPU the process
+may use (the calling thread takes its share), and numpy releases the
+interpreter lock while it draws and sums; since no block reads another's
+stream and integer addition is exact in any order, an estimate depends only
+on (seed, n_samples), whatever the number of CPUs or the order in which
+the blocks finish.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import os
+import threading
+import time
+from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -33,16 +43,27 @@ _QUANTITIES = ("psi", "psi_t", "k_tail", "deficit")
 
 @dataclass(frozen=True)
 class MCEstimate:
-    """A Monte Carlo probability estimate with its binomial standard error."""
+    """A Monte Carlo probability estimate with its binomial standard error,
+    the number of blocks it was drawn in and its wall time in seconds
+    (which equality ignores)."""
 
     estimate: float
     standard_error: float
     n_samples: int
     seed: int
     quantity: str
+    blocks: int
+    seconds: float = field(compare=False)
 
     def within(self, true_value: float, n_se: float = 3.0) -> bool:
         return abs(self.estimate - true_value) <= n_se * self.standard_error
+
+
+def _cpu_count() -> int:
+    """CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def _rng_for_block(seed: int, block: int) -> np.random.Generator:
@@ -55,56 +76,90 @@ def _geometric_record_counts(rng, size: int, phi: float) -> np.ndarray:
     return np.floor(np.log1p(-u) / math.log(phi)).astype(np.int64)
 
 
-def _segment_sums(values: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    cs = np.concatenate(([0.0], np.cumsum(values)))
-    ends = np.cumsum(counts)
-    starts = ends - counts
+def _running_sums(values: np.ndarray) -> np.ndarray:
+    """Running sums of values, with a leading 0."""
+    cs = np.empty(len(values) + 1)
+    cs[0] = 0.0
+    np.cumsum(values, out=cs[1:])
+    return cs
+
+
+def _segment_sums(values: np.ndarray, ends: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    cs = _running_sums(values)
     return cs[ends] - cs[starts]
 
 
-def _first_crossing_overshoot(values, counts, u):
-    """Per segment: does the running sum ever exceed u, and by how much at
-    the first crossing."""
-    nb = len(counts)
-    total = len(values)
-    cs = np.concatenate(([0.0], np.cumsum(values)))
+def _deficit_hits(values, counts, u, y) -> int:
+    """Paths that are ruined with a deficit above y.
+
+    A path is its segment of ``counts`` draws of ``values``, and s runs
+    over its partial sums.  It is ruined when its total exceeds u, and then
+    a hit unless some s has 0 < fl(s - u) <= y.  The partial sums rise
+    along a path and fl(s - u) rises with s, so this is the rule "the
+    deficit fl(s - u) at the first s above u exceeds y", without locating
+    that first s.
+    """
+    cs = _running_sums(values)
     ends = np.cumsum(counts)
     starts = ends - counts
-    sums = cs[ends] - cs[starts]
-    ruined = sums > u
-    partial = cs[1:] - np.repeat(cs[starts], counts)
-    sentinel = np.where(partial > u, np.arange(total), total)
-    first = np.full(nb, total, dtype=np.int64)
-    nz = counts > 0
-    if np.any(nz):
-        first[nz] = np.minimum.reduceat(sentinel, starts[nz])
-    overshoot = np.zeros(nb)
-    hit = first < total
-    overshoot[hit] = partial[first[hit]] - u
-    return ruined, overshoot
+    ruined = cs[ends] - cs[starts] > u
+    over = np.repeat(cs[starts], counts)
+    np.subtract(cs[1:], over, out=over)
+    over -= u
+    near = np.flatnonzero((over > 0) & (over <= y))
+    ruined[np.searchsorted(ends, near, side="right")] = False
+    return np.count_nonzero(ruined)
 
 
-def _block_classical(model, u, y, quantity, rng, size):
-    eq = model.claims.equilibrium()
-    counts = _geometric_record_counts(rng, size, model.phi)
+def _block_classical(eq, phi, u, y, quantity, rng, size) -> int:
+    counts = _geometric_record_counts(rng, size, phi)
     draws = eq.sample(rng, int(counts.sum()))
-    if quantity == "psi":
-        return np.count_nonzero(_segment_sums(draws, counts) > u)
-    ruined, overshoot = _first_crossing_overshoot(draws, counts, u)
-    return np.count_nonzero(ruined & (overshoot > y))
+    if quantity == "deficit":
+        return _deficit_hits(draws, counts, u, y)
+    ends = np.cumsum(counts)
+    return np.count_nonzero(_segment_sums(draws, ends, ends - counts) > u)
 
 
-def _block_perturbed(pm, u, quantity, rng, size):
-    eq = pm.base.claims.equilibrium()
-    counts = _geometric_record_counts(rng, size, pm.phi)
+def _block_perturbed(eq, phi, b0, u, quantity, rng, size) -> int:
+    counts = _geometric_record_counts(rng, size, phi)
     total = int(counts.sum())
-    osc = rng.exponential(1.0 / pm.b0, total)
-    claims = eq.sample(rng, total)
-    trailing = rng.exponential(1.0 / pm.b0, size)
-    l_k = _segment_sums(osc, counts) + _segment_sums(claims, counts)
-    if quantity == "k_tail":
-        return np.count_nonzero(l_k > u)
-    return np.count_nonzero(l_k + trailing > u)
+    ends = np.cumsum(counts)
+    starts = ends - counts
+    l_k = _segment_sums(rng.exponential(1.0 / b0, total), ends, starts)
+    l_k += _segment_sums(eq.sample(rng, total), ends, starts)
+    if quantity == "psi_t":
+        l_k += rng.exponential(1.0 / b0, size)
+    return np.count_nonzero(l_k > u)
+
+
+def _run_blocks(block_hits, seed: int, sizes: list) -> int:
+    """Sum of block_hits(rng of block b, sizes[b]) over the blocks b.
+
+    Worker w takes blocks w, w + W, w + 2W, ... of W = min(CPUs, blocks)
+    workers; worker 0 is the calling thread.  An exception raised in any
+    block is raised here once every worker has stopped.
+    """
+    workers = max(1, min(_cpu_count(), len(sizes)))
+    hits = [0] * workers
+    errors = []
+
+    def work(w):
+        try:
+            for b in range(w, len(sizes), workers):
+                hits[w] += block_hits(_rng_for_block(seed, b), sizes[b])
+        except BaseException as exc:        # re-raised in the calling thread
+            errors.append(exc)
+
+    threads = [threading.Thread(target=work, args=(w,), daemon=True)
+               for w in range(1, workers)]
+    for t in threads:
+        t.start()
+    work(0)
+    for t in threads:
+        t.join()
+    if errors:
+        raise errors[0]
+    return sum(hits)
 
 
 def estimate(model, quantity: str, u: float, n_samples: int, seed: int,
@@ -127,8 +182,8 @@ def estimate(model, quantity: str, u: float, n_samples: int, seed: int,
     if u < 0:
         raise ValueError("initial surplus must be >= 0")
     if quantity == "deficit":
-        if y is None:
-            raise ValueError("deficit estimation needs y")
+        if y is None or math.isnan(y):
+            raise ValueError("deficit estimation needs a number y")
         if not isinstance(model, RiskModel):
             raise PreconditionError("deficit is a classical-model quantity")
     elif quantity == "psi":
@@ -138,20 +193,19 @@ def estimate(model, quantity: str, u: float, n_samples: int, seed: int,
         if not isinstance(model, PerturbedModel):
             raise PreconditionError(f"{quantity} needs a PerturbedModel")
 
-    hits = 0
-    done = 0
-    block = 0
-    while done < n_samples:
-        size = min(BLOCK_SIZE, n_samples - done)
-        rng = _rng_for_block(seed, block)
-        if quantity in ("psi", "deficit"):
-            hits += _block_classical(model, u, y or 0.0, quantity, rng, size)
-        else:
-            hits += _block_perturbed(model, u, quantity, rng, size)
-        done += size
-        block += 1
+    start = time.perf_counter()
+    if quantity in ("psi", "deficit"):
+        block_hits = partial(_block_classical, model.claims.equilibrium(),
+                             model.phi, u, y, quantity)
+    else:
+        block_hits = partial(_block_perturbed, model.base.claims.equilibrium(),
+                             model.phi, model.b0, u, quantity)
+    sizes = [min(BLOCK_SIZE, n_samples - done)
+             for done in range(0, n_samples, BLOCK_SIZE)]
+    hits = _run_blocks(block_hits, seed, sizes)
 
     p = hits / n_samples
     se = math.sqrt(p * (1.0 - p) / n_samples)
     return MCEstimate(estimate=p, standard_error=se, n_samples=n_samples,
-                      seed=seed, quantity=quantity)
+                      seed=seed, quantity=quantity, blocks=len(sizes),
+                      seconds=time.perf_counter() - start)

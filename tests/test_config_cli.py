@@ -170,7 +170,19 @@ class TestBoundCommand:
         assert "net profit" in err
 
 
+DATA = Path(__file__).resolve().parent / "data"
+
+
 class TestEvalCommand:
+    def test_mc_smoke_matches_pinned_csv(self, capsys):
+        # the command of tests/data/mc_smoke.cfg, which CI also runs under
+        # `taskset -c 0`; the CSV was written by the serial block loop
+        code, out, _ = run_cli(capsys, "eval", "mc", str(DATA / "mc_smoke.cfg"),
+                               "--quantity", "deficit", "--y", "0.4",
+                               "--u", "0,0.5,1,2", "--samples", "300000")
+        assert code == 0
+        assert out.encode() == (DATA / "mc_smoke.csv").read_bytes()
+
     def test_ruin_at_origin(self, tmp_path, capsys):
         path = tmp_path / "m.cfg"
         path.write_text("[model]\nlambda = 0.5\nc = 0.5\nclaims = exp\n"

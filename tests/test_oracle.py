@@ -1,14 +1,43 @@
 """Monte Carlo estimator: determinism, stream structure, calibration."""
 
+import sys
+import threading
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from ruinbounds import (Exponential, HyperExponential, PerturbedModel,
+from ruinbounds import (Erlang, Exponential, HyperExponential, PerturbedModel,
                         PreconditionError, RiskModel, exact_ruin_exponential,
-                        k_exact_exponential, mc_estimate)
+                        k_exact_exponential, mc_estimate, oracle)
+from ruinbounds.oracle import BLOCK_SIZE
 
 MODEL = RiskModel(0.5, 0.5, Exponential(2.0))
 PM = PerturbedModel(MODEL, 0.25)
+
+
+def first_crossing_overshoot(values, counts, u):
+    """Per segment: does the running sum ever exceed u, and by how much at
+    the first crossing.  The former block kernel of the deficit estimate,
+    kept as the reference for ``oracle._deficit_hits``."""
+    nb = len(counts)
+    total = len(values)
+    cs = np.concatenate(([0.0], np.cumsum(values)))
+    ends = np.cumsum(counts)
+    starts = ends - counts
+    sums = cs[ends] - cs[starts]
+    ruined = sums > u
+    partial = cs[1:] - np.repeat(cs[starts], counts)
+    sentinel = np.where(partial > u, np.arange(total), total)
+    first = np.full(nb, total, dtype=np.int64)
+    nz = counts > 0
+    if np.any(nz):
+        first[nz] = np.minimum.reduceat(sentinel, starts[nz])
+    overshoot = np.zeros(nb)
+    hit = first < total
+    overshoot[hit] = partial[first[hit]] - u
+    return ruined, overshoot
 
 
 class TestDeterminism:
@@ -87,6 +116,8 @@ class TestValidation:
     def test_deficit_needs_y(self):
         with pytest.raises(ValueError):
             mc_estimate(MODEL, "deficit", 1.0, 100, seed=0)
+        with pytest.raises(ValueError):
+            mc_estimate(MODEL, "deficit", 1.0, 100, seed=0, y=float("nan"))
 
     def test_perturbed_quantity_needs_perturbed_model(self):
         with pytest.raises(PreconditionError):
@@ -95,3 +126,143 @@ class TestValidation:
     def test_unknown_quantity(self):
         with pytest.raises(ValueError):
             mc_estimate(MODEL, "nope", 1.0, 100, seed=0)
+
+
+# Hit counts of n = 3 BLOCK_SIZE + 999 paths (the last block partial) at
+# seed 20240917, u = 1.2 claim means, y = 0.4, theta = 0.5, D = 0.3, as the
+# serial block loop drew them.  Any change to a stream, to the order of the
+# draws within a block or to a block kernel's arithmetic moves them.
+PINNED_N = 3 * BLOCK_SIZE + 999
+PINNED_CLAIMS = {"exp": Exponential(2.0),
+                 "hyperexp": HyperExponential((0.3, 0.7), (0.5, 3.0)),
+                 "erlang3": Erlang(3, 3.0)}
+PINNED_HITS = {
+    ("exp", "psi"): 88333, ("exp", "deficit"): 39772,
+    ("exp", "k_tail"): 119020, ("exp", "psi_t"): 154919,
+    ("hyperexp", "psi"): 99559, ("hyperexp", "deficit"): 77948,
+    ("hyperexp", "k_tail"): 112003, ("hyperexp", "psi_t"): 125464,
+    ("erlang3", "psi"): 74796, ("erlang3", "deficit"): 37456,
+    ("erlang3", "k_tail"): 95671, ("erlang3", "psi_t"): 108901,
+}
+
+
+def _pinned_case(claims, quantity):
+    law = PINNED_CLAIMS[claims]
+    model = RiskModel(0.6, 1.5 * 0.6 * law.mean(), law)
+    if quantity in ("k_tail", "psi_t"):
+        model = PerturbedModel(model, 0.3)
+    kw = {"y": 0.4} if quantity == "deficit" else {}
+    return model, 1.2 * law.mean(), kw
+
+
+class TestPinnedStreams:
+    @pytest.mark.parametrize("claims, quantity", sorted(PINNED_HITS))
+    def test_hit_counts(self, claims, quantity):
+        model, u, kw = _pinned_case(claims, quantity)
+        est = mc_estimate(model, quantity, u, PINNED_N, seed=20240917, **kw)
+        assert est.estimate == PINNED_HITS[claims, quantity] / PINNED_N
+        assert est.blocks == 4
+
+
+def _reference_deficit_hits(values, counts, u, y):
+    ruined, overshoot = first_crossing_overshoot(values, counts, u)
+    return int(np.count_nonzero(ruined & (overshoot > y)))
+
+
+@st.composite
+def _deficit_blocks(draw):
+    counts = np.array(draw(st.lists(st.integers(0, 5), min_size=1, max_size=12)),
+                      dtype=np.int64)
+    # dyadic draws sum exactly, so running sums can equal u or u + y
+    draw_value = st.one_of(st.integers(0, 24).map(lambda k: k / 8.0),
+                           st.floats(0.0, 3.0))
+    total = int(counts.sum())
+    values = np.array(draw(st.lists(draw_value, min_size=total, max_size=total)),
+                      dtype=float)
+    ends = np.cumsum(counts)
+    cs = np.concatenate(([0.0], np.cumsum(values)))
+    partial = [float(cs[i + 1] - cs[s]) for s, e in zip(ends - counts, ends)
+               for i in range(s, e)]
+    u = draw(st.one_of(st.just(0.0), st.sampled_from(partial or [0.0]),
+                       st.floats(0.0, 6.0)))
+    gaps = [s - u for s in partial if s > u]
+    y = draw(st.one_of(st.just(0.0), st.sampled_from(gaps or [0.0]),
+                       st.floats(0.0, 3.0)))
+    return values, counts, u, y
+
+
+class TestDeficitKernel:
+    @settings(max_examples=400, deadline=None)
+    @given(_deficit_blocks())
+    def test_matches_first_crossing_overshoot(self, case):
+        values, counts, u, y = case
+        assert (oracle._deficit_hits(values, counts, u, y)
+                == _reference_deficit_hits(values, counts, u, y))
+
+    @pytest.mark.parametrize("u, y, hits", [
+        (0.0, 0.0, 2),      # every path with a positive draw is ruined
+        (1.0, 0.0, 1),      # path 1 reaches exactly u: not ruined
+        (1.0, 0.5, 0),      # path 2 first exceeds 1 at 1.5 = u + y exactly
+        (1.0, 0.25, 1),
+    ])
+    def test_boundaries(self, u, y, hits):
+        counts = np.array([0, 2, 3, 0])
+        values = np.array([0.5, 0.5, 0.25, 1.25, 2.0])
+        assert oracle._deficit_hits(values, counts, u, y) == hits
+        assert _reference_deficit_hits(values, counts, u, y) == hits
+
+
+class TestWorkers:
+    def _estimates(self, monkeypatch, cpus):
+        monkeypatch.setattr(oracle, "_cpu_count", lambda: cpus)
+        threads = set()
+        rng_for_block = oracle._rng_for_block
+
+        def spy(seed, block):
+            threads.add(threading.get_ident())
+            return rng_for_block(seed, block)
+
+        monkeypatch.setattr(oracle, "_rng_for_block", spy)
+        out = [mc_estimate(MODEL, "deficit", 1.0, PINNED_N, seed=5, y=0.5),
+               mc_estimate(PM, "psi_t", 1.0, PINNED_N, seed=5)]
+        return out, len(threads)
+
+    def test_same_bits_on_any_cpu_count(self, monkeypatch):
+        serial, used = self._estimates(monkeypatch, 1)
+        assert used == 1
+        for cpus in (2, 5):
+            switch = sys.getswitchinterval()
+            sys.setswitchinterval(1e-6)
+            try:
+                parallel, used = self._estimates(monkeypatch, cpus)
+            finally:
+                sys.setswitchinterval(switch)
+            assert used == min(cpus, serial[0].blocks)
+            assert parallel == serial
+
+    @pytest.mark.parametrize("failing_block", [0, 1, 3])
+    def test_block_error_raises_from_estimate(self, monkeypatch, failing_block):
+        monkeypatch.setattr(oracle, "_cpu_count", lambda: 2)
+        rng_for_block = oracle._rng_for_block
+        raised_in = []
+
+        def failing(seed, block):
+            if block == failing_block:
+                raised_in.append(threading.current_thread())
+                raise MemoryError(f"block {block}")
+            return rng_for_block(seed, block)
+
+        monkeypatch.setattr(oracle, "_rng_for_block", failing)
+        before = threading.active_count()
+        with pytest.raises(MemoryError, match=f"block {failing_block}"):
+            mc_estimate(MODEL, "psi", 1.0, PINNED_N, seed=5)
+        assert (raised_in[0] is threading.main_thread()) == (failing_block % 2 == 0)
+        assert threading.active_count() == before
+
+
+class TestObservability:
+    def test_blocks_and_seconds(self):
+        est = mc_estimate(MODEL, "psi", 1.0, BLOCK_SIZE + 1, seed=3)
+        assert est.blocks == 2
+        assert est.seconds > 0.0
+        assert mc_estimate(MODEL, "psi", 1.0, BLOCK_SIZE, seed=3).blocks == 1
