@@ -26,11 +26,12 @@ for n in range(1, 6):
           f"true err {abs(closed - exact):.1e}  a priori bound {cert:.1e}")
 print(f"  a posteriori bound on K_5: {trace.a_posteriori_error_bound(5):.1e}")
 
-# Adding one more oscillation on top of K gives the total ruin probability,
-# which splits into psi_d (ruin by oscillation) and psi_s (ruin by a claim).
+# The total ruin probability and its split into psi_d (ruin by oscillation)
+# and psi_s (ruin by a claim) solve K-bar's renewal equation with the
+# oscillation tail e^{-b0 u} added to its forcing, or in place of it.
 k = k_tail(pm, u_max=10.0)
-t = psi_total(pm, u_max=10.0, k_grid=k)
-psi_d, psi_s = decompose(pm, u_max=10.0, k_grid=k, psi_t_grid=t)
+t = psi_total(pm, u_max=10.0)
+psi_d, psi_s = decompose(pm, u_max=10.0)
 print("\n   u    K-bar     psi_t     psi_d     psi_s")
 for u in (0.0, 0.5, 1.0, 2.0):
     print(f"  {u:3.1f}  {k(u):.6f}  {t(u):.6f}  {psi_d(u):.6f}  {psi_s(u):.6f}")

@@ -215,4 +215,4 @@ def pk_truncated_series(model: RiskModel, n_terms: int, h: float = DEFAULT_H,
         # survival of the k-fold sum from the (k-1)-fold one
         tail_k = fe_tail + trapezoid_convolution(tail_k, fe_dens, h)
         acc += (1.0 - phi) * phi**k * tail_k
-    return GridFunction(h, np.clip(acc, 0.0, 1.0), is_tail=True)
+    return GridFunction(h, acc, is_tail=True)

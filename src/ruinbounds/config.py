@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 
 from .classical import RiskModel
 from .distributions import Erlang, Exponential, HyperExponential
+from .renewal import DEFAULT_H
 
 __all__ = ["NumericSpec", "ModelConfig", "ConfigError", "loads", "load"]
 
@@ -33,7 +34,7 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class NumericSpec:
-    h: float = 2.0**-10
+    h: float = DEFAULT_H
     umax: float | None = None
     seed: int = 1
 

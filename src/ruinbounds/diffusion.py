@@ -13,15 +13,17 @@ The tail follows from the identity
 
 which supplies the renewal forcing for free once the kernel is known.
 K-bar solves the defective renewal equation with modulus
-phi = 1/(1+theta), kernel a and forcing phi * A-bar; the total ruin
-probability adds one independent oscillation on top of K.
+phi = 1/(1+theta), kernel a and forcing phi * A-bar.  The total ruin
+probability psi_t and its oscillation-caused part psi_d solve the same
+equation on the same kernel, with the oscillation tail e^{-b0 u} added to
+the forcing or in place of it, so one solver and one cached inverse carry
+all three.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from itertools import accumulate
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -245,52 +247,41 @@ def k_iterate_erlang(pm: PerturbedModel, k0: float, n: int, u: float) -> float:
 
 
 def psi_total(pm: PerturbedModel, h: float = DEFAULT_H,
-              u_max: float | None = None,
-              k_grid: GridFunction | None = None) -> GridFunction:
-    """Total ruin probability: tail of K convolved with the oscillation law.
+              u_max: float | None = None) -> GridFunction:
+    """Total ruin probability psi_t on a grid; psi_t(0) = 1.
 
-        psi_t(u) = K-bar(u) + (1-phi) H1-bar(u) + int_0^u H1-bar(u-t) dK(t)
+    Conditioning on the first ladder step, which is missing with
+    probability 1-phi (then one last oscillation record high decides),
+    gives K-bar's renewal equation with one more forcing term,
 
-    where the (1-phi) atom of K at 0 must be carried explicitly, otherwise
-    psi_t is biased low by (1-phi) H1-bar(u).  The Stieltjes integral uses
-    cell masses of K with the exponential H1-bar at midpoints, accumulated
-    recursively so no factor ever exceeds 1.
+        psi_t = (1-phi) H1-bar + phi A-bar + phi a * psi_t,
+
+    H1-bar(u) = e^{-b0 u} the tail of one oscillation record high.
     """
-    if k_grid is None:
-        k_grid = k_tail(pm, h=h, u_max=u_max)
-    kv = k_grid.values
-    h = k_grid.h
-    b0, phi = pm.b0, pm.phi
-    dk = kv[:-1] - kv[1:]            # continuous-part mass per cell
-    # conv[i] = conv[i-1] e^{-b0 h} + dk[i-1] e^{-b0 h/2}, conv[0] = 0
-    a, b = math.exp(-b0 * h), math.exp(-b0 * h / 2.0)
-    conv = np.fromiter(accumulate(dk.tolist(), lambda y, d: y * a + d * b,
-                                  initial=0.0), float, len(kv))
-    vals = kv + (1.0 - phi) * np.exp(-b0 * k_grid.grid) + conv
-    return GridFunction(h, np.clip(vals, 0.0, 1.0), is_tail=True)
+    p = _k_problem(pm, h, u_max)
+    forcing = p.forcing + (1.0 - pm.phi) * np.exp(-pm.b0 * p.grid)
+    return GridFunction(p.h, solve(replace(p, forcing=forcing)).values,
+                        is_tail=True)
 
 
 def decompose(pm: PerturbedModel, h: float = DEFAULT_H,
-              u_max: float | None = None,
-              k_grid: GridFunction | None = None,
-              psi_t_grid: GridFunction | None = None):
-    """Split psi_t into the oscillation-caused and claim-caused parts.
+              u_max: float | None = None):
+    """Split psi_t = psi_d + psi_s into oscillation-caused and claim-caused
+    ruin (Dufresne & Gerber, Insurance Math. Econom. 10(1), 1991).
 
-    K-bar = phi * psi_d + psi_s and psi_t = psi_d + psi_s solve to
+    The oscillation record high that starts each ladder step ruins with
+    probability H1-bar, so psi_d solves the renewal equation on K-bar's
+    kernel
 
-        psi_d = (psi_t - K-bar) / (1 - phi),     psi_s = psi_t - psi_d,
+        psi_d = H1-bar + phi a * psi_d,
 
-    giving psi_d(0) = 1 and psi_s(0) = 0: ruin from zero initial surplus is
-    immediate and caused by oscillation, never by a claim.
+    and the difference of the psi_t and K-bar equations gives
+    psi_t = K-bar + (1-phi) psi_d, hence psi_s = K-bar - phi psi_d.  Then
+    psi_d(0) = 1 and psi_s(0) = 0 exactly: ruin from zero initial surplus
+    is immediate and caused by oscillation, never by a claim.  Neither part
+    is monotone in general, so both come back as plain grid functions.
     """
-    if k_grid is None:
-        k_grid = k_tail(pm, h=h, u_max=u_max)
-    if psi_t_grid is None:
-        psi_t_grid = psi_total(pm, h=h, u_max=u_max, k_grid=k_grid)
-    phi = pm.phi
-    psi_d = (psi_t_grid.values - k_grid.values) / (1.0 - phi)
-    psi_s = psi_t_grid.values - psi_d
-    psi_d = np.clip(psi_d, 0.0, 1.0)
-    psi_s = np.clip(psi_s, 0.0, 1.0)
-    return (GridFunction(k_grid.h, psi_d, is_tail=True),
-            GridFunction(k_grid.h, psi_s))
+    p = _k_problem(pm, h, u_max)
+    psi_d = solve(replace(p, forcing=np.exp(-pm.b0 * p.grid))).values
+    psi_s = solve(p).values - pm.phi * psi_d
+    return GridFunction(p.h, psi_d), GridFunction(p.h, psi_s)

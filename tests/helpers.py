@@ -8,12 +8,17 @@ solvers approximate are then matrix exponentials (Asmussen & Albrecher,
 
     psi(u)   = a+ exp((T + t a+) u) 1,       a+ = phi pi_e,
     K-bar(u) = the same on the ladder pair,   a+ = phi e_1,
+    psi_t(u) = an Exp(b0) stage, then the ladder-sum pair,
+    psi_d(u) = e_1 exp((T_A + phi t_A e_1) u) e_1,
     K_n(u)   = phi - (1-k0) phi^n A^{*n}(u) - (1-phi) sum_{0<i<n} phi^i A^{*i}(u),
 
 with pi_e = alpha (-T)^-1 / mu the equilibrium start vector and A^{*i} the
 distribution function of i ladder steps, the PH law of i chained copies of
-the ladder pair.  None of this shares a discretization with the renewal
-solver.  The claim pairs come from ``phase_type()``, which
+the ladder pair.  psi_d is the mass that the ladder sum, started with mass
+1 and continued with weight phi, holds in the Exp(b0) stage of a step at
+time u: the sum over n of phi^n P(S_n <= u < S_n + L_o), an oscillation
+record high crossing u.  None of this shares a discretization with the
+renewal solver.  The claim pairs come from ``phase_type()``, which
 ``test_phase_type.py`` checks against pairs built there.  Matrix
 exponentials go through ``diffusion._expm``: scipy's ``expm`` loses
 accuracy on triangular matrices with nearly equal diagonal entries.
@@ -23,7 +28,8 @@ import numpy as np
 
 from ruinbounds.diffusion import _expm
 
-__all__ = ["psi_exact", "k_bar_exact", "k_iterate_exact"]
+__all__ = ["psi_exact", "k_bar_exact", "psi_total_exact", "psi_d_exact",
+           "k_iterate_exact"]
 
 
 def _at(start, M, u, right=None):
@@ -71,6 +77,25 @@ def k_bar_exact(pm, u):
     """Compound geometric tail K-bar of a perturbed model."""
     start, TA = _ladder_pair(pm)
     return _compound_geometric_tail(start, TA, pm.phi, u)
+
+
+def psi_total_exact(pm, u):
+    """Total ruin probability psi_t of a perturbed model: one oscillation
+    record high on top of the compound geometric ladder sum K."""
+    start, TA = _ladder_pair(pm)
+    a, M = pm.phi * start, TA + pm.phi * np.outer(_exit(TA), start)
+    d = len(start)
+    S = np.zeros((d + 1, d + 1))
+    S[0, 0] = -pm.b0
+    S[0, 1:] = pm.b0 * a
+    S[1:, 1:] = M
+    return _at(np.eye(d + 1)[0], S, u)
+
+
+def psi_d_exact(pm, u):
+    """Oscillation-caused part psi_d of the total ruin probability."""
+    start, TA = _ladder_pair(pm)
+    return _at(start, TA + pm.phi * np.outer(_exit(TA), start), u, start)
 
 
 def k_iterate_exact(pm, k0, n, u):
