@@ -205,3 +205,11 @@ class TestPKSeries:
         gap = np.max(np.abs(psi.values - series.values))
         # geometric remainder plus accumulated grid error of 30 convolutions
         assert gap <= m.phi ** (n_terms + 1) + 1e-4
+
+    @pytest.mark.parametrize("claims", [MIX, Exponential(1.0), Erlang(3, 3.0)])
+    def test_series_is_a_probability(self, claims):
+        # the partial sums are unclipped, so they must stay in [0, phi] alone
+        m = RiskModel(0.95 * 3.0 / claims.mean(), 3.0, claims)
+        for h in (2.0**-6, 2.0**-10):
+            v = pk_truncated_series(m, 40, h=h, u_max=15.0).values
+            assert v.min() >= 0.0 and v.max() <= m.phi

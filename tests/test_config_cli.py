@@ -67,6 +67,13 @@ class TestConfigParsing:
         cfg = config.loads(text)
         assert cfg.model.claims.shape == 3
 
+    def test_default_step_is_library_step(self):
+        # without an [numeric] h the config uses the solvers' own default step
+        cfg = config.loads("[model]\nlambda = 0.5\nc = 1.0\nclaims = exp\n"
+                           "rate = 2.0\n[numeric]\nseed = 3\n")
+        assert cfg.numeric.h == renewal.DEFAULT_H
+        assert config.NumericSpec().h == renewal.DEFAULT_H
+
 
 def run_cli(capsys, *argv):
     code = cli.main(list(argv))
