@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .distributions import ClaimDistribution, Exponential, _gauss_legendre
+from .distributions import ClaimDistribution, Exponential, _de_quadrature
 from .errors import PreconditionError
 from .metrics import GridFunction
 from .renewal import DEFAULT_H, RenewalProblem, solve, trapezoid_convolution
@@ -158,8 +158,8 @@ def weighted_psi_moment(model: RiskModel, gamma: float,
         core = float(np.trapezoid((1.0 + z) ** gamma * psi.values, dx=psi.h))
     R = adjustment_rate(model)
     U = psi.u_max
-    (tail_w,) = _gauss_legendre(lambda s: (1.0 + U + s) ** gamma * np.exp(-R * s),
-                                (0.0, 60.0 / R), R)
+    (tail_w,) = _de_quadrature(lambda s: (1.0 + U + s) ** gamma * np.exp(-R * s),
+                               (0.0,), R)
     total = core + float(psi.values[-1]) * float(tail_w)
     return total if math.isfinite(total) else math.inf
 

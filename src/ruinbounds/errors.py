@@ -12,7 +12,7 @@ class PreconditionError(RuinboundsError):
 
 class TruncationError(RuinboundsError):
     """A tail has not decayed enough for the requested computation
-    (grid too short, divergent improper integral)."""
+    (a grid function still large at its grid end)."""
 
 
 class GridMismatchError(RuinboundsError):

@@ -4,19 +4,19 @@ The weighted L1 distance nu_gamma drives everything else: the Kantorovich
 distance is its gamma = 0 case, the truncated variant integrates from y
 instead of 0.  Tail differences of two light-tailed laws cross finitely
 often; each crossing is bracketed and bisected before quadrature, and each
-stretch between two crossings is integrated on its own by Gauss-Legendre
-panels, so the absolute value never degrades the integration order.
+stretch between two crossings, the last one running to infinity, is
+integrated on its own by a double-exponential rule, so the absolute value
+never degrades the integration order.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .distributions import ClaimDistribution, _gauss_legendre
+from .distributions import ClaimDistribution, _de_quadrature, _exp_sinh
 from .errors import GridMismatchError, TruncationError
 
 __all__ = [
@@ -31,6 +31,7 @@ __all__ = [
 
 _SCAN_POINTS = 10_000
 _BISECT_TOL = 1e-12
+_SCAN_TOL = 1e-13
 _HALVINGS = 8   # bisection steps per evaluation of the tails
 
 
@@ -145,16 +146,29 @@ def _bisect(f, lo, hi):
     return 0.5 * (lo + hi)
 
 
+def _scan_end(F, G, gamma, lower):
+    # first exp-sinh node past lower beyond which the rule's estimate of the
+    # integral of (1+t)^gamma (F-bar + G-bar) is below _SCAN_TOL; a crossing
+    # past it moves nu_gamma by at most twice that
+    t, w = _exp_sinh(lower, min(F.slowest_rate, G.slowest_rate))
+    with np.errstate(over="ignore", invalid="ignore"):
+        rest = np.cumsum((w * (1.0 + t) ** gamma * (F.tail(t) + G.tail(t)))[::-1])
+    small = np.flatnonzero(rest[::-1] < _SCAN_TOL)
+    return float(t[small[0]] if len(small) else t[-1])
+
+
 def tail_crossings(F: ClaimDistribution, G: ClaimDistribution,
                    lower: float = 0.0, upper: float | None = None) -> list:
     """Interior sign changes of F.tail - G.tail on [lower, upper].
 
-    Bracketed on a {_SCAN_POINTS}-point scan, then bisected to 1e-12.  The
-    scan resolves exponential-family tails at these scales; pathological
-    tails with sub-1e-4-width sign lobes are out of scope.
+    Bracketed on a {_SCAN_POINTS}-point scan, then bisected to 1e-12.  By
+    default the scan ends where a crossing beyond it moves the Kantorovich
+    distance by at most 2e-13.  The scan resolves exponential-family tails
+    at these scales; pathological tails with sub-1e-4-width sign lobes are
+    out of scope.
     """
     if upper is None:
-        upper = max(F.tail_cutoff(0.0), G.tail_cutoff(0.0))
+        upper = _scan_end(F, G, 0.0, lower)
     ts = np.linspace(lower, upper, _SCAN_POINTS + 1)
     d = F.tail(ts) - G.tail(ts)
     sign = np.sign(d)
@@ -166,23 +180,16 @@ def tail_crossings(F: ClaimDistribution, G: ClaimDistribution,
 
 
 def _nu_gamma_distributions(F, G, gamma, lower=0.0):
-    # (1+t)^gamma past the float range while the tails still matter: the
+    # where (1+t)^gamma overflows float while the tails still matter the
     # distance is reported as inf, like ``weighted_tail_moment``
-    try:
-        T = max(F.tail_cutoff(gamma), G.tail_cutoff(gamma))
-        # envelope remainder past T; both cutoffs already push it below 1e-13
-        rem = F._tail_remainder(T, gamma) + G._tail_remainder(T, gamma)
-    except OverflowError:
-        return math.inf
-    if T <= lower:
-        return 0.0
-    pts = [lower, *tail_crossings(F, G, lower, T), T]
+    upper = _scan_end(F, G, gamma, lower)
+    pts = [lower, *tail_crossings(F, G, lower, upper)]
     diff = lambda t: (1.0 + t) ** gamma * (F.tail(t) - G.tail(t))
-    pieces = _gauss_legendre(diff, pts, max(F.rates + G.rates))
-    return float(np.abs(pieces).sum()) + rem
+    pieces = _de_quadrature(diff, pts, min(F.slowest_rate, G.slowest_rate))
+    return float(np.abs(pieces).sum())
 
 
-def _grid_tail_remainder(d_abs, h, t_end, gamma):
+def _grid_remainder(d_abs, h, t_end, gamma):
     # extrapolate |x - y| geometrically from its last decade
     tail = d_abs[-max(8, len(d_abs) // 20):]
     if tail[-1] <= 0 or tail[0] <= tail[-1]:
@@ -215,7 +222,7 @@ def _nu_gamma_grids(x, y, gamma):
     left = 0.5 * (frac * h) * g[:-1]
     right = 0.5 * ((1.0 - frac) * h) * g[1:]
     cells = np.where(cross, left + right, plain)
-    return float(cells.sum() + _grid_tail_remainder(np.abs(d), h, t[-1], gamma))
+    return float(cells.sum() + _grid_remainder(np.abs(d), h, t[-1], gamma))
 
 
 def nu_gamma(x, y, gamma: float = 0.0) -> float:

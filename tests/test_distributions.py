@@ -42,6 +42,19 @@ class TestTail:
         assert np.all(np.diff(tails) <= 1e-12)
         assert tails[-1] < 1e-6
 
+    def test_scalar_argument_gives_float(self):
+        for t in (0.0, 1, np.float64(2.5), np.array(3.0)):
+            assert type(Erlang(3, 3.0).tail(t)) is float
+            assert type(MIX.density(t)) is float
+
+    def test_high_shape_past_underflow_is_zero(self):
+        # exp(-z) is 0.0 past z = 746 while S_99(z) overflows by z = 5e4;
+        # the tail there is 0.0, not 0 * inf = nan
+        t = np.array([7.0, 7.46, 100.0, 800.0])
+        tails = Erlang(100, 100.0).tail(t)
+        assert tails[0] > 0.0 and np.all(tails[1:] == 0.0)
+        assert Erlang(100, 100.0).tail(800.0) == 0.0
+
     @pytest.mark.parametrize("dist", ALL_PARAMETRIC)
     def test_tail_integrates_to_mean(self, dist):
         val, _ = integrate.quad(dist.tail, 0.0, 200.0, limit=500)
@@ -84,6 +97,11 @@ class TestWeightedTailMoment:
             1.0, rel=1e-9)
         assert Erlang(3, 3.0).weighted_tail_moment(0.0) == pytest.approx(
             1.0, rel=1e-9)
+
+    def test_high_gamma(self):
+        # (E(1+X)^51 - 1)/51 with E(1+X)^51 = 51! sum_{k<=51} 1/k!
+        assert Exponential(1.0).weighted_tail_moment(50.0) == pytest.approx(
+            8.267407687927726e+64, rel=1e-12)
 
     def test_mixture_gamma_one(self):
         # (E X^2 + 2 E X)/2 = (2.08 + 2)/2

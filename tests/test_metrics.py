@@ -121,6 +121,28 @@ class TestMetricAxioms:
         assert q_y(f, g, y) <= q_y(f, k, y) + q_y(k, g, y) + 1e-9
 
 
+class TestFarTails:
+    # the exp-sinh nodes reach 800 / slowest rate, far past the float range
+    # of exp(-z) S_{k-1}(z) for high shapes; values agree with a 30-digit
+    # mpmath quadrature to 1.2e-15
+    @pytest.mark.parametrize("f, g, gamma, expect", [
+        (Erlang(100, 100.0), EXP1, 0.0, 0.6600231520138635),
+        (Erlang(100, 100.0), EXP1, 1.0, 1.5555844544679842),
+        (Erlang(40, 40.0), Exponential(0.01), 0.0, 99.00374235566663),
+        (Erlang(40, 40.0), Exponential(0.01), 1.0, 10098.492776634104),
+        (Erlang(60, 6.0), Erlang(50, 5.0), 0.5, 0.32638930939707905),
+    ])
+    def test_high_shapes_and_slow_rates(self, f, g, gamma, expect):
+        assert nu_gamma(f, g, gamma) == pytest.approx(expect, rel=1e-12)
+
+    @pytest.mark.parametrize("y", [20.0, 25.0])
+    def test_q_y_far_tail_closed_form(self, y):
+        # integral over [y, inf) of e^{-t} - e^{-1.1 t}, positive throughout
+        expect = math.exp(-y) - math.exp(-1.1 * y) / 1.1
+        assert q_y(EXP1, Exponential(1.1), y) == pytest.approx(expect, rel=1e-12,
+                                                               abs=0.0)
+
+
 class TestCrossings:
     def test_known_crossing(self):
         pts = tail_crossings(ERL, EXP1)
@@ -143,13 +165,13 @@ class TestCrossings:
                                             ((ERL, EXP1), 1), ((EXP1, TWICE), 2)])
     def test_array_bisection_matches_scalar(self, pair, count):
         f, g = pair
-        upper = max(f.tail_cutoff(0.0), g.tail_cutoff(0.0))
+        upper = 40.0
         ts = np.linspace(0.0, upper, 10_001)
         sign = np.sign(f.tail(ts) - g.tail(ts))
         flips = np.nonzero(sign[:-1] * sign[1:] < 0)[0]
         diff = lambda t: f.tail(t) - g.tail(t)
         expect = [scalar_bisect(diff, ts[i], ts[i + 1]) for i in flips]
-        got = tail_crossings(f, g)
+        got = tail_crossings(f, g, 0.0, upper)
         assert len(got) == count
         assert got == pytest.approx(expect, abs=1e-12)
 

@@ -2,10 +2,12 @@
 
 Each kernel stands in for a scipy routine: the FFT length search for
 ``scipy.fft.next_fast_len``, the Taylor matrix exponential for
-``scipy.linalg.expm``, the Gauss-Legendre panels for ``scipy.integrate.quad``
-and the Lundberg bisection for ``scipy.optimize.brentq``.  The quadrature
-references integrate between the same crossings and add the same envelope
-remainder as the package, so they test the quadrature alone.
+``scipy.linalg.expm``, the double-exponential rule for
+``scipy.integrate.quad`` and the Lundberg bisection for
+``scipy.optimize.brentq``.  The quadrature references integrate between the
+package's tail crossings, found on the package's scan, and run the last
+stretch to infinity, so they share no truncation point or remainder with
+the package.
 """
 
 import math
@@ -23,6 +25,7 @@ from ruinbounds import (ClaimDistribution, RiskModel, adjustment_rate,
                         nu_gamma, q_y, ruin_probability, tail_crossings,
                         weighted_psi_moment)
 from ruinbounds.diffusion import _expm
+from ruinbounds.metrics import _scan_end
 from ruinbounds.renewal import _fast_len
 
 
@@ -44,19 +47,14 @@ def _quad(f, a, b):
 
 
 def quad_nu_gamma(F, G, gamma, lower=0.0):
-    T = max(F.tail_cutoff(gamma), G.tail_cutoff(gamma))
-    if T <= lower:
-        return 0.0
-    pts = [lower, *tail_crossings(F, G, lower, T), T]
+    upper = _scan_end(F, G, gamma, lower)
+    pts = [lower, *tail_crossings(F, G, lower, upper), np.inf]
     diff = lambda t: (1.0 + t) ** gamma * (F.tail(t) - G.tail(t))
-    total = sum(abs(_quad(diff, a, b)) for a, b in zip(pts[:-1], pts[1:]))
-    return total + F._tail_remainder(T, gamma) + G._tail_remainder(T, gamma)
+    return sum(abs(_quad(diff, a, b)) for a, b in zip(pts[:-1], pts[1:]))
 
 
 def quad_tail_moment(F, gamma):
-    T = F.tail_cutoff(gamma)
-    return (_quad(lambda t: (1.0 + t) ** gamma * F.tail(t), 0.0, T)
-            + F._tail_remainder(T, gamma))
+    return _quad(lambda t: (1.0 + t) ** gamma * F.tail(t), 0.0, np.inf)
 
 
 def brentq_adjustment_rate(model):
@@ -118,7 +116,7 @@ def test_expm_nearly_equal_diagonal(t):
 
 @settings(max_examples=40, deadline=None)
 @given(LAWS, LAWS, GAMMAS, st.floats(0.0, 3.0))
-def test_gauss_legendre_metrics_match_quad(F, G, gamma, y):
+def test_double_exponential_metrics_match_quad(F, G, gamma, y):
     assert nu_gamma(F, G, gamma) == pytest.approx(quad_nu_gamma(F, G, gamma),
                                                   rel=1e-12)
     assert q_y(F, G, y) == pytest.approx(quad_nu_gamma(F, G, 0.0, y), rel=1e-12)
@@ -134,7 +132,7 @@ def test_weighted_psi_moment_matches_quad(F, phi, gamma):
     R = brentq_adjustment_rate(model)
     U = psi.u_max
     core = integrate.trapezoid((1.0 + psi.grid) ** gamma * psi.values, dx=psi.h)
-    tail_w = _quad(lambda s: (1.0 + U + s) ** gamma * np.exp(-R * s), 0.0, 60.0 / R)
+    tail_w = _quad(lambda s: (1.0 + U + s) ** gamma * np.exp(-R * s), 0.0, np.inf)
     assert weighted_psi_moment(model, gamma, psi=psi) == pytest.approx(
         core + psi.values[-1] * tail_w, rel=1e-12)
 
