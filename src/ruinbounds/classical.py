@@ -158,8 +158,7 @@ def weighted_psi_moment(model: RiskModel, gamma: float,
         core = float(np.trapezoid((1.0 + z) ** gamma * psi.values, dx=psi.h))
     R = adjustment_rate(model)
     U = psi.u_max
-    (tail_w,) = _de_quadrature(lambda s: (1.0 + U + s) ** gamma * np.exp(-R * s),
-                               (0.0,), R)
+    (tail_w,) = _de_quadrature(lambda z: np.exp(-R * (z - U)), (U,), R, gamma)
     total = core + float(psi.values[-1]) * float(tail_w)
     return total if math.isfinite(total) else math.inf
 

@@ -18,7 +18,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import PreconditionError
+from .errors import PreconditionError, TruncationError
 
 __all__ = [
     "ClaimDistribution",
@@ -36,8 +36,8 @@ __all__ = [
 _DE_STEP = 1.0 / 64
 _DE_REACH = 800.0
 
-# exp(-z) is 0.0 for z >= 746: capping z there in the partial sum keeps it
-# finite, so a tail is 0.0 and not 0 * inf = nan; shorter grids skip the cap
+# exp(-z) is 0.0 for z >= 746: capping z there in the partial sum changes no
+# tail and keeps the sum finite for shapes up to about 520
 _EXP_UNDERFLOW = 746.0
 
 
@@ -83,13 +83,33 @@ def _exp_sinh(lower, rate):
     return lower + s / rate, w / rate
 
 
-def _de_quadrature(f, points, rate):
-    """Integrals of f over [points[i], points[i + 1]] for every i, and over
-    [points[-1], inf) last, rate being the slowest decay rate of f.
+def _weighted(t, gamma, tails):
+    # (1+t)^gamma * tails, 0.0 where a tail is 0.0 even if the weight
+    # overflows; tails that are not finite (shapes above about 520) raise
+    if not np.isfinite(tails).all():
+        raise TruncationError("claim tails overflow float far out "
+                              "(an Erlang shape above about 520)")
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.where(tails == 0.0, 0.0, (1.0 + t) ** gamma * tails)
 
-    f is called once, on the array of all nodes: 513 tanh-sinh nodes per
-    finite stretch and 394 exp-sinh nodes for the last.  A stretch whose
-    integrand overflows to inf or nan integrates to ``math.inf``.
+
+def _breaks(points, laws):
+    # points plus the means past points[0] of the Erlang components of shape
+    # 2 or more: such a tail drops over mean / sqrt(shape), which a rule
+    # spread to a slower rate's scale steps over unless a stretch ends there
+    means = {k / r for law in laws for _, k, r in law._parts if k > 1}
+    return sorted({*points, *(m for m in means if m > points[0])})
+
+
+def _de_quadrature(tails, points, rate, gamma):
+    """Integrals of (1+t)^gamma tails(t) over [points[i], points[i + 1]] for
+    every i, and over [points[-1], inf) last, rate being the slowest decay
+    rate of the tails.
+
+    tails is called once, on the array of all nodes: 513 tanh-sinh nodes
+    per finite stretch and 394 exp-sinh nodes for the last.  A stretch where
+    (1+t)^gamma overflows float before the tails reach 0.0 integrates to
+    ``math.inf``.
     """
     y, wy = _de_rule()[:2]
     pts = np.asarray(points, dtype=float)
@@ -98,7 +118,8 @@ def _de_quadrature(f, points, rate):
     nodes = np.concatenate([(pts[:-1, None] + width * y).ravel(), t_inf])
     weights = np.concatenate([(width * wy).ravel(), w_inf])
     with np.errstate(over="ignore", invalid="ignore"):
-        out = np.add.reduceat(f(nodes) * weights, np.arange(len(pts)) * len(y))
+        out = np.add.reduceat(_weighted(nodes, gamma, tails(nodes)) * weights,
+                              np.arange(len(pts)) * len(y))
     return np.where(np.isfinite(out), out, math.inf)
 
 
@@ -165,10 +186,8 @@ class ClaimDistribution:
         x = np.asarray(t, dtype=float)
         if np.any(x < 0):
             raise ValueError("claim sizes are nonnegative; got a negative argument")
-        top = np.max(x, initial=0.0)
         out = sum(w * np.exp(-r * x)
-                  * stage(k, r, r * x if r * top < _EXP_UNDERFLOW
-                          else np.minimum(r * x, _EXP_UNDERFLOW))
+                  * stage(k, r, np.minimum(r * x, _EXP_UNDERFLOW))
                   for w, k, r in self._parts)
         return float(out) if x.ndim == 0 else out
 
@@ -236,14 +255,14 @@ class ClaimDistribution:
 
         Equals (E(X+1)^(gamma+1) - 1)/(gamma+1); the identity is exercised
         by the test suite.  Where (1+t)^gamma overflows float before the
-        tail has decayed, the moment is reported as ``math.inf``, and any
+        tail has reached 0.0, the moment is reported as ``math.inf``, and any
         hypothesis that bounds it fails.
         """
         if gamma < 0:
             raise ValueError("gamma must be >= 0")
-        (val,) = _de_quadrature(lambda t: (1.0 + t) ** gamma * self.tail(t),
-                                (0.0,), self.slowest_rate)
-        return float(val)
+        pieces = _de_quadrature(self.tail, _breaks((0.0,), (self,)),
+                                self.slowest_rate, gamma)
+        return float(pieces.sum())
 
 
 class Exponential(ClaimDistribution):

@@ -11,8 +11,9 @@ class PreconditionError(RuinboundsError):
 
 
 class TruncationError(RuinboundsError):
-    """A tail has not decayed enough for the requested computation
-    (a grid function still large at its grid end)."""
+    """A tail has not decayed enough for the requested computation (a grid
+    function still large at its grid end), or a claim tail is not finite in
+    float far out (an Erlang shape above about 520)."""
 
 
 class GridMismatchError(RuinboundsError):

@@ -6,7 +6,8 @@ instead of 0.  Tail differences of two light-tailed laws cross finitely
 often; each crossing is bracketed and bisected before quadrature, and each
 stretch between two crossings, the last one running to infinity, is
 integrated on its own by a double-exponential rule, so the absolute value
-never degrades the integration order.
+never degrades the integration order.  Stretches are also cut at the mean of
+every Erlang component of shape 2 or more, where its tail drops.
 """
 
 from __future__ import annotations
@@ -16,7 +17,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .distributions import ClaimDistribution, _de_quadrature, _exp_sinh
+from .distributions import (ClaimDistribution, _breaks, _de_quadrature,
+                            _exp_sinh, _weighted)
 from .errors import GridMismatchError, TruncationError
 
 __all__ = [
@@ -151,8 +153,8 @@ def _scan_end(F, G, gamma, lower):
     # integral of (1+t)^gamma (F-bar + G-bar) is below _SCAN_TOL; a crossing
     # past it moves nu_gamma by at most twice that
     t, w = _exp_sinh(lower, min(F.slowest_rate, G.slowest_rate))
-    with np.errstate(over="ignore", invalid="ignore"):
-        rest = np.cumsum((w * (1.0 + t) ** gamma * (F.tail(t) + G.tail(t)))[::-1])
+    with np.errstate(over="ignore"):
+        rest = np.cumsum((w * _weighted(t, gamma, F.tail(t) + G.tail(t)))[::-1])
     small = np.flatnonzero(rest[::-1] < _SCAN_TOL)
     return float(t[small[0]] if len(small) else t[-1])
 
@@ -175,17 +177,18 @@ def tail_crossings(F: ClaimDistribution, G: ClaimDistribution,
     flips = np.nonzero(sign[:-1] * sign[1:] < 0)[0]
     if len(flips) == 0:
         return []
-    diff = lambda t: F.tail(t) - G.tail(t)
-    return _bisect(diff, ts[flips], ts[flips + 1]).tolist()
+    return _bisect(lambda t: F.tail(t) - G.tail(t), ts[flips],
+                   ts[flips + 1]).tolist()
 
 
 def _nu_gamma_distributions(F, G, gamma, lower=0.0):
-    # where (1+t)^gamma overflows float while the tails still matter the
-    # distance is reported as inf, like ``weighted_tail_moment``
+    # where (1+t)^gamma overflows float before the tails reach 0.0 the
+    # distance is reported as inf, like ``weighted_tail_moment``; the
+    # stretches between crossings keep one sign, and so do their pieces
     upper = _scan_end(F, G, gamma, lower)
-    pts = [lower, *tail_crossings(F, G, lower, upper)]
-    diff = lambda t: (1.0 + t) ** gamma * (F.tail(t) - G.tail(t))
-    pieces = _de_quadrature(diff, pts, min(F.slowest_rate, G.slowest_rate))
+    pts = _breaks([lower, *tail_crossings(F, G, lower, upper)], (F, G))
+    pieces = _de_quadrature(lambda t: F.tail(t) - G.tail(t), pts,
+                            min(F.slowest_rate, G.slowest_rate), gamma)
     return float(np.abs(pieces).sum())
 
 

@@ -8,7 +8,7 @@ import pytest
 from scipy import integrate
 
 from ruinbounds import (ClaimDistribution, Erlang, ErlangMixture, Exponential,
-                        HyperExponential, partial_exp_sum)
+                        HyperExponential, TruncationError, partial_exp_sum)
 
 MIX = HyperExponential((0.5, 0.5), (1.25, 5.0 / 6.0))
 ALL_PARAMETRIC = [
@@ -102,6 +102,24 @@ class TestWeightedTailMoment:
         # (E(1+X)^51 - 1)/51 with E(1+X)^51 = 51! sum_{k<=51} 1/k!
         assert Exponential(1.0).weighted_tail_moment(50.0) == pytest.approx(
             8.267407687927726e+64, rel=1e-12)
+
+    def test_weight_overflow_past_zero_tail(self):
+        # 801^106.2 overflows float, but the tail is 0.0 at those nodes
+        assert Exponential(1.0).weighted_tail_moment(106.2) == pytest.approx(
+            math.e * math.gamma(107.2), rel=1e-11)
+
+    @pytest.mark.parametrize("shape", [100, 400, 520])
+    def test_high_shape_is_mean(self, shape):
+        # the tail drops over a width 1/sqrt(shape) of its mean; the rule
+        # breaks at the mean instead of stepping over the drop
+        assert Erlang(shape, float(shape)).weighted_tail_moment(0.0) == \
+            pytest.approx(1.0, rel=1e-12)
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_shape_past_float_range_raises(self):
+        # S_599(746) overflows float, so the tail far out is 0 * inf = nan
+        with pytest.raises(TruncationError):
+            Erlang(600, 600.0).weighted_tail_moment(0.0)
 
     def test_mixture_gamma_one(self):
         # (E X^2 + 2 E X)/2 = (2.08 + 2)/2

@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 from ruinbounds import (ClaimDistribution, Erlang, Exponential, GridFunction,
-                        GridMismatchError, HyperExponential, kantorovich,
-                        nu_gamma, q_y, sup_distance, tail_crossings)
+                        GridMismatchError, HyperExponential, TruncationError,
+                        kantorovich, nu_gamma, q_y, sup_distance,
+                        tail_crossings)
 
 ERL = Erlang(3, 3.0)
 EXP1 = Exponential(1.0)
@@ -141,6 +142,30 @@ class TestFarTails:
         expect = math.exp(-y) - math.exp(-1.1 * y) / 1.1
         assert q_y(EXP1, Exponential(1.1), y) == pytest.approx(expect, rel=1e-12,
                                                                abs=0.0)
+
+
+    @pytest.mark.parametrize("gamma", [0.0, 1.0])
+    def test_no_crossing_across_rate_scales(self, gamma):
+        # the tails differ only in their Erlang(100) parts, which drop near
+        # t = 1 over a width of 0.1 while the shared Exp(1e-4) part sets the
+        # rule's scale; they never cross, so nu_gamma is half the gap of the
+        # shifted moments (E(1+X)^(gamma+1) - 1)/(gamma+1) of those parts
+        f = ClaimDistribution((0.5, 0.5), (100, 1), (100.0, 1e-4))
+        g = ClaimDistribution((0.5, 0.5), (100, 1), (110.0, 1e-4))
+        moment = lambda r: (100 / r if gamma == 0.0
+                            else (2 * 100 / r + 100 * 101 / r**2) / 2)
+        assert nu_gamma(f, g, gamma) == pytest.approx(
+            0.5 * (moment(100.0) - moment(110.0)), rel=1e-12)
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_shape_past_float_range_raises(self):
+        # S_599(z) overflows float past z = 709, so the Erlang(600) tail is
+        # not finite at the far nodes
+        f = Erlang(600, 600.0)
+        for call in (lambda: nu_gamma(f, EXP1, 0.5), lambda: kantorovich(f, EXP1),
+                     lambda: q_y(f, EXP1, 0.5)):
+            with pytest.raises(TruncationError):
+                call()
 
 
 class TestCrossings:
