@@ -157,6 +157,11 @@ class TestFarTails:
         assert nu_gamma(f, g, gamma) == pytest.approx(
             0.5 * (moment(100.0) - moment(110.0)), rel=1e-12)
 
+    def test_equal_tails_past_weight_overflow(self):
+        # (1+t)^200 overflows float at the far nodes, where the tail
+        # difference is exactly 0.0 and so contributes 0.0, not 0 * inf
+        assert nu_gamma(ERL, ERL, 200.0) == 0.0
+
     @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
     def test_shape_past_float_range_raises(self):
         # S_599(z) overflows float past z = 709, so the Erlang(600) tail is
