@@ -57,7 +57,6 @@ def _check(preconditions):
 
 
 def dk1(m: RiskModel, mt: RiskModel, gamma: float = 0.0,
-        u_max: float | None = None,
         psi: GridFunction | None = None) -> BoundReport:
     """Weighted-L1 continuity bound for the ruin probability:
 
@@ -90,7 +89,7 @@ def dk1(m: RiskModel, mt: RiskModel, gamma: float = 0.0,
     if gamma == 0.0:
         ml = m.claims.second_moment() / (2.0 * m.theta * m.mu)
     else:
-        ml = weighted_psi_moment(m, gamma, u_max=u_max, psi=psi)
+        ml = weighted_psi_moment(m, gamma, psi=psi)
 
     nu_g = nu_gamma(m.claims, mt.claims, gamma)
     nu_g1 = nu_gamma(m.claims, mt.claims, gamma + 1.0)

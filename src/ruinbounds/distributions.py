@@ -77,22 +77,6 @@ def _de_rule():
     return rule
 
 
-def _exp_sinh(lower, rate):
-    """Exp-sinh nodes and weights for [lower, inf), in units of 1/rate."""
-    s, w = _de_rule()[2:]
-    return lower + s / rate, w / rate
-
-
-def _weighted(t, gamma, tails):
-    # (1+t)^gamma * tails, 0.0 where a tail is 0.0 even if the weight
-    # overflows; tails that are not finite (shapes above about 520) raise
-    if not np.isfinite(tails).all():
-        raise TruncationError("claim tails overflow float far out "
-                              "(an Erlang shape above about 520)")
-    with np.errstate(over="ignore", invalid="ignore"):
-        return np.where(tails == 0.0, 0.0, (1.0 + t) ** gamma * tails)
-
-
 def _breaks(points, laws):
     # points plus the means past points[0] of the Erlang components of shape
     # 2 or more: such a tail drops over mean / sqrt(shape), which a rule
@@ -101,25 +85,43 @@ def _breaks(points, laws):
     return sorted({*points, *(m for m in means if m > points[0])})
 
 
+def _de_nodes(points, rate):
+    """Nodes and weights of the rule over [points[0], inf), with the index
+    at which each stretch starts.
+
+    513 tanh-sinh nodes on each [points[i], points[i + 1]], then 394
+    exp-sinh nodes in units of 1/rate on [points[-1], inf).  The nodes
+    ascend, but for one rounding where two stretches meet.
+    """
+    y, wy, s, ws = _de_rule()
+    pts = np.asarray(points, dtype=float)
+    width = np.diff(pts)[:, None]
+    nodes = np.concatenate([(pts[:-1, None] + width * y).ravel(),
+                            pts[-1] + s / rate])
+    weights = np.concatenate([(width * wy).ravel(), ws / rate])
+    return nodes, weights, np.arange(len(pts)) * len(y)
+
+
 def _de_quadrature(tails, points, rate, gamma):
     """Integrals of (1+t)^gamma tails(t) over [points[i], points[i + 1]] for
     every i, and over [points[-1], inf) last, rate being the slowest decay
     rate of the tails.
 
-    tails is called once, on the array of all nodes: 513 tanh-sinh nodes
-    per finite stretch and 394 exp-sinh nodes for the last.  A stretch where
-    (1+t)^gamma overflows float before the tails reach 0.0 integrates to
-    ``math.inf``.
+    tails is called once, on the array of all nodes.  A node where the
+    tails are 0.0 contributes 0.0 even where (1+t)^gamma overflows; a
+    stretch where the weight overflows before the tails reach 0.0
+    integrates to ``math.inf``, and tails that are not finite (shapes above
+    about 520) raise ``TruncationError``.
     """
-    y, wy = _de_rule()[:2]
-    pts = np.asarray(points, dtype=float)
-    width = np.diff(pts)[:, None]
-    t_inf, w_inf = _exp_sinh(pts[-1], rate)
-    nodes = np.concatenate([(pts[:-1, None] + width * y).ravel(), t_inf])
-    weights = np.concatenate([(width * wy).ravel(), w_inf])
+    nodes, weights, starts = _de_nodes(points, rate)
     with np.errstate(over="ignore", invalid="ignore"):
-        out = np.add.reduceat(_weighted(nodes, gamma, tails(nodes)) * weights,
-                              np.arange(len(pts)) * len(y))
+        f = tails(nodes)
+        if not np.isfinite(f).all():
+            raise TruncationError("claim tails overflow float far out "
+                                  "(an Erlang shape above about 520)")
+        out = np.add.reduceat(
+            np.where(f == 0.0, 0.0, (1.0 + nodes) ** gamma * f) * weights,
+            starts)
     return np.where(np.isfinite(out), out, math.inf)
 
 
@@ -181,25 +183,30 @@ class ClaimDistribution:
         ClaimDistribution.__init__(law, weights, shapes, rates)
         return law
 
-    def _erlang_sum(self, t, stage):
-        """sum_i w_i exp(-z_i) stage(k_i, r_i, z_i), z_i = r_i t."""
+    def _erlang_sum(self, t, term):
+        """sum_i term(w_i, k_i, r_i, z_i), z_i = r_i t."""
         x = np.asarray(t, dtype=float)
         if np.any(x < 0):
             raise ValueError("claim sizes are nonnegative; got a negative argument")
-        out = sum(w * np.exp(-r * x)
-                  * stage(k, r, np.minimum(r * x, _EXP_UNDERFLOW))
-                  for w, k, r in self._parts)
+        out = sum(term(w, k, r, r * x) for w, k, r in self._parts)
         return float(out) if x.ndim == 0 else out
 
     def tail(self, t):
         """Survival function F-bar(t) = 1 - F(t); a float for a scalar t."""
         # P(Erlang(k, r) > t) = e^{-z} S_{k-1}(z)
-        return self._erlang_sum(t, lambda k, r, z: partial_exp_sum(k - 1, z))
+        def term(w, k, r, z):
+            capped = np.minimum(z, _EXP_UNDERFLOW)
+            return w * np.exp(-z) * partial_exp_sum(k - 1, capped)
+        return self._erlang_sum(t, term)
 
     def density(self, t):
-        # Erlang(k, r) density = e^{-z} r z^{k-1} / (k-1)!
-        return self._erlang_sum(
-            t, lambda k, r, z: r * z ** (k - 1) / math.factorial(k - 1))
+        # Erlang(k, r) density r z^{k-1} e^{-z} / (k-1)!, formed in log space
+        # so that neither z^{k-1} nor (k-1)! leaves the float range
+        def term(w, k, r, z):
+            with np.errstate(divide="ignore"):
+                power = (k - 1) * np.log(z) if k > 1 else 0.0
+            return w * r * np.exp(power - z - math.lgamma(k))
+        return self._erlang_sum(t, term)
 
     def mean(self):
         return float(sum(w * k / r for w, k, r in self._parts))

@@ -3,11 +3,12 @@
 The weighted L1 distance nu_gamma drives everything else: the Kantorovich
 distance is its gamma = 0 case, the truncated variant integrates from y
 instead of 0.  Tail differences of two light-tailed laws cross finitely
-often; each crossing is bracketed and bisected before quadrature, and each
-stretch between two crossings, the last one running to infinity, is
-integrated on its own by a double-exponential rule, so the absolute value
-never degrades the integration order.  Stretches are also cut at the mean of
-every Erlang component of shape 2 or more, where its tail drops.
+often.  The crossings are bracketed on the nodes of the double-exponential
+rule that integrates the metrics, and bisected; each stretch between two
+crossings, the last one running to infinity, is then integrated on its own
+by that rule, so the absolute value never degrades the integration order.
+Stretches are also cut at the mean of every Erlang component of shape 2 or
+more, where its tail drops.
 """
 
 from __future__ import annotations
@@ -17,8 +18,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .distributions import (ClaimDistribution, _breaks, _de_quadrature,
-                            _exp_sinh, _weighted)
+from .distributions import (ClaimDistribution, _breaks, _de_nodes,
+                            _de_quadrature)
 from .errors import GridMismatchError, TruncationError
 
 __all__ = [
@@ -31,9 +32,8 @@ __all__ = [
     "tail_crossings",
 ]
 
-_SCAN_POINTS = 10_000
 _BISECT_TOL = 1e-12
-_SCAN_TOL = 1e-13
+_ROUNDING = 4 * np.finfo(float).eps  # tails this close, relatively, have no sign
 _HALVINGS = 8   # bisection steps per evaluation of the tails
 
 
@@ -137,7 +137,7 @@ def _bisect(f, lo, hi):
     rows = np.arange(len(lo))
     for _ in range(200 // _HALVINGS):
         width = hi - lo
-        if width.max() <= _BISECT_TOL:
+        if not (width > _BISECT_TOL).any():
             break
         pts = lo[:, None] + width[:, None] * frac
         fp = f(pts)
@@ -148,45 +148,32 @@ def _bisect(f, lo, hi):
     return 0.5 * (lo + hi)
 
 
-def _scan_end(F, G, gamma, lower):
-    # first exp-sinh node past lower beyond which the rule's estimate of the
-    # integral of (1+t)^gamma (F-bar + G-bar) is below _SCAN_TOL; a crossing
-    # past it moves nu_gamma by at most twice that
-    t, w = _exp_sinh(lower, min(F.slowest_rate, G.slowest_rate))
-    with np.errstate(over="ignore"):
-        rest = np.cumsum((w * _weighted(t, gamma, F.tail(t) + G.tail(t)))[::-1])
-    small = np.flatnonzero(rest[::-1] < _SCAN_TOL)
-    return float(t[small[0]] if len(small) else t[-1])
-
-
 def tail_crossings(F: ClaimDistribution, G: ClaimDistribution,
-                   lower: float = 0.0, upper: float | None = None) -> list:
-    """Interior sign changes of F.tail - G.tail on [lower, upper].
+                   lower: float = 0.0) -> list:
+    """Interior sign changes of F.tail - G.tail on [lower, inf).
 
-    Bracketed on a {_SCAN_POINTS}-point scan, then bisected to 1e-12.  By
-    default the scan ends where a crossing beyond it moves the Kantorovich
-    distance by at most 2e-13.  The scan resolves exponential-family tails
-    at these scales; pathological tails with sub-1e-4-width sign lobes are
-    out of scope.
+    Scanned on the nodes of the double-exponential rule that integrates the
+    metrics (``distributions._de_nodes``), which sit dense near lower and
+    near every Erlang mean and sparse far out, then bisected to 1e-12.
+    Nodes where the tails agree to rounding carry no sign and are skipped.
     """
-    if upper is None:
-        upper = _scan_end(F, G, 0.0, lower)
-    ts = np.linspace(lower, upper, _SCAN_POINTS + 1)
-    d = F.tail(ts) - G.tail(ts)
-    sign = np.sign(d)
-    flips = np.nonzero(sign[:-1] * sign[1:] < 0)[0]
-    if len(flips) == 0:
-        return []
-    return _bisect(lambda t: F.tail(t) - G.tail(t), ts[flips],
-                   ts[flips + 1]).tolist()
+    t = _de_nodes(_breaks([lower], (F, G)),
+                  min(F.slowest_rate, G.slowest_rate))[0]
+    with np.errstate(over="ignore", invalid="ignore"):
+        # far out, tails of shape above 520 are nan; such nodes are skipped
+        f, g = F.tail(t), G.tail(t)
+    keep = np.abs(f - g) > _ROUNDING * np.maximum(f, g)
+    t, above = t[keep], (f > g)[keep]
+    flips = np.flatnonzero(above[:-1] != above[1:])
+    return _bisect(lambda t: F.tail(t) - G.tail(t), t[flips],
+                   t[flips + 1]).tolist()
 
 
 def _nu_gamma_distributions(F, G, gamma, lower=0.0):
     # where (1+t)^gamma overflows float before the tails reach 0.0 the
     # distance is reported as inf, like ``weighted_tail_moment``; the
     # stretches between crossings keep one sign, and so do their pieces
-    upper = _scan_end(F, G, gamma, lower)
-    pts = _breaks([lower, *tail_crossings(F, G, lower, upper)], (F, G))
+    pts = _breaks([lower, *tail_crossings(F, G, lower)], (F, G))
     pieces = _de_quadrature(lambda t: F.tail(t) - G.tail(t), pts,
                             min(F.slowest_rate, G.slowest_rate), gamma)
     return float(np.abs(pieces).sum())

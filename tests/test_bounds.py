@@ -6,7 +6,7 @@ import pytest
 from ruinbounds import (Erlang, Exponential, HyperExponential,
                         PerturbedModel, PreconditionError, RiskModel,
                         deficit_tail, dk1, dk2, dk3, kantorovich, q_y,
-                        sup_distance)
+                        ruin_probability, sup_distance)
 
 MIX54 = HyperExponential((0.5, 0.5), (1.25, 5.0 / 6.0))
 MIX26 = HyperExponential((0.5, 0.5), (2.0, 6.0))
@@ -41,7 +41,7 @@ class TestDK1:
 
     def test_published_value_gamma1(self):
         m, mt = pair_table1(c=5.0)
-        rep = dk1(m, mt, 1.0, u_max=35.0)
+        rep = dk1(m, mt, 1.0, psi=ruin_probability(m, u_max=35.0))
         assert rep.value == pytest.approx(0.3548, abs=5e-4)
 
     def test_components_reconstruct(self):

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from ruinbounds import metrics
 from ruinbounds import (ClaimDistribution, Erlang, Exponential, GridFunction,
                         GridMismatchError, HyperExponential, TruncationError,
                         kantorovich, nu_gamma, q_y, sup_distance,
@@ -191,17 +192,38 @@ class TestCrossings:
         for i in flips:
             assert any(ts[i] <= p <= ts[i + 1] for p in pts)
 
+    def test_crossing_in_first_scan_cell(self):
+        # both tails are 1 at t = 0 and cross at 0.1086, inside the first
+        # cell of an even 10 001-point scan out to the slow rate's scale
+        f = HyperExponential((0.386, 0.614), (1.6758, 0.0196))
+        g = Erlang(2, 3.8183)
+        pts = tail_crossings(f, g)
+        assert len(pts) == 1
+        assert pts[0] == pytest.approx(0.10861100326, abs=1e-9)
+        # scipy's quad, split at the crossing
+        assert kantorovich(f, g) == pytest.approx(31.035322637848367, rel=1e-12)
+
+    def test_crossings_under_shared_slow_component(self):
+        # half of each law is the same Exp(1e-3) part, so the tail difference
+        # is half that of TWICE against EXP1, whose crossings lie within 3.3
+        # of the origin while the slow part spreads the laws to 1e4
+        f = ClaimDistribution((0.1, 0.4, 0.5), (1, 3, 1), (0.5, 5.0, 1e-3))
+        g = ClaimDistribution((0.5, 0.5), (1, 1), (1.0, 1e-3))
+        assert tail_crossings(f, g) == pytest.approx([0.4688, 3.2183], abs=1e-4)
+        assert kantorovich(f, g) == pytest.approx(0.5 * kantorovich(TWICE, EXP1),
+                                                  rel=1e-12)
+        assert kantorovich(f, g) == pytest.approx(0.12914811571986, rel=1e-12)
+
     @pytest.mark.parametrize("pair,count", [((EXP1, Exponential(2.0)), 0),
                                             ((ERL, EXP1), 1), ((EXP1, TWICE), 2)])
     def test_array_bisection_matches_scalar(self, pair, count):
         f, g = pair
-        upper = 40.0
-        ts = np.linspace(0.0, upper, 10_001)
+        ts = np.linspace(0.0, 40.0, 10_001)
         sign = np.sign(f.tail(ts) - g.tail(ts))
         flips = np.nonzero(sign[:-1] * sign[1:] < 0)[0]
         diff = lambda t: f.tail(t) - g.tail(t)
         expect = [scalar_bisect(diff, ts[i], ts[i + 1]) for i in flips]
-        got = tail_crossings(f, g, 0.0, upper)
+        got = metrics._bisect(diff, ts[flips], ts[flips + 1]).tolist()
         assert len(got) == count
         assert got == pytest.approx(expect, abs=1e-12)
 

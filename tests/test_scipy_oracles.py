@@ -3,11 +3,12 @@
 Each kernel stands in for a scipy routine: the FFT length search for
 ``scipy.fft.next_fast_len``, the Taylor matrix exponential for
 ``scipy.linalg.expm``, the double-exponential rule for
-``scipy.integrate.quad`` and the Lundberg bisection for
-``scipy.optimize.brentq``.  The quadrature references integrate between the
-package's tail crossings, found on the package's scan, and run the last
-stretch to infinity, so they share no truncation point or remainder with
-the package.
+``scipy.integrate.quad``, the Lundberg bisection for
+``scipy.optimize.brentq`` and the Erlang density for
+``scipy.stats.gamma.pdf``.  The quadrature references find the tail
+crossings on a dense scan of their own, solve them with ``brentq``, and
+integrate between them with ``quad``, the last stretch to infinity, so they
+share no node, crossing, truncation point or remainder with the package.
 """
 
 import math
@@ -17,16 +18,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import integrate, optimize
+from scipy import integrate, optimize, stats
 from scipy.fft import next_fast_len
 from scipy.linalg import expm
 
-from ruinbounds import (ClaimDistribution, RiskModel, adjustment_rate,
-                        nu_gamma, q_y, ruin_probability, tail_crossings,
-                        weighted_psi_moment)
+from ruinbounds import (ClaimDistribution, Erlang, RiskModel, adjustment_rate,
+                        nu_gamma, q_y, ruin_probability, weighted_psi_moment)
 from ruinbounds.diffusion import _expm
-from ruinbounds.metrics import _scan_end
 from ruinbounds.renewal import _fast_len
+
+EPS = np.finfo(float).eps
 
 
 def _law(components):
@@ -37,6 +38,10 @@ def _law(components):
 
 COMPONENT = st.tuples(st.floats(0.05, 1.0), st.integers(1, 4), st.floats(0.3, 8.0))
 LAWS = st.lists(COMPONENT, min_size=1, max_size=3).map(_law)
+# shapes up to 30 and rates 1e-3 ... 40, drawn evenly in log rate
+WIDE_COMPONENT = st.tuples(st.floats(0.05, 1.0), st.integers(1, 30),
+                           st.floats(-3.0, math.log10(40.0)).map(lambda x: 10.0**x))
+WIDE_LAWS = st.lists(WIDE_COMPONENT, min_size=1, max_size=3).map(_law)
 GAMMAS = st.floats(0.0, 3.0)
 
 
@@ -46,9 +51,34 @@ def _quad(f, a, b):
         return integrate.quad(f, a, b, epsabs=1e-16, epsrel=1e-13, limit=500)[0]
 
 
+def _reach(F, G):
+    # past this, each Erlang tail of F and G (shapes up to 30) is below 4e-23
+    return (60.0 + 2 * max(F.shapes + G.shapes)) / min(F.rates + G.rates)
+
+
+def scipy_crossings(F, G, lower=0.0):
+    # sign changes of F.tail - G.tail past lower on a scan of its own:
+    # geometric nodes from 1e-8 / (fastest rate) for the fast parts, linear
+    # ones for the slow; nodes where the tails agree to rounding carry no sign
+    end = _reach(F, G)
+    t = lower + np.union1d(np.geomspace(1e-8 / max(F.rates + G.rates), end, 20_000),
+                           np.linspace(0.0, end, 20_001))
+    f, g = F.tail(t), G.tail(t)
+    keep = np.abs(f - g) > 4 * EPS * np.maximum(f, g)
+    t, above = t[keep], (f > g)[keep]
+    i = np.flatnonzero(above[:-1] != above[1:])
+    diff = lambda s: F.tail(s) - G.tail(s)
+    return [optimize.brentq(diff, a, b, xtol=1e-300, rtol=4 * EPS)
+            for a, b in zip(t[i], t[i + 1])]
+
+
 def quad_nu_gamma(F, G, gamma, lower=0.0):
-    upper = _scan_end(F, G, gamma, lower)
-    pts = [lower, *tail_crossings(F, G, lower, upper), np.inf]
+    # quad between the crossings, the last stretch to infinity; the
+    # stretches are also cut on a geometric ladder, so that quad resolves
+    # parts whose scales differ by up to 1e5
+    ladder = np.geomspace(1e-2 / max(F.rates + G.rates), _reach(F, G), 12)
+    cuts = {*scipy_crossings(F, G, lower), *(lower + ladder)}
+    pts = [lower, *sorted(cuts), np.inf]
     diff = lambda t: (1.0 + t) ** gamma * (F.tail(t) - G.tail(t))
     return sum(abs(_quad(diff, a, b)) for a, b in zip(pts[:-1], pts[1:]))
 
@@ -122,6 +152,23 @@ def test_double_exponential_metrics_match_quad(F, G, gamma, y):
     assert q_y(F, G, y) == pytest.approx(quad_nu_gamma(F, G, 0.0, y), rel=1e-12)
     assert F.weighted_tail_moment(gamma) == pytest.approx(
         quad_tail_moment(F, gamma), rel=1e-12)
+
+
+@settings(max_examples=10, deadline=None)
+@given(WIDE_LAWS, WIDE_LAWS, GAMMAS, st.floats(0.0, 3.0))
+def test_metrics_across_rate_scales_match_quad(F, G, gamma, y):
+    assert nu_gamma(F, G, gamma) == pytest.approx(quad_nu_gamma(F, G, gamma),
+                                                  rel=1e-12)
+    assert q_y(F, G, y) == pytest.approx(quad_nu_gamma(F, G, 0.0, y), rel=1e-12)
+
+
+def test_high_shape_density_matches_gamma_pdf():
+    # z^{k-1} and (k-1)! leave the float range at these points
+    assert Erlang(120, 1.0).density(500.0) == pytest.approx(
+        stats.gamma.pdf(500.0, 120), rel=1e-11)
+    t = np.array([100.0, 200.0])
+    assert Erlang(200, 1.0).density(t) == pytest.approx(stats.gamma.pdf(t, 200),
+                                                        rel=1e-11)
 
 
 @settings(max_examples=25, deadline=None)
