@@ -11,13 +11,17 @@ accuracy.  On the grid the scheme is a lower-triangular Toeplitz system,
 which ``solve`` inverts in O(n log n) as a power-series reciprocal
 (Newton doubling with FFT products; Brent & Kung, J. ACM 25(4), 1978, and
 for fast convolution in Volterra equations Hairer, Lubich & Schlichte,
-SIAM J. Sci. Stat. Comput. 6(3), 1985).  The map x -> z + phi*(x conv
-kappa) contracts with modulus phi, which yields a priori and a posteriori
-error certificates for the fixed-point iteration.
+SIAM J. Sci. Stat. Comput. 6(3), 1985).  One refinement step, with a
+residual that integer-valued float64 FFT products make exact where it
+cancels, leaves every node within rounding of the exact solution of the
+grid system.  The map x -> z + phi*(x conv kappa) contracts with modulus
+phi, which yields a priori and a posteriori error certificates for the
+fixed-point iteration.
 """
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -94,13 +98,12 @@ def solve(problem: RenewalProblem) -> GridFunction:
     right-hand side r_i = z_i + phi h k_i x_0 / 2.  Its inverse is
     multiplication by the power series 1/c(t), built by Newton doubling and
     applied with real-FFT products.  One refinement step follows: the
-    residual C y - r is formed in ``np.longdouble`` and the correction
-    comes from the same float64 inverse.  FFT products alone are off by up
-    to a few units in the last place of max|x|; after the step every node
-    is within about half of one such unit of the exact solution of the
-    float64 system.  The step gains only where ``np.longdouble`` is wider than
-    float64 (80-bit extended on x86-64); where the two are the same type
-    the result keeps the float64 accuracy of the FFT products.
+    residual C y - r comes from float64 FFTs of an error-free split of c
+    and y (``_residual``), so its accuracy does not depend on the
+    platform, and the correction from the same float64 inverse.  FFT
+    products alone are off by up to a few units in the last place of
+    max|x|; after the step every node is within about half of one such
+    unit of the exact solution of the float64 system.
     The discrete equation must be defective, as the continuous one is: a
     step with margin c(1) = sum_p c_p <= 0 raises ``PreconditionError``.
     When c(1) > 0, 1/c(t) has nonnegative coefficients (c_p <= 0 for
@@ -109,10 +112,8 @@ def solve(problem: RenewalProblem) -> GridFunction:
     c, x = _system(problem)
     b = _reciprocal(c.tobytes())
     r = x[1:]
-    y = _product(b, r, np.float64)
-    d = _product(c, y, np.longdouble)
-    d -= r
-    y -= _product(b, d, np.float64)
+    y = _product(b, r)
+    y -= _product(b, _residual(c, y, r))
     x[1:] = y
     return GridFunction(problem.h, x)
 
@@ -161,25 +162,107 @@ def _fast_len(n):
     return sizes[bisect_left(sizes, n)]
 
 
-def _product(a, x, dtype):
-    """(a x) mod t^m for power series a and x of m terms, in ``dtype``.
+def _halves(v, size):
+    """Spectra of the first ceil(m/2) of the m terms of v and of the rest,
+    each zero-padded to ``size``."""
+    half = (len(v) + 1) // 2
+    return rfft(v[:half], size), rfft(v[half:], size)
 
-    The low halves multiply in full and the two cross terms only up to t^m,
-    so every FFT has length about m, not 2m; spectra are made as needed and
-    dropped early, because peak memory binds before time does.
-    """
-    m = len(a)
+
+def _assemble(lo, cross, m, size):
+    """Coefficients 0..m-1 of the product of two series of m terms, from
+    the spectra of the product of their first halves and of the sum of its
+    two cross terms.  The cross terms count only up to t^m, so every FFT
+    has length about m, not 2m."""
     half = (m + 1) // 2
-    size = _fast_len(m)
-    a_lo = rfft(np.asarray(a[:half], dtype), size)
-    x_lo = rfft(np.asarray(x[:half], dtype), size)
-    out = irfft(a_lo * x_lo, size)[:m]
-    x_lo *= rfft(np.asarray(a[half:], dtype), size)
-    a_lo *= rfft(np.asarray(x[half:], dtype), size)
-    x_lo += a_lo
-    del a_lo
-    out[half:] += irfft(x_lo, size)[:m - half]
+    out = irfft(lo, size)[:m]
+    out[half:] += irfft(cross, size)[:m - half]
     return out
+
+
+def _product(a, x):
+    """(a x) mod t^m for power series a and x of m terms."""
+    size = _fast_len(len(a))
+    a_lo, a_hi = _halves(a, size)
+    x_lo, x_hi = _halves(x, size)
+    lo = a_lo * x_lo
+    # numpy's complex product may fuse a multiply-add, so a b and b a can
+    # differ in the last bit; this order keeps the bytes of every table
+    x_lo *= a_hi
+    a_lo *= x_hi
+    x_lo += a_lo
+    del a_lo, a_hi, x_hi
+    return _assemble(lo, x_lo, len(a), size)
+
+
+def _integer_bound(size):
+    """1/(16 gamma_N), gamma_N = 2 (6 log2 N + 3) eps.  A real-FFT product
+    of length N of integer vectors C and Y is within ||C||_2 ||Y||_2 gamma_N
+    of its integer coefficients (after Percival, Math. Comp. 72(241), 2003);
+    up to this bound that is 1/16, so ``np.rint`` returns them exactly."""
+    return 1.0 / (32.0 * (6.0 * math.log2(size) + 3.0) * 2.0**-52)
+
+
+def _scale(v, bits):
+    """Exponent e with 2^(bits-1) < 2^e ||v||_2 <= 2^bits, or 0 where v is
+    zero or not finite (a NaN then reaches the solution, which
+    ``GridFunction`` rejects).
+
+    v is first scaled by the power of two of its largest entry, so the sum
+    of squares can neither overflow nor underflow and e moves by exactly
+    -k when v is scaled by 2^k.
+    """
+    top = np.max(np.abs(v))
+    if not 0.0 < top < math.inf:
+        return 0
+    e = int(np.frexp(top)[1])
+    w = np.ldexp(v, -e)
+    return bits - e - math.ceil(0.5 * math.log2(np.sum(w * w)))
+
+
+def _residual(c, y, r):
+    """C y - r for the Toeplitz system of ``solve``, with float64 FFTs only.
+
+    Both factors split without error (Ozaki, Ogita, Oishi & Rump, Numer.
+    Algorithms 59, 2012): c = 2^-s C + c' and y = 2^-t Y + y', with C and
+    Y integer-valued and ||C||_2 ||Y||_2 <= (2^bits + sqrt(m)/2)^2 <=
+    ``_integer_bound``.  So rint of their FFT product is C Y exactly, and
+    2^-(s+t) C Y - r is exact wherever r is near it.  The low parts
+    2^-s C y' + c' y take their spectra from those of C and Y by
+    linearity; they are small, and their FFTs' rounding is the only error.
+    Spectra are dropped once spent, because peak memory binds before time
+    does.
+    """
+    m = len(c)
+    size = _fast_len(m)
+    bits = math.floor(math.log2(math.sqrt(_integer_bound(size))
+                                - 0.5 * math.sqrt(m)))
+    s, t = _scale(c, bits), _scale(y, bits)
+    C, Y = np.rint(np.ldexp(c, s)), np.rint(np.ldexp(y, t))
+    c_low, y_low = c - np.ldexp(C, -s), y - np.ldexp(Y, -t)
+    C_lo, C_hi = _halves(C, size)
+    Y_lo, Y_hi = _halves(Y, size)
+    del C, Y
+    d = _assemble(C_lo * Y_lo, Y_lo * C_hi + C_lo * Y_hi, m, size)
+    d = np.ldexp(np.rint(d), -(s + t)) - r
+    # low parts 2^-s C y' + c' y; the spectra of 2^-s C and of
+    # y = 2^-t Y + y' follow from those of C and Y by linearity
+    C_lo *= np.ldexp(1.0, -s)
+    C_hi *= np.ldexp(1.0, -s)
+    w_lo, w_hi = _halves(y_low, size)
+    del y_low
+    lo, cross = C_lo * w_lo, w_lo * C_hi + C_lo * w_hi
+    del C_lo, C_hi
+    Y_lo *= np.ldexp(1.0, -t)
+    Y_lo += w_lo
+    Y_hi *= np.ldexp(1.0, -t)
+    Y_hi += w_hi
+    w_lo, w_hi = _halves(c_low, size)
+    del c_low
+    lo += w_lo * Y_lo
+    cross += Y_lo * w_hi + w_lo * Y_hi
+    del Y_lo, Y_hi, w_lo, w_hi
+    return d + _assemble(lo, cross, m, size)
 
 
 @lru_cache(maxsize=1)
@@ -216,7 +299,7 @@ def trapezoid_convolution(x: np.ndarray, k: np.ndarray, h: float) -> np.ndarray:
     their convolution are needed, which is the truncated product that
     ``solve`` uses, with every FFT about len(x) long.
     """
-    full = _product(x, k, np.float64)
+    full = _product(x, k)
     return h * (full - 0.5 * x[0] * k - 0.5 * x * k[0])
 
 

@@ -214,6 +214,14 @@ class TestCrossings:
                                                   rel=1e-12)
         assert kantorovich(f, g) == pytest.approx(0.12914811571986, rel=1e-12)
 
+    def test_no_crossing_where_both_tails_round_to_one(self):
+        # g's tail lies above f's, but near t = 1.5 and 2.2 both are 1 to
+        # within 1e-17 and their float difference reaches 4.5 eps; a scan
+        # on other nodes reads false crossings near 0.88 and 1.65
+        f = Erlang(20, 0.4923)
+        g = ClaimDistribution((0.661, 0.339), (28, 24), (0.04082, 0.03836))
+        assert tail_crossings(f, g) == []
+
     @pytest.mark.parametrize("pair,count", [((EXP1, Exponential(2.0)), 0),
                                             ((ERL, EXP1), 1), ((EXP1, TWICE), 2)])
     def test_array_bisection_matches_scalar(self, pair, count):

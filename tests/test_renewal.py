@@ -2,6 +2,9 @@
 recursion and with exact phase-type values, convergence order, error
 certificates, contraction behaviour."""
 
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -14,7 +17,11 @@ from ruinbounds import (ClaimDistribution, Erlang, Exponential, GridFunction,
                         ruin_probability, solve)
 from ruinbounds.classical import _psi_problem
 from ruinbounds.diffusion import _k_problem
-from ruinbounds.renewal import _system, trapezoid_convolution
+from ruinbounds.renewal import (_fast_len, _integer_bound, _product,
+                                _reciprocal, _residual, _system,
+                                trapezoid_convolution)
+
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 EPS = np.finfo(float).eps
 
@@ -116,6 +123,79 @@ class TestAgreement:
         assert np.max(np.abs(x - ref)) <= EPS * float(np.max(np.abs(ref)))
         if phi == 0.0:
             assert np.array_equal(x, np.exp(-p.grid))
+
+
+class TestResidual:
+    # a mixture, a near-critical Erlang, and the ladder kernel, whose
+    # kappa(0) = 0
+    CASES = {
+        "hyperexponential": KERNELS["hyperexponential"],
+        "erlang_phi_099": lambda h, u: _psi_problem(
+            RiskModel(0.99, 1.0, Erlang(3, 3.0)), h, u),
+        "ladder": KERNELS["ladder"],
+    }
+
+    @pytest.mark.parametrize("name", CASES)
+    @pytest.mark.parametrize("m", [1, 2, 3, 256])
+    def test_within_2_64_of_exact_residual(self, name, m):
+        # C y - r in rationals, for the y that ``solve`` refines; the
+        # long-double product misses this bound at m = 256
+        h = 2.0**-7
+        c, x = _system(self.CASES[name](h, (m + 0.4) * h))
+        assert len(c) == m
+        r = x[1:]
+        y = _product(_reciprocal(c.tobytes()), r)
+        d = _residual(c, y, r)
+        cf, yf = [Fraction(v) for v in c], [Fraction(v) for v in y]
+        bound = sum(abs(v) for v in cf) * max(abs(v) for v in yf) / 2**64
+        for i in range(m):
+            exact = sum(cf[p] * yf[i - p] for p in range(i + 1)) - Fraction(r[i])
+            assert abs(Fraction(d[i]) - exact) <= bound
+
+    @pytest.mark.parametrize("m", [2048, 15360, 40960, 163840])
+    def test_integer_product_exact_at_bound(self, m):
+        # constant vectors at the largest entry a with ||a 1||_2^2 within
+        # the bound; ``_residual`` multiplies its integer parts this way
+        a = float(math.isqrt(int(_integer_bound(_fast_len(m)) / m)))
+        v = np.full(m, a)
+        prod = _product(v, v)
+        exact = (np.arange(m) + 1.0) * a * a
+        assert np.max(np.abs(prod - exact)) <= 1.0 / 16.0
+        assert np.array_equal(np.rint(prod), exact)
+
+    def test_integer_product_exact_random_signs(self):
+        m = 4096
+        a = math.isqrt(int(_integer_bound(_fast_len(m)) / m))
+        u, v = np.random.default_rng(m).integers(-a, a + 1, size=(2, m))
+        exact = np.convolve(u, v)[:m]
+        prod = np.rint(_product(u.astype(float), v.astype(float)))
+        assert np.array_equal(prod.astype(np.int64), exact)
+
+    @pytest.mark.parametrize("name", KERNELS)
+    @pytest.mark.parametrize("k", [-900, -60, 60, 900])
+    def test_solve_homogeneous_under_power_of_two_scaling(self, name, k):
+        p = KERNELS[name](2.0**-10, 8.0)
+        _, z, kernel = p.arrays()
+        scaled = RenewalProblem(phi=p.phi, forcing=np.ldexp(z, k),
+                                kernel=kernel, h=p.h, u_max=p.u_max)
+        assert np.array_equal(solve(scaled).values,
+                              np.ldexp(solve(p).values, k))
+
+    def test_nan_forcing_is_rejected(self):
+        p = KERNELS["exponential"](2.0**-6, 4.0)
+        _, z, kernel = p.arrays()
+        z[10] = np.nan
+        bad = RenewalProblem(phi=p.phi, forcing=z, kernel=kernel, h=p.h,
+                             u_max=p.u_max)
+        with pytest.raises(ValueError, match="grid values must be finite"):
+            solve(bad)
+
+    def test_zero_forcing_returns_zeros(self):
+        p = RenewalProblem(phi=0.5, forcing=lambda t: 0.0 * t,
+                           kernel=lambda t: 2.0 * np.exp(-2.0 * t),
+                           h=2.0**-10, u_max=4.0)
+        x = solve(p).values
+        assert np.array_equal(x, np.zeros_like(x))
 
 
 RATES = st.floats(0.3, 8.0)
