@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import ctypes
 import io
 import sys
 
@@ -27,6 +28,35 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_PRECONDITION = 3
 EXIT_NUMERICAL = 4
+
+# glibc's mallopt parameters (malloc.h) and the values a command runs under:
+# one arena, so that malloc_trim reaches the Monte Carlo threads' memory too,
+# and thresholds that keep freed pages mapped instead of handing them back
+# to the kernel and faulting them in again on the next solve.  32 MiB is the
+# mmap threshold's documented ceiling on 64-bit hosts, the most glibc's own
+# dynamic threshold reaches.
+_MALLOC_OPTIONS = ((-8, 1),            # M_ARENA_MAX
+                   (-1, 2**30),        # M_TRIM_THRESHOLD
+                   (-3, 32 * 2**20))   # M_MMAP_THRESHOLD
+
+
+def _glibc_malloc():
+    """The C library's handle if it has ``mallopt`` and ``malloc_trim``.
+
+    None on other C libraries (macOS, Windows, musl), where a command runs
+    under the allocator's defaults.
+    """
+    try:
+        libc = ctypes.CDLL(None)
+        mallopt, malloc_trim = libc.mallopt, libc.malloc_trim
+    except (OSError, TypeError, AttributeError):
+        return None
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    malloc_trim.argtypes, malloc_trim.restype = (ctypes.c_size_t,), ctypes.c_int
+    return libc
+
+
+_LIBC = _glibc_malloc()
 
 
 def _fmt(v) -> str:
@@ -192,6 +222,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command; the heap it freed goes back to the system on return."""
+    libc = _LIBC
+    if libc is not None:
+        for param, value in _MALLOC_OPTIONS:
+            libc.mallopt(param, value)
+    try:
+        return _run(argv)
+    finally:
+        if libc is not None:
+            libc.malloc_trim(0)
+
+
+def _run(argv) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

@@ -1,5 +1,9 @@
 """Config parsing, CLI behaviour, exit codes, output determinism."""
 
+import os
+import platform
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -10,6 +14,7 @@ from helpers import k_iterate_exact
 from ruinbounds import (Erlang, PerturbedModel, RiskModel, cli, config,
                         renewal, tables)
 from ruinbounds.config import ConfigError
+from ruinbounds.errors import PreconditionError, TruncationError
 
 GOLDEN = Path(__file__).resolve().parent.parent / "bench" / "golden"
 
@@ -365,3 +370,106 @@ class TestCsvShape:
     def test_seven_significant_digits(self, capsys):
         _, out, _ = run_cli(capsys, "table", "4")
         assert "0.2030029" in out
+
+
+class _MallocRecorder:
+    """Stands in for the C library: records the allocator calls in order."""
+
+    def __init__(self, events):
+        self.events = events
+
+    def mallopt(self, param, value):
+        self.events.append(("mallopt", param, value))
+        return 1
+
+    def malloc_trim(self, pad):
+        self.events.append(("malloc_trim", pad))
+        return 1
+
+
+def _raises(exc):
+    def command(args):
+        raise exc
+    return command
+
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+# glibc's M_ARENA_MAX, M_TRIM_THRESHOLD and M_MMAP_THRESHOLD, in that order
+MALLOC_OPTIONS = [("mallopt", -8, 1), ("mallopt", -1, 2**30),
+                  ("mallopt", -3, 32 * 2**20)]
+
+
+class TestAllocatorScope:
+    @pytest.mark.parametrize("command, code", [
+        (lambda args: cli.EXIT_OK, 0),
+        (_raises(ConfigError("bad key")), 2),
+        (_raises(PreconditionError("net profit")), 3),
+        (_raises(TruncationError("tail")), 4),
+        (lambda args: cli.EXIT_NUMERICAL, 4),
+    ])
+    def test_options_before_and_trim_after_command(self, monkeypatch, capsys,
+                                                   command, code):
+        events = []
+        monkeypatch.setattr(cli, "_LIBC", _MallocRecorder(events))
+
+        def recorded(args):
+            events.append("command")
+            return command(args)
+
+        monkeypatch.setattr(cli, "cmd_table", recorded)
+        assert cli.main(["table", "4"]) == code
+        assert events == [*MALLOC_OPTIONS, "command", ("malloc_trim", 0)]
+
+    def test_trim_after_argparse_exit(self, monkeypatch, capsys):
+        events = []
+        monkeypatch.setattr(cli, "_LIBC", _MallocRecorder(events))
+        with pytest.raises(SystemExit) as stop:
+            cli.main(["table", "no-such-table"])
+        assert stop.value.code == 2
+        assert events == [*MALLOC_OPTIONS, ("malloc_trim", 0)]
+
+    def test_trim_after_command_raises(self, monkeypatch):
+        events = []
+        monkeypatch.setattr(cli, "_LIBC", _MallocRecorder(events))
+        monkeypatch.setattr(cli, "cmd_table", _raises(RuntimeError("bug")))
+        with pytest.raises(RuntimeError, match="bug"):
+            cli.main(["table", "4"])
+        assert events == [*MALLOC_OPTIONS, ("malloc_trim", 0)]
+
+    @pytest.mark.parametrize("argv, pinned", [
+        (["table", "1a"], GOLDEN / "table_1a.csv"),
+        (["eval", "mc", str(DATA / "mc_smoke.cfg"), "--quantity", "deficit",
+          "--y", "0.4", "--u", "0,0.5,1,2", "--samples", "300000"],
+         DATA / "mc_smoke.csv"),
+    ])
+    def test_same_bytes_without_glibc(self, monkeypatch, capsys, argv, pinned):
+        # the path of C libraries without mallopt/malloc_trim
+        monkeypatch.setattr(cli, "_LIBC", None)
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        assert out.encode() == pinned.read_bytes()
+
+    @pytest.mark.skipif(cli._LIBC is None or platform.libc_ver()[0] != "glibc",
+                        reason="the allocator options are glibc's")
+    def test_command_keeps_freed_pages_mapped(self):
+        # minor page faults of one `table 1a` in a fresh interpreter, with the
+        # options and with the handle patched out; the environment loses
+        # glibc's own malloc variables, which would set the same options
+        code = ("import contextlib, io, resource, sys\n"
+                "sys.path.insert(0, sys.argv[1])\n"
+                "from ruinbounds import cli\n"
+                "if sys.argv[2] == 'off':\n"
+                "    cli._LIBC = None\n"
+                "before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+                "with contextlib.redirect_stdout(io.StringIO()):\n"
+                "    assert cli.main(['table', '1a']) == 0\n"
+                "print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)")
+        env = {k: v for k, v in os.environ.items()
+               if not k.startswith(("MALLOC_", "GLIBC_TUNABLES"))}
+        faults = {}
+        for mode in ("on", "off"):
+            out = subprocess.run([sys.executable, "-c", code, str(SRC), mode],
+                                 capture_output=True, text=True, check=True,
+                                 env=env).stdout
+            faults[mode] = int(out)
+        assert faults["on"] <= faults["off"] / 4, faults
