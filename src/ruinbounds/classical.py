@@ -17,10 +17,11 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .distributions import ClaimDistribution, Exponential, _de_quadrature
+from .distributions import ClaimDistribution, _de_quadrature
 from .errors import PreconditionError
 from .metrics import GridFunction
-from .renewal import DEFAULT_H, RenewalProblem, solve, trapezoid_convolution
+from .renewal import (DEFAULT_H, RenewalProblem, nodes, solve,
+                      trapezoid_convolution)
 
 __all__ = [
     "RiskModel",
@@ -68,27 +69,24 @@ class RiskModel:
         return self.c / (self.lam * self.mu) - 1.0
 
 
-def _u_max(phi: float, rate: float, floor: float = 10.0) -> float:
-    # smallest U with phi * exp(-rate U) / (1 - phi) below 1e-9, at least floor
+def _u_max(phi: float, rate: float) -> float:
+    # smallest U with phi * exp(-rate U) / (1 - phi) below 1e-9, at least 10
     u = np.log(phi / ((1.0 - phi) * 1e-9)) / rate
-    return float(max(floor, np.ceil(u)))
+    return float(max(10.0, np.ceil(u)))
 
 
-def default_u_max(model: RiskModel, floor: float = 10.0) -> float:
+def default_u_max(model: RiskModel) -> float:
     """Smallest U with phi * exp(-r U) / (1 - phi) below 1e-9, r the slowest
-    exponential rate of the claim law; clipped from below by ``floor``."""
-    return _u_max(model.phi, model.claims.slowest_rate, floor)
+    exponential rate of the claim law; at least 10."""
+    return _u_max(model.phi, model.claims.slowest_rate)
 
 
-def _psi_problem(model, h, u_max, y=0.0):
-    if y < 0:
-        raise ValueError("y must be >= 0")
+def _psi_problem(model, h, u_max):
+    """psi's renewal problem; u_max None means ``default_u_max``."""
+    grid = nodes(h, default_u_max(model) if u_max is None else u_max)
     fe = model.claims.equilibrium()
-    mu = model.mu
-    kernel = lambda t: model.claims.tail(t) / mu
-    forcing = lambda t: model.phi * fe.tail(t + y)
-    return RenewalProblem(phi=model.phi, forcing=forcing, kernel=kernel,
-                          h=h, u_max=u_max)
+    return RenewalProblem(phi=model.phi, forcing=model.phi * fe.tail(grid),
+                          kernel=model.claims.tail(grid) / model.mu, h=h)
 
 
 def ruin_probability(model: RiskModel, h: float = DEFAULT_H,
@@ -105,9 +103,9 @@ def ruin_probability(model: RiskModel, h: float = DEFAULT_H,
 def exact_ruin_exponential(model: RiskModel, u) -> float:
     """Closed form psi(u) = phi * exp(-beta (1 - phi) u) for exponential
     claims; the analytic anchor for solver and Monte Carlo checks."""
-    if not isinstance(model.claims, Exponential):
+    if model.claims.shapes != (1,):
         raise PreconditionError("closed form requires exponential claims")
-    beta, phi = model.claims.beta, model.phi
+    beta, phi = model.claims.rates[0], model.phi
     arr = phi * np.exp(-beta * (1.0 - phi) * np.asarray(u, dtype=float))
     return float(arr) if np.ndim(u) == 0 else arr
 
@@ -179,15 +177,18 @@ def deficit_tail_family(model: RiskModel, ys, h: float = DEFAULT_H,
     """G-bar(., y) for several y at once, reusing one kernel evaluation.
 
     The kernel (equilibrium density) does not depend on y; only the forcing
-    changes, so the kernel is sampled once and ``solve``, which keeps the
+    changes, so all y share psi's problem and ``solve``, which keeps the
     reciprocal of the last kernel's Toeplitz column, builds that once.
     """
-    if u_max is None:
-        u_max = default_u_max(model)
-    psi_problem = _psi_problem(model, h, u_max)
-    kernel = psi_problem.kernel(psi_problem.grid)
-    return {y: solve(replace(_psi_problem(model, h, u_max, y), kernel=kernel))
-            for y in ys}
+    p = _psi_problem(model, h, u_max)
+    fe = model.claims.equilibrium()
+    out = {}
+    for y in ys:
+        if y < 0:
+            raise ValueError("y must be >= 0")
+        q = replace(p, forcing=model.phi * fe.tail(p.grid + y)) if y else p
+        out[y] = solve(q)
+    return out
 
 
 def pk_truncated_series(model: RiskModel, n_terms: int, h: float = DEFAULT_H,
@@ -201,17 +202,13 @@ def pk_truncated_series(model: RiskModel, n_terms: int, h: float = DEFAULT_H,
     scheme except for sharing the trapezoid rule, so it cross-checks the
     solver.
     """
-    if u_max is None:
-        u_max = default_u_max(model)
-    problem = _psi_problem(model, h, u_max)
-    grid = problem.grid
-    fe_tail = model.claims.equilibrium().tail(grid)
-    fe_dens = problem.kernel(grid)
+    p = _psi_problem(model, h, u_max)
+    fe_tail = model.claims.equilibrium().tail(p.grid)
     phi = model.phi
     tail_k = fe_tail.copy()          # tail of the 1-fold sum
     acc = (1.0 - phi) * phi * tail_k
     for k in range(2, n_terms + 1):
         # survival of the k-fold sum from the (k-1)-fold one
-        tail_k = fe_tail + trapezoid_convolution(tail_k, fe_dens, h)
+        tail_k = fe_tail + trapezoid_convolution(tail_k, p.kernel, h)
         acc += (1.0 - phi) * phi**k * tail_k
     return GridFunction(h, acc, is_tail=True)

@@ -28,10 +28,11 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .classical import RiskModel, _u_max
-from .distributions import Exponential, partial_exp_sum
+from .distributions import partial_exp_sum
 from .errors import PreconditionError
 from .metrics import GridFunction
-from .renewal import DEFAULT_H, IterationTrace, RenewalProblem, iterate, solve
+from .renewal import (DEFAULT_H, IterationTrace, RenewalProblem, iterate,
+                      nodes, solve)
 
 __all__ = [
     "PerturbedModel",
@@ -154,13 +155,10 @@ def ladder_tail(pm: PerturbedModel, t):
 def _k_problem(pm: PerturbedModel, h, u_max):
     if u_max is None:
         u_max = _u_max(pm.phi, min(pm.b0, pm.base.claims.slowest_rate))
-    n = int(round(u_max / h))
-    grid = np.arange(n + 1) * h
-    a = _ladder_density_grid(pm, n + 1, h)
-    fe = pm.base.claims.equilibrium()
-    abar = fe.tail(grid) + a / pm.b0
-    return RenewalProblem(phi=pm.phi, forcing=pm.phi * abar, kernel=a,
-                          h=h, u_max=u_max)
+    grid = nodes(h, u_max)
+    a = _ladder_density_grid(pm, len(grid), h)
+    abar = pm.base.claims.equilibrium().tail(grid) + a / pm.b0
+    return RenewalProblem(phi=pm.phi, forcing=pm.phi * abar, kernel=a, h=h)
 
 
 def k_tail(pm: PerturbedModel, h: float = DEFAULT_H,
@@ -179,9 +177,9 @@ def k_exact_exponential(pm: PerturbedModel, u):
     when b0 is close to beta.
     """
     claims = pm.base.claims
-    if not isinstance(claims, Exponential):
+    if claims.shapes != (1,):
         raise PreconditionError("closed form requires exponential claims")
-    beta, b0, theta = claims.beta, pm.b0, pm.theta
+    beta, b0, theta = claims.rates[0], pm.b0, pm.theta
     product = theta / (1.0 + theta) * b0 * beta
     disc = math.sqrt((b0 - beta) ** 2 + 4.0 * b0 * beta / (1.0 + theta))
     s2 = 0.5 * (b0 + beta + disc)
@@ -221,9 +219,9 @@ def k_iterate_erlang(pm: PerturbedModel, k0: float, n: int, u: float) -> float:
     with S_m the partial exponential sums.
     """
     claims = pm.base.claims
-    if not isinstance(claims, Exponential):
+    if claims.shapes != (1,):
         raise PreconditionError("matched-rate closed form requires exponential claims")
-    beta = claims.beta
+    beta = claims.rates[0]
     if abs(beta - pm.b0) > _RATE_MATCH * pm.b0:
         raise PreconditionError(
             f"closed form needs beta = c/D; got beta={beta}, c/D={pm.b0}")

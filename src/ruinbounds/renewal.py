@@ -17,6 +17,9 @@ cancels, leaves every node within rounding of the exact solution of the
 grid system.  The map x -> z + phi*(x conv kappa) contracts with modulus
 phi, which yields a priori and a posteriori error certificates for the
 fixed-point iteration.
+
+A ``RenewalProblem`` is this equation sampled: z and kappa at the nodes
+0, h, ..., n h, checked once when the problem is built.
 """
 
 from __future__ import annotations
@@ -37,48 +40,38 @@ __all__ = ["RenewalProblem", "IterationTrace", "solve", "iterate", "residual"]
 DEFAULT_H = 2.0**-10
 
 
-def _on_grid(f, grid):
-    if callable(f):
-        return np.asarray(f(grid), dtype=float)
-    arr = np.asarray(f, dtype=float)
-    if arr.shape != grid.shape:
-        raise ValueError("grid data length does not match the grid")
-    return arr
+def nodes(h: float, u_max: float) -> np.ndarray:
+    """The grid 0, h, ..., n h with n = round(u_max / h)."""
+    return np.arange(int(round(u_max / h)) + 1) * h
 
 
 @dataclass(frozen=True)
 class RenewalProblem:
-    """One defective renewal equation, discretized on [0, u_max].
+    """One defective renewal equation: z and kappa sampled at the nodes
+    0, h, ..., n h, checked when the problem is built and kept read-only.
 
-    ``kernel`` and ``forcing`` may be callables (evaluated on the grid) or
-    arrays already sampled on it.  The kernel is a probability density; its
-    mass inside the window may be less than 1 when u_max cuts the support,
-    which is harmless because the scheme is causal: the value at u depends
-    only on the kernel and the forcing on [0, u].
+    The kernel is a probability density; its mass inside the window may be
+    less than 1 when the grid end cuts the support, which is harmless
+    because the scheme is causal: the value at u depends only on the kernel
+    and the forcing on [0, u].
     """
 
     phi: float
-    forcing: object
-    kernel: object
+    forcing: np.ndarray
+    kernel: np.ndarray
     h: float = DEFAULT_H
-    u_max: float = 10.0
 
     def __post_init__(self):
         if not 0.0 <= self.phi < 1.0:
             raise PreconditionError(
                 f"contraction requires modulus phi in [0, 1); got {self.phi}")
-        if self.h <= 0 or self.u_max <= self.h:
-            raise PreconditionError("need h > 0 and u_max > h")
-
-    @property
-    def grid(self) -> np.ndarray:
-        n = int(round(self.u_max / self.h))
-        return np.arange(n + 1) * self.h
-
-    def arrays(self):
-        grid = self.grid
-        z = _on_grid(self.forcing, grid)
-        k = _on_grid(self.kernel, grid)
+        if not self.h > 0:
+            raise PreconditionError(f"need a step h > 0; got {self.h}")
+        z = np.array(self.forcing, dtype=float)
+        k = np.array(self.kernel, dtype=float)
+        if z.ndim != 1 or len(z) < 2 or k.shape != z.shape:
+            raise ValueError("forcing and kernel must be sampled on one grid "
+                             "of at least two nodes")
         if np.any(k < -1e-12):
             raise PreconditionError("kernel density must be nonnegative")
         mass = np.trapezoid(k, dx=self.h)
@@ -86,7 +79,17 @@ class RenewalProblem:
         if mass > 1.0 + max(1e-6, 10.0 * self.h**2):
             raise PreconditionError(
                 f"kernel mass {mass:.6f} exceeds 1; not a probability density")
-        return grid, z, k
+        z.flags.writeable = k.flags.writeable = False
+        object.__setattr__(self, "forcing", z)
+        object.__setattr__(self, "kernel", k)
+
+    @property
+    def u_max(self) -> float:
+        return (len(self.forcing) - 1) * self.h
+
+    @property
+    def grid(self) -> np.ndarray:
+        return np.arange(len(self.forcing)) * self.h
 
 
 def solve(problem: RenewalProblem) -> GridFunction:
@@ -120,9 +123,8 @@ def solve(problem: RenewalProblem) -> GridFunction:
 
 def _system(problem):
     """First column c of the Toeplitz matrix, and the forcing z with the
-    right-hand side r in place of z[1:].  The sampled grid and kernel are
-    dropped on return, which lowers the solve's peak memory."""
-    _, z, k = problem.arrays()
+    right-hand side r in place of z[1:]."""
+    z, k = problem.forcing, problem.kernel
     w = problem.phi * problem.h
     c = -w * k[:-1]
     c[0] = 1.0 - 0.5 * w * k[0]
@@ -303,16 +305,20 @@ def trapezoid_convolution(x: np.ndarray, k: np.ndarray, h: float) -> np.ndarray:
     return h * (full - 0.5 * x[0] * k - 0.5 * x * k[0])
 
 
-def _apply(problem, z, k, xv):
-    return z + problem.phi * trapezoid_convolution(xv, k, problem.h)
+def _apply(problem, xv):
+    return problem.forcing + problem.phi * trapezoid_convolution(
+        xv, problem.kernel, problem.h)
+
+
+def _check_grid(problem, x, name):
+    if len(x) != len(problem.forcing) or abs(x.h - problem.h) > 1e-12 * problem.h:
+        raise PreconditionError(f"grid of {name} does not match the problem grid")
 
 
 def residual(problem: RenewalProblem, x: GridFunction) -> float:
     """Sup-norm defect of x as a solution of the equation."""
-    grid, z, k = problem.arrays()
-    if len(x) != len(grid) or abs(x.h - problem.h) > 1e-12 * problem.h:
-        raise PreconditionError("grid of x does not match the problem grid")
-    return float(np.max(np.abs(x.values - _apply(problem, z, k, x.values))))
+    _check_grid(problem, x, "x")
+    return float(np.max(np.abs(x.values - _apply(problem, x.values))))
 
 
 @dataclass(frozen=True)
@@ -344,31 +350,27 @@ class IterationTrace:
 def iterate(problem: RenewalProblem, x0, n: int) -> IterationTrace:
     """Apply the renewal operator n times starting from x0.
 
-    x0 may be a constant or a GridFunction on the problem grid.  Returns the
-    iterates with their error certificates.
+    x0 may be a constant or a GridFunction on the problem grid, of the
+    same step and length.  Returns the iterates with their error
+    certificates.
     """
     if n < 1:
         raise ValueError("need at least one iteration")
-    grid, z, k = problem.arrays()
-    if isinstance(x0, GridFunction):
-        if len(x0) != len(grid):
-            raise PreconditionError("x0 grid does not match the problem grid")
-        cur = x0.values.copy()
-    else:
-        cur = np.full(len(grid), float(x0))
-    x0_gf = GridFunction(problem.h, cur)
+    if not isinstance(x0, GridFunction):
+        x0 = GridFunction(problem.h, np.full(len(problem.forcing), float(x0)))
+    _check_grid(problem, x0, "x0")
     phi = problem.phi
     iterates, sups = [], []
-    prev = cur
+    prev = x0.values
     for _ in range(n):
-        cur = _apply(problem, z, k, prev)
+        cur = _apply(problem, prev)
         iterates.append(GridFunction(problem.h, cur))
         sups.append(float(np.max(np.abs(cur - prev))))
         prev = cur
     # one extra application prices the final a posteriori residual
-    nxt = _apply(problem, z, k, prev)
+    nxt = _apply(problem, prev)
     residuals = np.array(sups[1:] + [float(np.max(np.abs(nxt - prev)))])
     first_step = sups[0]
     a_priori = np.array([phi**j / (1.0 - phi) * first_step for j in range(1, n + 1)])
-    return IterationTrace(phi=phi, x0=x0_gf, iterates=iterates,
+    return IterationTrace(phi=phi, x0=x0, iterates=iterates,
                           a_priori=a_priori, residuals=residuals)

@@ -180,6 +180,11 @@ class TestDeficitTail:
         g = deficit_tail(m, 30.0, u_max=4.0)
         assert g.values.max() <= 1e-9
 
+    @pytest.mark.parametrize("ys", [(-1.0,), (0.5, -0.5)])
+    def test_rejects_negative_y(self, ys):
+        with pytest.raises(ValueError, match="y must be >= 0"):
+            deficit_tail_family(model_exp2(), ys, u_max=4.0)
+
     def test_family_matches_single_solves(self):
         m = model_mix()
         fam = deficit_tail_family(m, (0.3, 1.2), u_max=5.0)

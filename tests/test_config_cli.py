@@ -195,6 +195,21 @@ class TestEvalCommand:
         assert code == 0
         assert out.encode() == (DATA / "mc_smoke.csv").read_bytes()
 
+    @pytest.mark.parametrize("argv, pinned", [
+        (["ruin"], "dk_pair_eval_ruin.csv"),
+        (["deficit", "--y", "0.5"], "dk_pair_eval_deficit_y05.csv"),
+        (["ktail"], "dk_pair_eval_ktail.csv"),
+        (["psit"], "dk_pair_eval_psit.csv"),
+        (["iterate", "--k0", "0.4", "--n", "5"], "dk_pair_eval_iterate.csv"),
+    ])
+    def test_grid_quantities_match_pinned_csv(self, capsys, argv, pinned):
+        # the commands listed in tests/data/dk_pair.cfg, which CI also runs;
+        # no table reaches these quantities
+        code, out, _ = run_cli(capsys, "eval", argv[0], str(DATA / "dk_pair.cfg"),
+                               *argv[1:], "--u", "0,0.5,1,2,5")
+        assert code == 0
+        assert out.encode() == (DATA / pinned).read_bytes()
+
     def test_ruin_at_origin(self, tmp_path, capsys):
         path = tmp_path / "m.cfg"
         path.write_text("[model]\nlambda = 0.5\nc = 0.5\nclaims = exp\n"

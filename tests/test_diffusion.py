@@ -9,7 +9,8 @@ from scipy import integrate
 from helpers import k_bar_exact, k_iterate_exact, psi_d_exact, psi_total_exact
 from ruinbounds import (ClaimDistribution, Erlang, Exponential, HyperExponential,
                         PerturbedModel, PreconditionError, RiskModel,
-                        decompose, k_exact_exponential, k_iterate_erlang,
+                        decompose, exact_ruin_exponential,
+                        k_exact_exponential, k_iterate_erlang,
                         k_iterates, k_tail, ladder_density, ladder_tail,
                         mc_estimate, psi_total, ruin_probability,
                         sup_distance)
@@ -196,6 +197,34 @@ class TestKIterateErlang:
         pm = PerturbedModel(RiskModel(0.5, 1.0, Exponential(2.0)), 1.0)
         with pytest.raises(PreconditionError):
             k_iterate_erlang(pm, 0.5, 3, 1.0)
+
+
+class TestClosedFormsReadTheLaw:
+    """The exponential closed forms test the claim law, not its class."""
+
+    @staticmethod
+    def closed_forms(claims):
+        # the table-4 model: phi = 1/2, b0 = c/D = 2 = beta
+        pm = PerturbedModel(RiskModel(0.5, 0.5, claims), 0.25)
+        us = np.array([0.0, 0.5, 1.0, 3.5])
+        return (exact_ruin_exponential(pm.base, us), k_exact_exponential(pm, us),
+                [k_iterate_erlang(pm, 0.4, n, u) for n in (1, 2, 5) for u in us])
+
+    def test_exp2_in_any_family(self):
+        # construction merges both into one Exp(2) component
+        ref = self.closed_forms(Exponential(2.0))
+        for law in (Erlang(1, 2.0), HyperExponential((0.5, 0.5), (2.0, 2.0))):
+            for got, want in zip(self.closed_forms(law), ref):
+                assert np.array_equal(got, want)
+
+    def test_refuses_erlang_2(self):
+        with pytest.raises(PreconditionError):
+            exact_ruin_exponential(RiskModel(0.25, 0.5, Erlang(2, 2.0)), 1.0)
+        pm = PerturbedModel(RiskModel(0.25, 0.5, Erlang(2, 2.0)), 0.25)
+        with pytest.raises(PreconditionError):
+            k_exact_exponential(pm, 1.0)
+        with pytest.raises(PreconditionError):
+            k_iterate_erlang(pm, 0.4, 2, 1.0)
 
 
 class TestPsiTotal:

@@ -3,6 +3,7 @@ recursion and with exact phase-type values, convergence order, error
 certificates, contraction behaviour."""
 
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -18,7 +19,7 @@ from ruinbounds import (ClaimDistribution, Erlang, Exponential, GridFunction,
 from ruinbounds.classical import _psi_problem
 from ruinbounds.diffusion import _k_problem
 from ruinbounds.renewal import (_fast_len, _integer_bound, _product,
-                                _reciprocal, _residual, _system,
+                                _reciprocal, _residual, _system, nodes,
                                 trapezoid_convolution)
 
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -29,9 +30,9 @@ EPS = np.finfo(float).eps
 def forward_recursion(problem):
     """The O(n^2) forward trapezoid recursion ``solve`` replaced; the
     reference for its numbers."""
-    grid, z, k = problem.arrays()
+    z, k = problem.forcing, problem.kernel
     phi, h = problem.phi, problem.h
-    n = len(grid)
+    n = len(z)
     x = np.empty(n)
     x[0] = z[0]
     # contiguous reversed kernel keeps the inner dot on the BLAS fast path
@@ -72,21 +73,24 @@ KERNELS = {
 }
 
 
+def sampled(phi, forcing, kernel, h, u_max):
+    """The problem with forcing and kernel sampled on the nodes 0, h, ...,
+    u_max."""
+    t = nodes(h, u_max)
+    return RenewalProblem(phi=phi, forcing=forcing(t), kernel=kernel(t), h=h)
+
+
 def exp_psi_problem(h=2.0**-10, u_max=12.0):
     # Exp(2) claims, lam = c = 1/2: modulus 1/2, equilibrium kernel 2e^{-2t},
     # exact solution x(u) = e^{-u}/2
-    kernel = lambda t: 2.0 * np.exp(-2.0 * t)
-    forcing = lambda t: 0.5 * np.exp(-2.0 * t)
-    return RenewalProblem(phi=0.5, forcing=forcing, kernel=kernel,
-                          h=h, u_max=u_max)
+    return sampled(0.5, lambda t: 0.5 * np.exp(-2.0 * t),
+                   lambda t: 2.0 * np.exp(-2.0 * t), h, u_max)
 
 
 def k_problem_table4(h=2.0**-10, u_max=6.0):
     # matched-rate ladder law Erlang(2, 2); modulus 1/2
-    a = lambda t: 4.0 * t * np.exp(-2.0 * t)
-    abar = lambda t: np.exp(-2.0 * t) * (1.0 + 2.0 * t)
-    return RenewalProblem(phi=0.5, forcing=lambda t: 0.5 * abar(t),
-                          kernel=a, h=h, u_max=u_max)
+    return sampled(0.5, lambda t: 0.5 * np.exp(-2.0 * t) * (1.0 + 2.0 * t),
+                   lambda t: 4.0 * t * np.exp(-2.0 * t), h, u_max)
 
 
 class TestAgreement:
@@ -114,9 +118,8 @@ class TestAgreement:
     @pytest.mark.parametrize("u_max", [0.7, 1.0, 1.5])      # n = 2, 3, 4
     @pytest.mark.parametrize("phi", [0.0, 0.5, 0.99])
     def test_short_grids(self, u_max, phi):
-        p = RenewalProblem(phi=phi, forcing=lambda t: np.exp(-t),
-                           kernel=lambda t: 2.0 * np.exp(-2.0 * t), h=0.5,
-                           u_max=u_max)
+        p = sampled(phi, lambda t: np.exp(-t),
+                    lambda t: 2.0 * np.exp(-2.0 * t), 0.5, u_max)
         x = solve(p).values
         assert len(x) == int(round(u_max / 0.5)) + 1
         ref = long_double_substitution(p)
@@ -175,25 +178,21 @@ class TestResidual:
     @pytest.mark.parametrize("k", [-900, -60, 60, 900])
     def test_solve_homogeneous_under_power_of_two_scaling(self, name, k):
         p = KERNELS[name](2.0**-10, 8.0)
-        _, z, kernel = p.arrays()
-        scaled = RenewalProblem(phi=p.phi, forcing=np.ldexp(z, k),
-                                kernel=kernel, h=p.h, u_max=p.u_max)
+        scaled = replace(p, forcing=np.ldexp(p.forcing, k))
         assert np.array_equal(solve(scaled).values,
                               np.ldexp(solve(p).values, k))
 
     def test_nan_forcing_is_rejected(self):
         p = KERNELS["exponential"](2.0**-6, 4.0)
-        _, z, kernel = p.arrays()
+        z = p.forcing.copy()
         z[10] = np.nan
-        bad = RenewalProblem(phi=p.phi, forcing=z, kernel=kernel, h=p.h,
-                             u_max=p.u_max)
+        bad = replace(p, forcing=z)
         with pytest.raises(ValueError, match="grid values must be finite"):
             solve(bad)
 
     def test_zero_forcing_returns_zeros(self):
-        p = RenewalProblem(phi=0.5, forcing=lambda t: 0.0 * t,
-                           kernel=lambda t: 2.0 * np.exp(-2.0 * t),
-                           h=2.0**-10, u_max=4.0)
+        p = sampled(0.5, lambda t: 0.0 * t, lambda t: 2.0 * np.exp(-2.0 * t),
+                    2.0**-10, 4.0)
         x = solve(p).values
         assert np.array_equal(x, np.zeros_like(x))
 
@@ -225,8 +224,7 @@ def test_psi_within_c_h2_of_phase_type(components, phi, log2_step):
 
 class TestSolve:
     def test_zero_modulus_returns_forcing(self):
-        p = RenewalProblem(phi=0.0, forcing=lambda t: np.cos(t),
-                           kernel=lambda t: np.exp(-t), h=2.0**-6, u_max=4.0)
+        p = sampled(0.0, np.cos, lambda t: np.exp(-t), 2.0**-6, 4.0)
         x = solve(p)
         assert x.values == pytest.approx(np.cos(p.grid), abs=1e-14)
 
@@ -253,21 +251,20 @@ class TestSolve:
 
     def test_rejects_supercritical_modulus(self):
         with pytest.raises(PreconditionError):
-            RenewalProblem(phi=1.0, forcing=lambda t: t, kernel=lambda t: t,
-                           h=0.1, u_max=1.0)
+            sampled(1.0, lambda t: t, lambda t: t, 0.1, 1.0)
 
-    def test_rejects_bad_step(self):
+    @pytest.mark.parametrize("h", [-0.1, 0.0, math.nan])
+    def test_rejects_bad_step(self, h):
+        t = nodes(0.1, 1.0)
         with pytest.raises(PreconditionError):
-            RenewalProblem(phi=0.5, forcing=lambda t: t, kernel=lambda t: t,
-                           h=-0.1, u_max=1.0)
+            RenewalProblem(phi=0.5, forcing=t, kernel=t, h=h)
 
     @pytest.mark.parametrize("h", [0.5, 0.25])
     def test_rejects_step_without_positive_diagonal(self, h):
         # the implicit diagonal 1 - phi h kappa(0)/2 is not positive; the
         # message names the largest admissible step
-        p = RenewalProblem(phi=0.99, forcing=lambda t: 0.99 * np.exp(-t),
-                           kernel=lambda t: 10.0 * np.exp(-10.0 * t), h=h,
-                           u_max=5.0)
+        p = sampled(0.99, lambda t: 0.99 * np.exp(-t),
+                    lambda t: 10.0 * np.exp(-10.0 * t), h, 5.0)
         with pytest.raises(PreconditionError,
                            match=r"h < 2/\(phi kappa\(0\)\) = 0\.20202"):
             solve(p)
@@ -277,20 +274,62 @@ class TestSolve:
         # 1 - phi h kappa(0)/2 is positive but the margin c(1) is not; at
         # h = 0.02 it is, and the solution stays a probability
         def problem(h):
-            return RenewalProblem(phi=0.99, forcing=lambda t: 0.99 * np.exp(-10.0 * t),
-                                  kernel=lambda t: 10.0 * np.exp(-10.0 * t), h=h,
-                                  u_max=5.0)
+            return sampled(0.99, lambda t: 0.99 * np.exp(-10.0 * t),
+                           lambda t: 10.0 * np.exp(-10.0 * t), h, 5.0)
         with pytest.raises(PreconditionError, match=r"margin c\(1\) = -0\.0105"):
             solve(problem(0.05))
         x = solve(problem(0.02)).values
         assert np.all((0.0 <= x) & (x <= 1.0))
 
+
+
+class TestProblem:
+    """A problem is checked once, when it is built."""
+
     def test_rejects_non_density_kernel(self):
-        p = RenewalProblem(phi=0.5, forcing=lambda t: np.exp(-t),
-                           kernel=lambda t: 5.0 * np.exp(-t), h=2.0**-6,
-                           u_max=6.0)
-        with pytest.raises(PreconditionError):
-            solve(p)
+        with pytest.raises(PreconditionError, match="kernel mass"):
+            sampled(0.5, lambda t: np.exp(-t), lambda t: 5.0 * np.exp(-t),
+                    2.0**-6, 6.0)
+
+    def test_rejects_negative_kernel(self):
+        with pytest.raises(PreconditionError, match="nonnegative"):
+            sampled(0.5, lambda t: np.exp(-t), lambda t: np.exp(-t) - 0.5,
+                    2.0**-6, 6.0)
+
+    def test_replace_checks_again(self):
+        p = exp_psi_problem(h=2.0**-6, u_max=6.0)
+        with pytest.raises(PreconditionError, match="kernel mass"):
+            replace(p, kernel=5.0 * p.kernel)
+
+    @pytest.mark.parametrize("forcing,kernel", [
+        (np.ones(5), np.ones(6)),          # lengths differ
+        (np.ones(1), np.ones(1)),          # one node
+        (np.ones((2, 3)), np.ones((2, 3))),
+    ])
+    def test_rejects_shapes(self, forcing, kernel):
+        with pytest.raises(ValueError, match="one grid"):
+            RenewalProblem(phi=0.5, forcing=forcing, kernel=0.1 * kernel,
+                           h=0.5)
+
+    def test_grid_and_u_max_follow_the_length(self):
+        h = 2.0**-10
+        p = exp_psi_problem(h=h, u_max=12.0)
+        assert len(p.forcing) == len(p.kernel) == 12289
+        assert p.u_max == 12.0 and p.h == h
+        assert np.array_equal(p.grid, nodes(h, 12.0))
+        # a step that does not divide u_max rounds the node count
+        assert len(nodes(0.3, 10.0)) == 34
+
+    def test_arrays_are_read_only_copies(self):
+        z, k = 0.5 * np.exp(-2.0 * nodes(0.25, 4.0)), np.full(17, 0.1)
+        p = RenewalProblem(phi=0.5, forcing=z, kernel=k, h=0.25)
+        x = solve(p).values
+        z[3] = k[3] = 7.0
+        assert not p.forcing.flags.writeable and not p.kernel.flags.writeable
+        with pytest.raises(ValueError):
+            p.forcing[0] = 1.0
+        assert p.forcing[3] != 7.0 and p.kernel[3] == 0.1
+        assert np.array_equal(solve(p).values, x)
 
 
 class TestIterate:
@@ -342,16 +381,25 @@ class TestIterate:
         with pytest.raises(PreconditionError):
             iterate(p, bad, 2)
 
+    @pytest.mark.parametrize("check", [lambda p, x: iterate(p, x, 2), residual],
+                             ids=["iterate", "residual"])
+    def test_rejects_start_of_another_step(self, check):
+        # equal length, step 2^-9 on a 2^-10 problem
+        p = exp_psi_problem(u_max=4.0)
+        bad = GridFunction(2.0 * p.h, np.zeros(len(p.forcing)))
+        with pytest.raises(PreconditionError, match="grid of x"):
+            check(p, bad)
+
 
 class TestContraction:
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_empirical_modulus(self, seed):
         # discrete analogue: sup|Tx - Ty| <= phi sup|x-y| + O(h) slack
         p = exp_psi_problem(h=2.0**-8, u_max=6.0)
-        grid, z, k = p.arrays()
+        z, k = p.forcing, p.kernel
         rng = np.random.default_rng(seed)
-        x = rng.uniform(0.0, 1.0, len(grid))
-        y = rng.uniform(0.0, 1.0, len(grid))
+        x = rng.uniform(0.0, 1.0, len(z))
+        y = rng.uniform(0.0, 1.0, len(z))
         tx = z + p.phi * trapezoid_convolution(x, k, p.h)
         ty = z + p.phi * trapezoid_convolution(y, k, p.h)
         lhs = np.max(np.abs(tx - ty))
