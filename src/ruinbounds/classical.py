@@ -20,7 +20,7 @@ import numpy as np
 from .distributions import ClaimDistribution, _de_quadrature
 from .errors import PreconditionError
 from .metrics import GridFunction
-from .renewal import (DEFAULT_H, RenewalProblem, nodes, solve,
+from .renewal import (DEFAULT_H, RenewalProblem, _as_tail, nodes, solve,
                       trapezoid_convolution)
 
 __all__ = [
@@ -81,11 +81,12 @@ def default_u_max(model: RiskModel) -> float:
     return _u_max(model.phi, model.claims.slowest_rate)
 
 
-def _psi_problem(model, h, u_max):
-    """psi's renewal problem; u_max None means ``default_u_max``."""
+def _psi_problem(model, h, u_max, y=0.0):
+    """G-bar(., y)'s renewal problem, psi's at y = 0; u_max None means
+    ``default_u_max``."""
     grid = nodes(h, default_u_max(model) if u_max is None else u_max)
     fe = model.claims.equilibrium()
-    return RenewalProblem(phi=model.phi, forcing=model.phi * fe.tail(grid),
+    return RenewalProblem(phi=model.phi, forcing=model.phi * fe.tail(grid + y),
                           kernel=model.claims.tail(grid) / model.mu, h=h)
 
 
@@ -96,8 +97,7 @@ def ruin_probability(model: RiskModel, h: float = DEFAULT_H,
     psi(0) = phi holds exactly at the origin node (the forcing equals phi
     there and the convolution term vanishes).
     """
-    psi = deficit_tail(model, 0.0, h=h, u_max=u_max)
-    return GridFunction(psi.h, psi.values, is_tail=True)
+    return _as_tail(deficit_tail(model, 0.0, h=h, u_max=u_max))
 
 
 def exact_ruin_exponential(model: RiskModel, u) -> float:
@@ -112,27 +112,31 @@ def exact_ruin_exponential(model: RiskModel, u) -> float:
 
 def adjustment_rate(model: RiskModel) -> float:
     """Lundberg decay rate R of psi: the root of phi * E exp(R Y) = 1 with Y
-    the equilibrium law.  Exists for every light-tailed family in scope."""
-    fe = model.claims.equilibrium()
-    phi = model.phi
-    top = fe.slowest_rate
+    the equilibrium law.  Exists for every light-tailed family in scope.
 
-    def g(r):
-        return phi * fe.mgf(r) - 1.0
+    The bisection tests the sign of log phi + log E exp(r Y), the mgf
+    formed as a log-sum-exp of its Erlang components w_i (b_i/(b_i - r))^k_i,
+    so no shape overflows float near the slowest rate.
+    """
+    parts = [(math.log(w), k, b)
+             for w, k, b in model.claims.equilibrium()._parts if w > 0]
+    log_phi = math.log(model.phi)
 
-    lo, hi = 0.0, top * (1.0 - 1e-12)
-    # g(0) = phi - 1 < 0 and g -> +inf at the slowest rate
-    while g(hi) < 0:
-        hi = top - (top - hi) * 0.1
-        if top - hi < 1e-15 * top:
-            raise PreconditionError("no Lundberg root below the slowest rate")
+    def positive(r):
+        terms = [lw - k * math.log1p(-r / b) for lw, k, b in parts]
+        top = max(terms)
+        log_mgf = top + math.log(sum(math.exp(t - top) for t in terms))
+        return log_phi + log_mgf >= 0
+
+    # log phi < 0 at r = 0, and the mgf diverges at the slowest rate
+    lo, hi = 0.0, min(b for _, _, b in parts)
     # bisect until the midpoint rounds to an endpoint
     mid = 0.5 * (lo + hi)
     while lo < mid < hi:
-        if g(mid) < 0:
-            lo = mid
-        else:
+        if positive(mid):
             hi = mid
+        else:
+            lo = mid
         mid = 0.5 * (lo + hi)
     return mid
 
@@ -177,17 +181,20 @@ def deficit_tail_family(model: RiskModel, ys, h: float = DEFAULT_H,
     """G-bar(., y) for several y at once, reusing one kernel evaluation.
 
     The kernel (equilibrium density) does not depend on y; only the forcing
-    changes, so all y share psi's problem and ``solve``, which keeps the
-    reciprocal of the last kernel's Toeplitz column, builds that once.
+    changes, so every y after the first reuses the first y's problem with
+    its own forcing, and ``solve``, which keeps the reciprocal of the last
+    kernel's Toeplitz column, builds that once.
     """
-    p = _psi_problem(model, h, u_max)
     fe = model.claims.equilibrium()
-    out = {}
+    out, p = {}, None
     for y in ys:
         if y < 0:
             raise ValueError("y must be >= 0")
-        q = replace(p, forcing=model.phi * fe.tail(p.grid + y)) if y else p
-        out[y] = solve(q)
+        if p is None:
+            p = _psi_problem(model, h, u_max, y)
+        else:
+            p = replace(p, forcing=model.phi * fe.tail(p.grid + y))
+        out[y] = solve(p)
     return out
 
 

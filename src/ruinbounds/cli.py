@@ -15,12 +15,13 @@ import argparse
 import csv
 import ctypes
 import io
+import math
 import sys
 
 from . import bounds as bounds_mod
 from . import config as config_mod
-from . import oracle, tables
-from .classical import deficit_tail, ruin_probability
+from . import diffusion, oracle, tables
+from .classical import default_u_max, deficit_tail, ruin_probability
 from .diffusion import PerturbedModel, k_iterates, k_tail, psi_total
 from .errors import PreconditionError, TruncationError
 
@@ -144,26 +145,46 @@ def cmd_bound(args) -> int:
     return EXIT_OK
 
 
+def _grid_end(args, cfg) -> float:
+    """End of the grid ``eval`` solves on, after refusing a u past the end
+    of the config's grid (``umax``, or the default end of the quantity).
+
+    The renewal equation is causal, its value at u depending only on the
+    kernel and forcing on [0, u], so the grid stops one node past the first
+    node at or past the largest u: the values up to there are those of the
+    full grid.
+    """
+    h, end = cfg.numeric.h, cfg.numeric.umax
+    if end is None:
+        end = (default_u_max(cfg.model) if args.quantity in ("ruin", "deficit")
+               else diffusion.default_u_max(PerturbedModel(cfg.model, cfg.D)))
+    n = int(round(end / h))
+    u = max(args.u)
+    if u > n * h + 1e-12:
+        raise config_mod.ConfigError(f"u = {u:g} lies past the grid end "
+                                     f"{n * h:g}; raise umax in [numeric]")
+    return min(n, math.ceil(u / h) + 1) * h
+
+
+def _grid_function(args, cfg, u_max):
+    """The quantity ``args.quantity`` on the grid 0, h, ..., u_max."""
+    h = cfg.numeric.h
+    if args.quantity == "ruin":
+        return ruin_probability(cfg.model, h=h, u_max=u_max)
+    if args.quantity == "deficit":
+        return deficit_tail(cfg.model, args.y, h=h, u_max=u_max)
+    pm = PerturbedModel(cfg.model, cfg.D)
+    if args.quantity == "ktail":
+        return k_tail(pm, h=h, u_max=u_max)
+    if args.quantity == "psit":
+        return psi_total(pm, h=h, u_max=u_max)
+    return k_iterates(pm, args.k0, args.n, h=h, u_max=u_max).iterates[-1]
+
+
 def cmd_eval(args) -> int:
     cfg = config_mod.load(args.config)
-    num = cfg.numeric
-    need_d = args.quantity in ("ktail", "psit", "iterate")
-    if need_d and cfg.D is None:
-        raise config_mod.ConfigError(f"{args.quantity} needs D in [diffusion]")
-    if args.quantity == "ruin":
-        g = ruin_probability(cfg.model, h=num.h, u_max=num.umax)
-    elif args.quantity == "deficit":
-        g = deficit_tail(cfg.model, args.y, h=num.h, u_max=num.umax)
-    elif args.quantity == "ktail":
-        g = k_tail(PerturbedModel(cfg.model, cfg.D), h=num.h, u_max=num.umax)
-    elif args.quantity == "psit":
-        g = psi_total(PerturbedModel(cfg.model, cfg.D), h=num.h,
-                      u_max=num.umax)
-    elif args.quantity == "iterate":
-        g = k_iterates(PerturbedModel(cfg.model, cfg.D), args.k0, args.n,
-                       h=num.h, u_max=num.umax).iterates[-1]
-    else:  # mc
-        seed = args.seed if args.seed is not None else num.seed
+    if args.quantity == "mc":
+        seed = args.seed if args.seed is not None else cfg.numeric.seed
         model = cfg.model
         if args.mc_quantity in ("psi_t", "k_tail"):
             if cfg.D is None:
@@ -176,9 +197,9 @@ def cmd_eval(args) -> int:
                 for u, e in zip(args.u, out)]
         sys.stdout.write(_write_csv(rows, ("u", "value", "se")))
         return EXIT_OK
-    if max(args.u) > g.u_max + 1e-12:
-        raise config_mod.ConfigError(f"u = {max(args.u):g} lies past the grid end "
-                                     f"{g.u_max:g}; raise umax in [numeric]")
+    if args.quantity in ("ktail", "psit", "iterate") and cfg.D is None:
+        raise config_mod.ConfigError(f"{args.quantity} needs D in [diffusion]")
+    g = _grid_function(args, cfg, _grid_end(args, cfg))
     rows = [(_fmt(u), _fmt(g(u))) for u in args.u]
     sys.stdout.write(_write_csv(rows, ("u", "value")))
     return EXIT_OK

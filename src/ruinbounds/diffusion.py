@@ -31,8 +31,8 @@ from .classical import RiskModel, _u_max
 from .distributions import partial_exp_sum
 from .errors import PreconditionError
 from .metrics import GridFunction
-from .renewal import (DEFAULT_H, IterationTrace, RenewalProblem, iterate,
-                      nodes, solve)
+from .renewal import (DEFAULT_H, IterationTrace, RenewalProblem, _as_tail,
+                      iterate, nodes, solve)
 
 __all__ = [
     "PerturbedModel",
@@ -44,6 +44,7 @@ __all__ = [
     "k_iterate_erlang",
     "psi_total",
     "decompose",
+    "default_u_max",
 ]
 
 _RATE_MATCH = 1e-9  # relative threshold for "b0 equals a claim rate"
@@ -152,10 +153,15 @@ def ladder_tail(pm: PerturbedModel, t):
     return float(out) if np.ndim(t) == 0 else out
 
 
+def default_u_max(pm: PerturbedModel) -> float:
+    """Default grid end of K-bar, psi_t and psi_d: ``classical._u_max`` at
+    the slower of b0 and the slowest claim rate."""
+    return _u_max(pm.phi, min(pm.b0, pm.base.claims.slowest_rate))
+
+
 def _k_problem(pm: PerturbedModel, h, u_max):
-    if u_max is None:
-        u_max = _u_max(pm.phi, min(pm.b0, pm.base.claims.slowest_rate))
-    grid = nodes(h, u_max)
+    """K-bar's renewal problem; u_max None means ``default_u_max``."""
+    grid = nodes(h, default_u_max(pm) if u_max is None else u_max)
     a = _ladder_density_grid(pm, len(grid), h)
     abar = pm.base.claims.equilibrium().tail(grid) + a / pm.b0
     return RenewalProblem(phi=pm.phi, forcing=pm.phi * abar, kernel=a, h=h)
@@ -164,8 +170,7 @@ def _k_problem(pm: PerturbedModel, h, u_max):
 def k_tail(pm: PerturbedModel, h: float = DEFAULT_H,
            u_max: float | None = None) -> GridFunction:
     """Compound geometric tail K-bar on a grid; K-bar(0) = phi exactly."""
-    x = solve(_k_problem(pm, h, u_max))
-    return GridFunction(h, x.values, is_tail=True)
+    return _as_tail(solve(_k_problem(pm, h, u_max)))
 
 
 def k_exact_exponential(pm: PerturbedModel, u):
@@ -258,8 +263,7 @@ def psi_total(pm: PerturbedModel, h: float = DEFAULT_H,
     """
     p = _k_problem(pm, h, u_max)
     forcing = p.forcing + (1.0 - pm.phi) * np.exp(-pm.b0 * p.grid)
-    return GridFunction(p.h, solve(replace(p, forcing=forcing)).values,
-                        is_tail=True)
+    return _as_tail(solve(replace(p, forcing=forcing)))
 
 
 def decompose(pm: PerturbedModel, h: float = DEFAULT_H,

@@ -28,8 +28,8 @@ import numpy as np
 
 from ruinbounds.diffusion import _expm
 
-__all__ = ["psi_exact", "k_bar_exact", "psi_total_exact", "psi_d_exact",
-           "k_iterate_exact"]
+__all__ = ["psi_exact", "psi_decay_rate", "k_bar_exact", "psi_total_exact",
+           "psi_d_exact", "k_iterate_exact"]
 
 
 def _at(start, M, u, right=None):
@@ -61,22 +61,31 @@ def _ladder_pair(pm):
     return np.eye(d + 1)[0], TA
 
 
-def _compound_geometric_tail(start, T, phi, u):
+def _compound_geometric_generator(start, T, phi):
     a = phi * start
-    return _at(a, T + np.outer(_exit(T), a), u)
+    return a, T + np.outer(_exit(T), a)
+
+
+def _psi_generator(model):
+    alpha, T = model.claims.phase_type()
+    return _compound_geometric_generator(_equilibrium_start(alpha, T), T,
+                                         model.phi)
 
 
 def psi_exact(model, u):
     """Ruin probability of a classical model with phase-type claims."""
-    alpha, T = model.claims.phase_type()
-    return _compound_geometric_tail(_equilibrium_start(alpha, T), T,
-                                    model.phi, u)
+    return _at(*_psi_generator(model), u)
+
+
+def psi_decay_rate(model):
+    """Lundberg rate R of psi: minus the dominant eigenvalue of its
+    generator."""
+    return -float(np.max(np.linalg.eigvals(_psi_generator(model)[1]).real))
 
 
 def k_bar_exact(pm, u):
     """Compound geometric tail K-bar of a perturbed model."""
-    start, TA = _ladder_pair(pm)
-    return _compound_geometric_tail(start, TA, pm.phi, u)
+    return _at(*_compound_geometric_generator(*_ladder_pair(pm), pm.phi), u)
 
 
 def psi_total_exact(pm, u):

@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from helpers import psi_exact
+from helpers import psi_decay_rate, psi_exact
 from ruinbounds import (Erlang, Exponential, HyperExponential,
                         PreconditionError, RiskModel, adjustment_rate,
                         deficit_tail, deficit_tail_family,
@@ -60,6 +60,14 @@ class TestRuinProbability:
             g = ruin_probability(m, u_max=6.0)
             assert g.values[0] == pytest.approx(m.phi, abs=1e-12)
 
+    def test_coarse_step_leaving_the_unit_interval_is_refused(self):
+        # phi = 0.99 and kappa(0) = 10: on two nodes the margin c(1) is
+        # positive, but psi(h) comes out as 1.08
+        m = RiskModel(9.9, 1.0, Exponential(10.0))
+        with pytest.raises(PreconditionError,
+                           match="step h = 0.1; a smaller step is needed"):
+            ruin_probability(m, h=0.1, u_max=0.1)
+
     def test_exponential_matches_closed_form(self):
         m = RiskModel(5.0 / 6.0, 3.0, Exponential(1.0))
         g = ruin_probability(m, u_max=20.0)
@@ -107,6 +115,21 @@ class TestAdjustmentRate:
         i, j = int(20.0 / g.h), int(28.0 / g.h)
         slope = np.log(g.values[i] / g.values[j]) / (g.grid[j] - g.grid[i])
         assert slope == pytest.approx(R, rel=1e-3)
+
+
+    @pytest.mark.parametrize("phi", [0.1, 0.5, 0.99])
+    @pytest.mark.parametrize("shape", [1, 3, 25, 26, 29, 100, 400])
+    def test_matches_phase_type_eigenvalue(self, shape, phi):
+        # from shape 26 on, (b/(b - r))^k overflowed float's ** near the
+        # slowest rate; the eigenvalue itself strays about 1e-11 at 400
+        m = RiskModel(phi, 1.0, Erlang(shape, float(shape)))
+        assert adjustment_rate(m) == pytest.approx(psi_decay_rate(m),
+                                                   rel=1e-9)
+
+    def test_ignores_a_component_of_weight_zero(self):
+        # the Exp(0.5) component never occurs, so psi decays as for Exp(2)
+        m = RiskModel(0.5, 1.0, HyperExponential((0.0, 1.0), (0.5, 2.0)))
+        assert adjustment_rate(m) == pytest.approx(1.5, rel=1e-12)
 
 
 class TestWeightedPsiMoment:
@@ -187,8 +210,9 @@ class TestDeficitTail:
 
     def test_family_matches_single_solves(self):
         m = model_mix()
-        fam = deficit_tail_family(m, (0.3, 1.2), u_max=5.0)
-        for y in (0.3, 1.2):
+        # the first y's problem is built directly, the others derived from it
+        fam = deficit_tail_family(m, (0.3, 0.0, 1.2), u_max=5.0)
+        for y in (0.3, 0.0, 1.2):
             single = deficit_tail(m, y, u_max=5.0)
             assert np.max(np.abs(single.values - fam[y].values)) == 0.0
 

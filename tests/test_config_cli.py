@@ -1,5 +1,6 @@
 """Config parsing, CLI behaviour, exit codes, output determinism."""
 
+import math
 import os
 import platform
 import subprocess
@@ -11,8 +12,9 @@ import pytest
 from scipy.linalg import expm
 
 from helpers import k_iterate_exact
-from ruinbounds import (Erlang, PerturbedModel, RiskModel, cli, config,
-                        renewal, tables)
+from ruinbounds import (Erlang, PerturbedModel, RiskModel, classical, cli,
+                        config, deficit_tail, diffusion, k_iterates, k_tail,
+                        psi_total, renewal, ruin_probability, tables)
 from ruinbounds.config import ConfigError
 from ruinbounds.errors import PreconditionError, TruncationError
 
@@ -294,9 +296,103 @@ class TestEvalCommand:
         assert [r.split(",")[0] for r in rows] == ["0", "0.5", "1", "1.5", "2"]
 
 
+WINDOW_MODELS = {
+    "exp": "claims = exp\nrate = 1.3\n",
+    "hyperexp": "claims = hyperexp\nweights = 0.4, 0.6\nrates = 0.8, 3.5\n",
+    "erlang": "claims = erlang\nshape = 3\nrate = 4.2\n",
+}
+WINDOW_ARGS = {"ruin": [], "deficit": ["--y", "0.6"], "ktail": [], "psit": [],
+               "iterate": ["--k0", "0.3", "--n", "5"]}
+
+
+def window_config(claims, h, umax):
+    return config.loads(f"[model]\nlambda = 0.9\nc = 1.7\n{claims}"
+                        f"[diffusion]\nD = 0.45\n"
+                        f"[numeric]\nh = {h!r}\numax = {umax!r}\n")
+
+
+def full_grid(quantity, cfg):
+    """The library's solve of ``quantity`` on the config's whole grid."""
+    model, num = cfg.model, cfg.numeric
+    pm = PerturbedModel(model, cfg.D)
+    grid = {"h": num.h, "u_max": num.umax}
+    if quantity == "ruin":
+        return ruin_probability(model, **grid)
+    if quantity == "deficit":
+        return deficit_tail(model, 0.6, **grid)
+    if quantity == "ktail":
+        return k_tail(pm, **grid)
+    if quantity == "psit":
+        return psi_total(pm, **grid)
+    return k_iterates(pm, 0.3, 5, **grid).iterates[-1]
+
+
+class TestEvalWindow:
+    """``eval`` solves up to one node past the largest u; the equation is
+    causal, so its values are the whole grid's."""
+
+    @pytest.mark.parametrize("h", [2.0**-8, 2.0**-12])
+    @pytest.mark.parametrize("family", sorted(WINDOW_MODELS))
+    def test_values_of_the_full_grid(self, family, h):
+        cfg = window_config(WINDOW_MODELS[family], h, 10.0)
+        for quantity, extra in WINDOW_ARGS.items():
+            args = cli.build_parser().parse_args(
+                ["eval", quantity, "m.cfg", "--u", "0.3,2.7", *extra])
+            end = cli._grid_end(args, cfg)
+            assert end == (math.ceil(2.7 / h) + 1) * h
+            window = cli._grid_function(args, cfg, end).values
+            full = full_grid(quantity, cfg).values
+            assert len(window) == math.ceil(2.7 / h) + 2
+            # psi and G-bar keep the reciprocal's rounding; K-bar's kernel
+            # is formed in blocks of sqrt(n) nodes, which the length sets
+            ulps = 1 if quantity in ("ruin", "deficit") else 64
+            assert np.max(np.abs(window - full[:len(window)])) <= \
+                ulps * np.finfo(float).eps * np.max(np.abs(full)), quantity
+
+    @pytest.mark.parametrize("h, umax, us", [
+        (2.0**-8, 10.0, [0.0]),                     # two nodes
+        (2.0**-8, 10.0, [1.5]),                     # on a node
+        (2.0**-8, 10.0, [0.2, 1.5 + 2.0**-8 / 3]),  # between nodes
+        (2.0**-8, 10.0, [10.0]),                    # the grid end, last node
+        (0.001, 10.0, [0.0015, 1.2345]),            # a step that is not dyadic
+        (2.0**-8, 3.3, [1.0, 3.30078125]),          # umax not a multiple of h
+    ])
+    @pytest.mark.parametrize("quantity", ["ruin", "deficit", "psit"])
+    def test_prints_the_full_grid_values(self, tmp_path, capsys, quantity,
+                                         h, umax, us):
+        path = tmp_path / "m.cfg"
+        path.write_text(f"[model]\nlambda = 0.9\nc = 1.7\n"
+                        f"{WINDOW_MODELS['hyperexp']}[diffusion]\nD = 0.45\n"
+                        f"[numeric]\nh = {h!r}\numax = {umax!r}\n")
+        full = full_grid(quantity, config.load(path))
+        code, out, _ = run_cli(capsys, "eval", quantity, str(path), "--u",
+                               ",".join(map(repr, us)),
+                               *WINDOW_ARGS[quantity])
+        assert code == 0
+        assert out.splitlines()[1:] == [f"{cli._fmt(u)},{cli._fmt(full(u))}"
+                                        for u in us]
+
+    @pytest.mark.parametrize("quantity", sorted(WINDOW_ARGS))
+    def test_refuses_before_building_a_problem(self, tmp_path, capsys,
+                                               monkeypatch, quantity):
+        def refuse(*_):
+            raise AssertionError("a problem was built")
+        monkeypatch.setattr(classical, "_psi_problem", refuse)
+        monkeypatch.setattr(diffusion, "_k_problem", refuse)
+        path = tmp_path / "m.cfg"
+        path.write_text(EXP_MODEL + "[diffusion]\nD = 0.25\n")
+        code, out, err = run_cli(capsys, "eval", quantity, str(path),
+                                 "--u", "1,100", *WINDOW_ARGS[quantity])
+        assert code == 2 and out == ""
+        assert "lies past the grid end" in err and "umax" in err
+
+
 EXP_MODEL = "[model]\nlambda = 0.5\nc = 0.5\nclaims = exp\nrate = 2.0\n"
 PAIR = (EXP_MODEL + "[model2]\nlambda = 0.5\nc = 0.5\nclaims = exp\n"
         "rate = 2.0\n")
+ERLANG26_PAIR = ("[model]\nlambda = 0.5\nc = 1\nclaims = erlang\nshape = 26\n"
+                 "rate = 26\n[model2]\nlambda = 0.5\nc = 1\nclaims = exp\n"
+                 "rate = 1\n")
 # phi = 0.99 and kappa(0) = 10: steps 0.5 and 0.25 exceed 2/(phi kappa(0));
 # down to 0.05 the discrete margin c(1) is still <= 0
 COARSE = ("[model]\nlambda = 9.9\nc = 1\nclaims = exp\nrate = 10\n"
@@ -345,6 +441,12 @@ COARSE = ("[model]\nlambda = 9.9\nc = 1\nclaims = exp\nrate = 10\n"
     *[(COARSE.format(h=h), ["eval", q, "{cfg}", "--u", "1,2", *extra], 3)
       for h in (0.5, 0.25, 0.2, 0.1, 0.05)
       for q, extra in (("ruin", []), ("deficit", ["--y", "1"]))],
+    # psi on two nodes: refused by the margin c(1) at h >= 0.25, and for
+    # leaving [0, 1] at the finer steps, where the margin is positive
+    *[(COARSE.format(h=h), ["eval", "ruin", "{cfg}", "--u", "0"], 3)
+      for h in (0.5, 0.25, 0.2, 0.1, 0.05)],
+    # Erlang(26): (b/(b - r))^26 overflowed float's ** in the Lundberg rate
+    (ERLANG26_PAIR, ["bound", "dk1", "{cfg}", "--gamma", "0.5"], 0),
     # (1+t)^gamma overflows float: the moment is inf, so the contraction fails
     *[(PAIR, ["bound", "dk1", "{cfg}", "--gamma", g], 3) for g in ("150", "400")],
 ])

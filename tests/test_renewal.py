@@ -291,6 +291,22 @@ class TestProblem:
             sampled(0.5, lambda t: np.exp(-t), lambda t: 5.0 * np.exp(-t),
                     2.0**-6, 6.0)
 
+    def test_rejects_three_times_a_density_at_a_coarse_step(self):
+        # mass 3.06 at h = 0.5, inside the old allowance 1 + 10 h^2
+        with pytest.raises(PreconditionError, match="kernel mass 3.06"):
+            sampled(0.5, lambda t: np.exp(-t), lambda t: 3.0 * np.exp(-t),
+                    0.5, 20.0)
+
+    @pytest.mark.parametrize("h", [2.0**-8, 2.0**-10, 2.0**-12])
+    @pytest.mark.parametrize("rate", [11.0, 12.0, 20.0, 50.0])
+    def test_accepts_fast_exponential_densities(self, rate, h):
+        # the trapezoid mass of rate e^{-rate t} exceeds 1 by about
+        # (rate h)^2 / 12, more than the old allowance 10 h^2 from rate 11
+        m = RiskModel(0.5 * rate, 1.0, Exponential(rate))
+        psi = ruin_probability(m, h=h)
+        exact = 0.5 * np.exp(-0.5 * rate * psi.grid)
+        assert np.max(np.abs(psi.values - exact)) <= (rate * h)**2
+
     def test_rejects_negative_kernel(self):
         with pytest.raises(PreconditionError, match="nonnegative"):
             sampled(0.5, lambda t: np.exp(-t), lambda t: np.exp(-t) - 0.5,
