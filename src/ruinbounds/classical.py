@@ -114,26 +114,17 @@ def adjustment_rate(model: RiskModel) -> float:
     """Lundberg decay rate R of psi: the root of phi * E exp(R Y) = 1 with Y
     the equilibrium law.  Exists for every light-tailed family in scope.
 
-    The bisection tests the sign of log phi + log E exp(r Y), the mgf
-    formed as a log-sum-exp of its Erlang components w_i (b_i/(b_i - r))^k_i,
-    so no shape overflows float near the slowest rate.
+    The bisection tests the sign of log phi + log E exp(r Y), so no shape
+    overflows float near the slowest rate.
     """
-    parts = [(math.log(w), k, b)
-             for w, k, b in model.claims.equilibrium()._parts if w > 0]
+    fe = model.claims.equilibrium()
     log_phi = math.log(model.phi)
-
-    def positive(r):
-        terms = [lw - k * math.log1p(-r / b) for lw, k, b in parts]
-        top = max(terms)
-        log_mgf = top + math.log(sum(math.exp(t - top) for t in terms))
-        return log_phi + log_mgf >= 0
-
     # log phi < 0 at r = 0, and the mgf diverges at the slowest rate
-    lo, hi = 0.0, min(b for _, _, b in parts)
+    lo, hi = 0.0, fe.slowest_rate
     # bisect until the midpoint rounds to an endpoint
     mid = 0.5 * (lo + hi)
     while lo < mid < hi:
-        if positive(mid):
+        if log_phi + fe.log_mgf(mid) >= 0:
             hi = mid
         else:
             lo = mid

@@ -146,8 +146,9 @@ def cmd_bound(args) -> int:
 
 
 def _grid_end(args, cfg) -> float:
-    """End of the grid ``eval`` solves on, after refusing a u past the end
-    of the config's grid (``umax``, or the default end of the quantity).
+    """End of the grid ``eval`` solves on, after refusing a config grid of
+    fewer than two nodes and a u past the end of the config's grid
+    (``umax``, or the default end of the quantity).
 
     The renewal equation is causal, its value at u depending only on the
     kernel and forcing on [0, u], so the grid stops one node past the first
@@ -159,6 +160,10 @@ def _grid_end(args, cfg) -> float:
         end = (default_u_max(cfg.model) if args.quantity in ("ruin", "deficit")
                else diffusion.default_u_max(PerturbedModel(cfg.model, cfg.D)))
     n = int(round(end / h))
+    if n < 1:
+        raise config_mod.ConfigError(f"umax = {end:g} at h = {h:g} gives a "
+                                     f"grid of one node, not two; raise "
+                                     f"umax or lower h in [numeric]")
     u = max(args.u)
     if u > n * h + 1e-12:
         raise config_mod.ConfigError(f"u = {u:g} lies past the grid end "

@@ -2,12 +2,14 @@
 
 Every claim law is a mixture of Erlang laws, and so phase-type: one class,
 ``ClaimDistribution``, is built from its components (weights, shapes,
-rates), component i being Erlang(k_i, r_i).  Exponential,
-hyperexponential, Erlang and common-rate Erlang mixtures are thin
-constructors of it.  The class gives the survival function, density,
-moments and mgf in closed form, the equilibrium transform as another Erlang
-mixture, an exact sampler, and the phase-type pair (alpha, T) that the
-perturbed model's ladder law is built from.
+rates), component i being Erlang(k_i, r_i).  ``Exponential``,
+``HyperExponential``, ``Erlang`` and ``ErlangMixture`` (common rate) are
+functions that return one; construction drops components of weight 0 and
+sorts and merges the rest, so two spellings of one law compare and hash
+equal.  The class gives the survival function, density, moments and log
+mgf in closed form, the equilibrium transform as another Erlang mixture, an
+exact sampler, and the phase-type pair (alpha, T) that the perturbed
+model's ladder law is built from.
 """
 
 from __future__ import annotations
@@ -131,20 +133,19 @@ class ClaimDistribution:
     Erlang(shapes[i], rates[i]) with probability weights[i].
 
     Constructible from components, ``ClaimDistribution(weights, shapes,
-    rates)``; the four parametric families are thin constructors of it.
+    rates)``; the four parametric families are functions that build it.
     Every quantity but the weighted tail moment has a closed form: the tail
     is sum_i w_i exp(-r_i t) S_{k_i - 1}(r_i t) with S the partial
     exponential sum, and the law is phase-type, each component a chain of
-    k_i exponential stages at rate r_i.  Equality and hashing compare the
-    class and the components.
+    k_i exponential stages at rate r_i.  Construction puts the components
+    in a canonical form, so equality and hashing compare laws, whatever
+    constructor or order of components built them; only weights that do
+    not sum to 1 exactly may round apart in the last bit between orders.
     """
 
     weights: tuple
     shapes: tuple
     rates: tuple
-
-    # family of the equilibrium law; None keeps the class of the law itself
-    _equilibrium_type = None
 
     def __init__(self, weights, shapes, rates):
         w = np.asarray(weights, dtype=float)
@@ -153,16 +154,19 @@ class ClaimDistribution:
         if w.ndim != 1 or len(w) == 0 or k.shape != w.shape or r.shape != w.shape:
             raise ValueError("weights, shapes and rates must be 1-d sequences "
                              "of equal length")
-        if np.any(w < 0) or abs(w.sum() - 1.0) > 1e-9:
-            raise ValueError(f"weights must be >= 0 and sum to 1 (got {w.sum()!r})")
+        total = w.sum()
+        if np.any(w < 0) or not abs(total - 1.0) <= 1e-9:   # nan fails too
+            raise ValueError(f"weights must be >= 0 and sum to 1 (got {total!r})")
         if np.any(k != k.astype(int)) or np.any(k.astype(int) < 1):
             raise ValueError("shapes must be positive integers")
-        if np.any(r <= 0):
-            raise ValueError("rates must be positive")
-        # merge components whose shapes agree and whose rates coincide to
-        # machine accuracy, keeping the order of first appearance
+        if not np.all(np.isfinite(r) & (r > 0)):
+            raise ValueError("rates must be positive and finite")
+        # drop the components of weight 0, then, in (rate, shape) order,
+        # merge those whose shapes agree and whose rates coincide to machine
+        # accuracy
+        kept = [part for part in zip(w / total, k.astype(int), r) if part[0] > 0]
         parts = []
-        for wi, ki, ri in zip(w / w.sum(), k.astype(int), r):
+        for wi, ki, ri in sorted(kept, key=lambda part: (part[2], part[1])):
             for n, (wj, kj, rj) in enumerate(parts):
                 if kj == ki and abs(ri - rj) <= 1e-12 * ri:
                     parts[n] = (wj + wi, kj, rj)
@@ -175,13 +179,6 @@ class ClaimDistribution:
         object.__setattr__(self, "rates", tuple(float(x) for x in rm))
         object.__setattr__(self, "_parts",
                            tuple(zip(self.weights, self.shapes, self.rates)))
-
-    @classmethod
-    def _of(cls, weights, shapes, rates):
-        # an instance of cls from components, bypassing the family signature
-        law = object.__new__(cls)
-        ClaimDistribution.__init__(law, weights, shapes, rates)
-        return law
 
     def _erlang_sum(self, t, term):
         """sum_i term(w_i, k_i, r_i, z_i), z_i = r_i t."""
@@ -221,13 +218,20 @@ class ClaimDistribution:
         mu = self.mean()
         stages = [(w / (r * mu), j, r) for w, k, r in self._parts
                   for j in range(1, k + 1)]
-        return (self._equilibrium_type or type(self))._of(*zip(*stages))
+        return ClaimDistribution(*zip(*stages))
 
-    def mgf(self, r):
-        """E exp(rX) for r below the slowest rate."""
+    def log_mgf(self, r):
+        """log E exp(rX) for r below the slowest rate.
+
+        Formed as a log-sum-exp of the components' log of
+        w_i (r_i/(r_i - r))^k_i, so no shape overflows float near the
+        slowest rate.
+        """
         if r >= self.slowest_rate:
             raise PreconditionError("mgf diverges at and beyond the slowest rate")
-        return float(sum(w * (b / (b - r)) ** k for w, k, b in self._parts))
+        terms = [math.log(w) - k * math.log1p(-r / b) for w, k, b in self._parts]
+        top = max(terms)
+        return top + math.log(sum(math.exp(t - top) for t in terms))
 
     def sample(self, rng, size):
         if len(self._parts) == 1:
@@ -272,51 +276,23 @@ class ClaimDistribution:
         return float(pieces.sum())
 
 
-class Exponential(ClaimDistribution):
+def Exponential(beta):
     """Exponential claim sizes with rate beta (mean 1/beta)."""
-
-    def __init__(self, beta):
-        super().__init__((1.0,), (1,), (beta,))
-
-    beta = property(lambda self: self.rates[0])
+    return ClaimDistribution((1.0,), (1,), (beta,))
 
 
-class HyperExponential(ClaimDistribution):
-    """Mixture of exponentials: tail(t) = sum_i p_i exp(-beta_i t).
-
-    Components are sorted by rate, and components with equal rates are
-    merged at construction (their weights added).
-    """
-
-    def __init__(self, weights, rates):
-        w = np.asarray(weights, dtype=float)
-        b = np.asarray(rates, dtype=float)
-        if w.shape != b.shape or w.ndim != 1:
-            raise ValueError("weights and rates must be 1-d sequences of equal length")
-        order = np.argsort(b)
-        super().__init__(w[order], np.ones(len(w), dtype=int), b[order])
+def HyperExponential(weights, rates):
+    """Mixture of exponentials: tail(t) = sum_i p_i exp(-beta_i t)."""
+    return ClaimDistribution(weights, np.ones(np.shape(weights), dtype=int),
+                             rates)
 
 
-class ErlangMixture(ClaimDistribution):
-    """Mixture of Erlang laws sharing one rate.
-
-    Mainly the image of ``Erlang.equilibrium``; closed under a further
-    equilibrium transform, which keeps repeated transforms exact.
-    """
-
-    def __init__(self, weights, shapes, beta):
-        super().__init__(weights, shapes, [beta] * len(weights))
-
-    beta = property(lambda self: self.rates[0])
+def ErlangMixture(weights, shapes, beta):
+    """Mixture of Erlang laws sharing one rate; the equilibrium transform
+    of such a mixture is another."""
+    return ClaimDistribution(weights, shapes, [beta] * len(weights))
 
 
-class Erlang(ClaimDistribution):
+def Erlang(shape, beta):
     """Erlang claim sizes: shape k (positive integer), rate beta."""
-
-    _equilibrium_type = ErlangMixture
-
-    def __init__(self, shape, beta):
-        super().__init__((1.0,), (shape,), (beta,))
-
-    shape = property(lambda self: self.shapes[0])
-    beta = property(lambda self: self.rates[0])
+    return ClaimDistribution((1.0,), (shape,), (beta,))

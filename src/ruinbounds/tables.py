@@ -326,7 +326,7 @@ def _run_table_45(table_id):
     exact = k_exact_exponential(pm, u)
     rows.append(_row(table_id, f"u={u:g}", "exact", exact, data["exact"],
                      tol["exact"], doc_key="exact"))
-    beta = pm.base.claims.beta
+    beta = pm.base.claims.rates[0]
     comments = [f"table {table_id}: matched-rate case beta = c/D = {beta:g}; "
                 f"iterates from the partial-exponential-sum closed form"]
     return TableResult(table_id, comments, rows)

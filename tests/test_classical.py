@@ -8,11 +8,12 @@ import pytest
 
 from helpers import psi_decay_rate, psi_exact
 from ruinbounds import (Erlang, Exponential, HyperExponential,
-                        PreconditionError, RiskModel, adjustment_rate,
-                        deficit_tail, deficit_tail_family,
-                        exact_ruin_exponential, mc_estimate,
-                        pk_truncated_series, ruin_probability,
+                        PerturbedModel, PreconditionError, RiskModel,
+                        adjustment_rate, deficit_tail, deficit_tail_family,
+                        exact_ruin_exponential, k_exact_exponential,
+                        mc_estimate, pk_truncated_series, ruin_probability,
                         weighted_psi_moment)
+from ruinbounds import tables
 
 MIX = HyperExponential((0.5, 0.5), (1.25, 5.0 / 6.0))
 
@@ -35,6 +36,19 @@ class TestRiskModel:
         with pytest.raises(PreconditionError):
             RiskModel(3.0, 1.0, Exponential(1.0))
 
+    def test_two_spellings_of_one_law_share_a_solve(self):
+        a = RiskModel(0.5, 0.5, Exponential(2.0))
+        b = RiskModel(0.5, 0.5, Erlang(1, 2.0))
+        assert a == b and hash(a) == hash(b)
+        tables._psi_cached.cache_clear()
+        try:
+            first = tables._psi_cached(a, 2.0**-6, 5.0)
+            assert tables._psi_cached(b, 2.0**-6, 5.0) is first
+            info = tables._psi_cached.cache_info()
+            assert (info.misses, info.hits) == (1, 1)
+        finally:
+            tables._psi_cached.cache_clear()
+
 
 class TestExactExponential:
     def test_origin(self):
@@ -52,6 +66,14 @@ class TestExactExponential:
     def test_wrong_variant(self):
         with pytest.raises(PreconditionError):
             exact_ruin_exponential(model_mix(), 1.0)
+
+    def test_accepts_exponential_with_a_component_of_weight_zero(self):
+        # the Exp(0.5) component never occurs, so the law is Exp(2)
+        law = HyperExponential((0.0, 1.0), (0.5, 2.0))
+        m, m_exp = RiskModel(0.5, 0.5, law), model_exp2()
+        assert exact_ruin_exponential(m, 1.0) == exact_ruin_exponential(m_exp, 1.0)
+        pm, pm_exp = PerturbedModel(m, 0.25), PerturbedModel(m_exp, 0.25)
+        assert k_exact_exponential(pm, 1.0) == k_exact_exponential(pm_exp, 1.0)
 
 
 class TestRuinProbability:

@@ -46,7 +46,7 @@ class TestConfigParsing:
     def test_parses_models(self):
         cfg = config.loads(GOOD_CONFIG)
         assert cfg.model.c == 3.0
-        assert cfg.model2.claims.beta == 1.0
+        assert cfg.model2.claims.rates[0] == 1.0
         assert cfg.numeric.seed == 7
 
     def test_syntax_error_carries_line(self):
@@ -72,7 +72,7 @@ class TestConfigParsing:
         text = ("[model]\nlambda = 1.0\nc = 2.0\nclaims = erlang\n"
                 "shape = 3\nrate = 3.0\n")
         cfg = config.loads(text)
-        assert cfg.model.claims.shape == 3
+        assert cfg.model.claims.shapes[0] == 3
 
     def test_default_step_is_library_step(self):
         # without an [numeric] h the config uses the solvers' own default step
@@ -428,6 +428,9 @@ COARSE = ("[model]\nlambda = 9.9\nc = 1\nclaims = exp\nrate = 10\n"
     (PAIR + "[diffusion]\nD = 0.5\n", ["bound", "dk3", "{cfg}"], 2),
     *[(EXP_MODEL, ["eval", q, "{cfg}", "--u", "1"], 2)
       for q in ("ktail", "psit", "iterate")],
+    # umax below half a step leaves a grid of one node
+    *[(EXP_MODEL + "[diffusion]\nD = 0.25\n[numeric]\nh = 0.5\numax = 0.2\n",
+       ["eval", q, "{cfg}", "--u", "0"], 2) for q in ("ruin", "ktail")],
     *[(EXP_MODEL, ["eval", "mc", "{cfg}", "--quantity", q, "--u", "1",
                    "--samples", "10"], 2) for q in ("k_tail", "psi_t")],
     (EXP_MODEL, ["eval", "deficit", "{cfg}", "--y", "-1"], 2),

@@ -8,7 +8,8 @@ import pytest
 from scipy import integrate
 
 from ruinbounds import (ClaimDistribution, Erlang, ErlangMixture, Exponential,
-                        HyperExponential, TruncationError, partial_exp_sum)
+                        HyperExponential, PreconditionError, TruncationError,
+                        partial_exp_sum)
 
 MIX = HyperExponential((0.5, 0.5), (1.25, 5.0 / 6.0))
 ALL_PARAMETRIC = [
@@ -90,6 +91,15 @@ class TestMoments:
     def test_mixture_second_moment(self):
         assert MIX.second_moment() == pytest.approx(2.08, rel=1e-12)
 
+    def test_log_mgf_near_the_slowest_rate(self):
+        # (b/(b - r))^40 = 1e360 overflows float; its log is 40 log 1e9
+        law = Erlang(40, 40.0)
+        got = law.log_mgf(40.0 * (1.0 - 1e-9))
+        assert math.isfinite(got)
+        assert got == pytest.approx(40.0 * math.log(1e9), rel=1e-8)
+        with pytest.raises(PreconditionError):
+            law.log_mgf(40.0)
+
 
 class TestWeightedTailMoment:
     def test_gamma_zero_is_mean(self):
@@ -149,7 +159,7 @@ class TestEquilibrium:
 
     def test_erlang_stage_mixture(self):
         eq = Erlang(2, 0.7).equilibrium()
-        assert isinstance(eq, ErlangMixture)
+        assert type(eq) is ClaimDistribution
         assert eq.weights == pytest.approx((0.5, 0.5), rel=1e-12)
         assert eq.shapes == (1, 2)
 
@@ -214,20 +224,47 @@ class TestConstruction:
         with pytest.raises(ValueError):
             HyperExponential((0.5, 0.6), (1.0, 2.0))
 
+    def test_rejects_nan_weight(self):
+        with pytest.raises(ValueError, match="sum to 1"):
+            ClaimDistribution((math.nan,), (1,), (1.0,))
+
+    @pytest.mark.parametrize("rate", [0.0, -1.0, math.nan, math.inf])
+    def test_rejects_bad_rate(self, rate):
+        with pytest.raises(ValueError, match="rates must be positive"):
+            ClaimDistribution((1.0,), (1,), (rate,))
+
     def test_erlang_rejects_bad_shape(self):
         with pytest.raises(ValueError):
             Erlang(0, 1.0)
 
     def test_from_components(self):
-        # the core class is a law in its own right; a family is the same
-        # components under another class, so the two compare unequal
+        # the core class is a law in its own right; a family builds the same
+        # components, so the two are one law and compare equal
         law = ClaimDistribution((0.5, 0.5), (1, 3), (2.0, 2.0))
         mix = ErlangMixture((0.5, 0.5), (1, 3), 2.0)
         assert law.tail(1.3) == mix.tail(1.3)
         assert law.mean() == pytest.approx(1.0, rel=1e-14)
         assert type(law.equilibrium()) is ClaimDistribution
-        assert law != mix and law == ClaimDistribution((0.5, 0.5), (1, 3), (2.0, 2.0))
-        assert isinstance(mix, ClaimDistribution)
+        assert law == mix and hash(law) == hash(mix)
+        assert type(mix) is ClaimDistribution
+
+    @pytest.mark.parametrize("law,canonical", [
+        (Erlang(1, 2.0), ClaimDistribution((1.0,), (1,), (2.0,))),
+        (Exponential(2.0), ClaimDistribution((1.0,), (1,), (2.0,))),
+        (HyperExponential((0.5, 0.5), (2.0, 2.0)),
+         ClaimDistribution((1.0,), (1,), (2.0,))),
+        (ClaimDistribution((0.5, 0.5), (1, 1), (2.0, 1.0)),
+         ClaimDistribution((0.5, 0.5), (1, 1), (1.0, 2.0))),
+    ])
+    def test_equal_laws_compare_equal(self, law, canonical):
+        assert law == canonical and hash(law) == hash(canonical)
+        assert (law.weights, law.shapes, law.rates) == (
+            canonical.weights, canonical.shapes, canonical.rates)
+
+    def test_drops_components_of_weight_zero(self):
+        law = HyperExponential((0.0, 1.0), (0.5, 2.0))
+        assert law == Exponential(2.0)
+        assert law.slowest_rate == 2.0
 
     def test_rejects_negative_argument(self):
         with pytest.raises(ValueError):

@@ -214,22 +214,29 @@ class TestDeficitKernel:
 
 class TestWorkers:
     def _estimates(self, monkeypatch, cpus):
+        # the threads each estimate ran blocks on: Thread objects, since
+        # CPython hands an exited thread's ident to the next one it starts
         monkeypatch.setattr(oracle, "_cpu_count", lambda: cpus)
         threads = set()
         rng_for_block = oracle._rng_for_block
 
         def spy(seed, block):
-            threads.add(threading.get_ident())
+            threads.add(threading.current_thread())
             return rng_for_block(seed, block)
 
         monkeypatch.setattr(oracle, "_rng_for_block", spy)
-        out = [mc_estimate(MODEL, "deficit", 1.0, PINNED_N, seed=5, y=0.5),
-               mc_estimate(PM, "psi_t", 1.0, PINNED_N, seed=5)]
-        return out, len(threads)
+        out, used = [], []
+        for model, quantity, extra in ((MODEL, "deficit", {"y": 0.5}),
+                                       (PM, "psi_t", {})):
+            threads.clear()
+            out.append(mc_estimate(model, quantity, 1.0, PINNED_N, seed=5,
+                                   **extra))
+            used.append(len(threads))
+        return out, used
 
     def test_same_bits_on_any_cpu_count(self, monkeypatch):
         serial, used = self._estimates(monkeypatch, 1)
-        assert used == 1
+        assert used == [1, 1]
         for cpus in (2, 5):
             switch = sys.getswitchinterval()
             sys.setswitchinterval(1e-6)
@@ -237,7 +244,7 @@ class TestWorkers:
                 parallel, used = self._estimates(monkeypatch, cpus)
             finally:
                 sys.setswitchinterval(switch)
-            assert used == min(cpus, serial[0].blocks)
+            assert used == [min(cpus, est.blocks) for est in serial]
             assert parallel == serial
 
     @pytest.mark.parametrize("failing_block", [0, 1, 3])

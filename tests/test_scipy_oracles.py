@@ -88,8 +88,11 @@ def quad_tail_moment(F, gamma):
 
 
 def brentq_adjustment_rate(model):
+    # the mgf of the equilibrium law's Erlang components, formed here
     fe = model.claims.equilibrium()
-    g = lambda r: model.phi * fe.mgf(r) - 1.0
+    mgf = lambda r: sum(w * (b / (b - r)) ** k
+                        for w, k, b in zip(fe.weights, fe.shapes, fe.rates))
+    g = lambda r: model.phi * mgf(r) - 1.0
     return optimize.brentq(g, 0.0, fe.slowest_rate * (1.0 - 1e-12),
                            xtol=1e-15, rtol=1e-15)
 
