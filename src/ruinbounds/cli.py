@@ -196,8 +196,8 @@ def cmd_eval(args) -> int:
                 raise config_mod.ConfigError("perturbed quantities need D in "
                                              "[diffusion]")
             model = PerturbedModel(cfg.model, cfg.D)
-        out = [oracle.estimate(model, args.mc_quantity, u, args.samples,
-                               seed, y=args.y) for u in args.u]
+        out = oracle.estimates(model, args.mc_quantity, args.u, args.samples,
+                               seed, y=args.y)
         rows = [(_fmt(u), _fmt(e.estimate), _fmt(e.standard_error))
                 for u, e in zip(args.u, out)]
         sys.stdout.write(_write_csv(rows, ("u", "value", "se")))

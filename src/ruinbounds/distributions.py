@@ -127,6 +127,14 @@ def _de_quadrature(tails, points, rate, gamma):
     return np.where(np.isfinite(out), out, math.inf)
 
 
+def _standard_gamma(rng, shape, size):
+    # standard_gamma(1) draws exactly what standard_exponential draws, which
+    # skips the per-draw shape dispatch
+    if shape == 1:
+        return rng.standard_exponential(size)
+    return rng.standard_gamma(shape, size)
+
+
 @dataclass(frozen=True, init=False)
 class ClaimDistribution:
     """Claim-size law: a mixture of Erlang laws, component i being
@@ -234,13 +242,33 @@ class ClaimDistribution:
         return top + math.log(sum(math.exp(t - top) for t in terms))
 
     def sample(self, rng, size):
+        """size independent draws of the law from the generator rng.
+
+        A mixture draws size uniforms first; each picks the first component
+        whose cumulative weight exceeds it (the last component if none
+        does).  One standard-gamma draw of that component's shape follows
+        per sample, divided by its rate.  A single component draws no
+        uniforms: its standard-gamma draws are multiplied by 1/rate, which
+        is what ``rng.gamma(k, 1/rate)`` computes.  The draws, and where
+        they leave rng, equal bit for bit those of ``searchsorted`` over the
+        cumulative weights followed by ``rng.gamma``, the reference the
+        tests keep.
+        """
         if len(self._parts) == 1:
-            # gamma(1, s) draws exactly what exponential(s) draws
-            return rng.gamma(self.shapes[0], 1.0 / self.rates[0], size)
-        idx = np.searchsorted(np.cumsum(self.weights), rng.random(size),
-                              side="right").clip(0, len(self._parts) - 1)
-        draws = rng.gamma(np.asarray(self.shapes, dtype=float)[idx])
-        draws /= np.asarray(self.rates)[idx]
+            draws = _standard_gamma(rng, self.shapes[0], size)
+            draws *= 1.0 / self.rates[0]
+            return draws
+        u = rng.random(size)
+        # the number of cumulative weights at or below u, the last one left
+        # out: searchsorted(side="right") clipped to the last component
+        idx = np.zeros(size, dtype=np.intp)
+        for edge in np.cumsum(self.weights)[:-1]:
+            idx += u >= edge
+        if len(set(self.shapes)) == 1:
+            draws = _standard_gamma(rng, self.shapes[0], size)
+        else:
+            draws = rng.standard_gamma(np.asarray(self.shapes, dtype=float).take(idx))
+        draws /= np.asarray(self.rates).take(idx)
         return draws
 
     def phase_type(self):

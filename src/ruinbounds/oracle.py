@@ -9,9 +9,12 @@ oscillation ladder heights are exponential with rate c/D.
 
 Streams: the samples are cut into blocks of ``BLOCK_SIZE`` paths, and
 block b draws from its own PCG64 generator (explicitly constructed, never a
-platform default) seeded through SeedSequence((seed, b)).  Each block
-returns an integer count of hits, and the estimate is the sum of the
-counts over n_samples.  The blocks run on threads, one per CPU the process
+platform default) seeded through SeedSequence((seed, b)).  A block draws
+its record counts, then its ladder heights (``ClaimDistribution.sample``
+and, for the perturbed model, standard exponentials times D/c).  It
+counts its hits at every requested u from one set of paths and returns
+the integer counts; each estimate is the sum of its counts over
+n_samples.  The blocks run on threads, one per CPU the process
 may use (the calling thread takes its share), and numpy releases the
 interpreter lock while it draws and sums; since no block reads another's
 stream and integer addition is exact in any order, an estimate depends only
@@ -34,7 +37,7 @@ from .classical import RiskModel
 from .diffusion import PerturbedModel
 from .errors import PreconditionError
 
-__all__ = ["MCEstimate", "estimate", "BLOCK_SIZE"]
+__all__ = ["MCEstimate", "estimate", "estimates", "BLOCK_SIZE"]
 
 BLOCK_SIZE = 2**16
 
@@ -71,9 +74,21 @@ def _rng_for_block(seed: int, block: int) -> np.random.Generator:
 
 
 def _geometric_record_counts(rng, size: int, phi: float) -> np.ndarray:
-    # inversion: P(N >= n) = phi^n, using 1-U in (0, 1] to dodge log(0)
-    u = rng.random(size)
-    return np.floor(np.log1p(-u) / math.log(phi)).astype(np.int64)
+    # inversion: P(N >= n) = phi^n, using 1-U in (0, 1] to dodge log(0);
+    # floor(log1p(-U) / log phi) is formed in the uniforms' own buffer
+    x = rng.random(size)
+    np.negative(x, out=x)
+    np.log1p(x, out=x)
+    x /= math.log(phi)
+    np.floor(x, out=x)
+    return x.astype(np.int64)
+
+
+def _exponentials(rng, scale: float, size: int) -> np.ndarray:
+    # exponential(scale) is scale * standard_exponential(), bit for bit
+    draws = rng.standard_exponential(size)
+    draws *= scale
+    return draws
 
 
 def _running_sums(values: np.ndarray) -> np.ndarray:
@@ -89,8 +104,9 @@ def _segment_sums(values: np.ndarray, ends: np.ndarray, starts: np.ndarray) -> n
     return cs[ends] - cs[starts]
 
 
-def _deficit_hits(values, counts, u, y) -> int:
-    """Paths that are ruined with a deficit above y.
+def _deficit_hits(values, counts, u, y):
+    """Paths that are ruined with a deficit above y: a count for a scalar u,
+    an array of counts for an array of u.
 
     A path is its segment of ``counts`` draws of ``values``, and s runs
     over its partial sums.  It is ruined when its total exceeds u, and then
@@ -102,37 +118,46 @@ def _deficit_hits(values, counts, u, y) -> int:
     cs = _running_sums(values)
     ends = np.cumsum(counts)
     starts = ends - counts
-    ruined = cs[ends] - cs[starts] > u
-    over = np.repeat(cs[starts], counts)
-    np.subtract(cs[1:], over, out=over)
-    over -= u
-    near = np.flatnonzero((over > 0) & (over <= y))
-    ruined[np.searchsorted(ends, near, side="right")] = False
-    return np.count_nonzero(ruined)
+    totals = cs[ends] - cs[starts]
+    rise = np.repeat(cs[starts], counts)
+    np.subtract(cs[1:], rise, out=rise)
+    hits = []
+    for ui in np.atleast_1d(u):
+        ruined = totals > ui
+        over = rise - ui
+        near = np.flatnonzero((over > 0) & (over <= y))
+        ruined[np.searchsorted(ends, near, side="right")] = False
+        hits.append(np.count_nonzero(ruined))
+    return np.array(hits) if np.ndim(u) else hits[0]
 
 
-def _block_classical(eq, phi, u, y, quantity, rng, size) -> int:
+def _exceedances(totals: np.ndarray, us: np.ndarray) -> np.ndarray:
+    """How many totals exceed each u."""
+    return np.array([np.count_nonzero(totals > u) for u in us])
+
+
+def _block_classical(eq, phi, us, y, quantity, rng, size) -> np.ndarray:
     counts = _geometric_record_counts(rng, size, phi)
     draws = eq.sample(rng, int(counts.sum()))
     if quantity == "deficit":
-        return _deficit_hits(draws, counts, u, y)
+        return _deficit_hits(draws, counts, us, y)
     ends = np.cumsum(counts)
-    return np.count_nonzero(_segment_sums(draws, ends, ends - counts) > u)
+    return _exceedances(_segment_sums(draws, ends, ends - counts), us)
 
 
-def _block_perturbed(eq, phi, b0, u, quantity, rng, size) -> int:
+def _block_perturbed(eq, phi, b0, us, quantity, rng, size) -> np.ndarray:
     counts = _geometric_record_counts(rng, size, phi)
     total = int(counts.sum())
     ends = np.cumsum(counts)
     starts = ends - counts
-    l_k = _segment_sums(rng.exponential(1.0 / b0, total), ends, starts)
+    l_k = _segment_sums(_exponentials(rng, 1.0 / b0, total), ends, starts)
     l_k += _segment_sums(eq.sample(rng, total), ends, starts)
     if quantity == "psi_t":
-        l_k += rng.exponential(1.0 / b0, size)
-    return np.count_nonzero(l_k > u)
+        l_k += _exponentials(rng, 1.0 / b0, size)
+    return _exceedances(l_k, us)
 
 
-def _run_blocks(block_hits, seed: int, sizes: list) -> int:
+def _run_blocks(block_hits, seed: int, sizes: list):
     """Sum of block_hits(rng of block b, sizes[b]) over the blocks b.
 
     Worker w takes blocks w, w + W, w + 2W, ... of W = min(CPUs, blocks)
@@ -162,9 +187,9 @@ def _run_blocks(block_hits, seed: int, sizes: list) -> int:
     return sum(hits)
 
 
-def estimate(model, quantity: str, u: float, n_samples: int, seed: int,
-             y: float | None = None) -> MCEstimate:
-    """Estimate one ruin-type probability at initial surplus u.
+def estimates(model, quantity: str, us, n_samples: int, seed: int,
+              y: float | None = None) -> list[MCEstimate]:
+    """Estimate one ruin-type probability at each initial surplus in us.
 
     quantity:
       psi      P(ruin)                       -- RiskModel
@@ -172,15 +197,21 @@ def estimate(model, quantity: str, u: float, n_samples: int, seed: int,
       k_tail   P(L_K > u)                    -- PerturbedModel
       psi_t    P(ruin, perturbed surplus)    -- PerturbedModel
 
-    Deterministic given (seed, n_samples); same seed gives bit-identical
-    results, and k_tail/psi_t estimates from one seed are pathwise ordered.
+    The paths are drawn once and counted at every u, so each estimate is
+    the one ``estimate`` gives at its u alone, and every one reports the
+    call's wall time.  Deterministic given (seed, n_samples); same seed
+    gives bit-identical results, and k_tail/psi_t estimates from one seed
+    are pathwise ordered.
     """
     if quantity not in _QUANTITIES:
         raise ValueError(f"unknown quantity {quantity!r}; expected one of {_QUANTITIES}")
     if n_samples < 1:
         raise ValueError("need at least one sample")
-    if u < 0:
-        raise ValueError("initial surplus must be >= 0")
+    us = np.asarray(us, dtype=float)
+    if us.ndim != 1 or len(us) == 0:
+        raise ValueError("need a 1-d sequence of at least one surplus u")
+    if not np.all(us >= 0):                 # nan fails too
+        raise ValueError("initial surplus must be a number >= 0")
     if quantity == "deficit":
         if y is None or math.isnan(y):
             raise ValueError("deficit estimation needs a number y")
@@ -196,16 +227,27 @@ def estimate(model, quantity: str, u: float, n_samples: int, seed: int,
     start = time.perf_counter()
     if quantity in ("psi", "deficit"):
         block_hits = partial(_block_classical, model.claims.equilibrium(),
-                             model.phi, u, y, quantity)
+                             model.phi, us, y, quantity)
     else:
         block_hits = partial(_block_perturbed, model.base.claims.equilibrium(),
-                             model.phi, model.b0, u, quantity)
+                             model.phi, model.b0, us, quantity)
     sizes = [min(BLOCK_SIZE, n_samples - done)
              for done in range(0, n_samples, BLOCK_SIZE)]
     hits = _run_blocks(block_hits, seed, sizes)
+    seconds = time.perf_counter() - start
 
-    p = hits / n_samples
-    se = math.sqrt(p * (1.0 - p) / n_samples)
-    return MCEstimate(estimate=p, standard_error=se, n_samples=n_samples,
-                      seed=seed, quantity=quantity, blocks=len(sizes),
-                      seconds=time.perf_counter() - start)
+    out = []
+    for h in hits:
+        p = int(h) / n_samples
+        out.append(MCEstimate(estimate=p,
+                              standard_error=math.sqrt(p * (1.0 - p) / n_samples),
+                              n_samples=n_samples, seed=seed, quantity=quantity,
+                              blocks=len(sizes), seconds=seconds))
+    return out
+
+
+def estimate(model, quantity: str, u: float, n_samples: int, seed: int,
+             y: float | None = None) -> MCEstimate:
+    """Estimate one ruin-type probability at initial surplus u: the one
+    estimate of ``estimates`` at [u]."""
+    return estimates(model, quantity, [u], n_samples, seed, y=y)[0]

@@ -22,14 +22,21 @@ renewal solver.  The claim pairs come from ``phase_type()``, which
 ``test_phase_type.py`` checks against pairs built there.  Matrix
 exponentials go through ``diffusion._expm``: scipy's ``expm`` loses
 accuracy on triangular matrices with nearly equal diagonal entries.
+
+The module also keeps the former claim sampler and record-count sampler,
+written with ``searchsorted`` and ``rng.gamma``, as references that the
+current samplers must match bit for bit.
 """
+
+import math
 
 import numpy as np
 
 from ruinbounds.diffusion import _expm
 
 __all__ = ["psi_exact", "psi_decay_rate", "k_bar_exact", "psi_total_exact",
-           "psi_d_exact", "k_iterate_exact"]
+           "psi_d_exact", "k_iterate_exact", "reference_sample",
+           "reference_geometric_record_counts"]
 
 
 def _at(start, M, u, right=None):
@@ -124,3 +131,23 @@ def k_iterate_exact(pm, k0, n, u):
     out = (phi - (1.0 - k0) * phi**n * cdf[..., n - 1]
            - (1.0 - phi) * (cdf[..., :n - 1] @ powers))
     return float(out[0]) if np.ndim(u) == 0 else out
+
+
+# The former ``ClaimDistribution.sample``, verbatim but for ``law`` in place
+# of ``self``.
+def reference_sample(law, rng, size):
+    if len(law._parts) == 1:
+        # gamma(1, s) draws exactly what exponential(s) draws
+        return rng.gamma(law.shapes[0], 1.0 / law.rates[0], size)
+    idx = np.searchsorted(np.cumsum(law.weights), rng.random(size),
+                          side="right").clip(0, len(law._parts) - 1)
+    draws = rng.gamma(np.asarray(law.shapes, dtype=float)[idx])
+    draws /= np.asarray(law.rates)[idx]
+    return draws
+
+
+# The former ``oracle._geometric_record_counts``, verbatim.
+def reference_geometric_record_counts(rng, size: int, phi: float) -> np.ndarray:
+    # inversion: P(N >= n) = phi^n, using 1-U in (0, 1] to dodge log(0)
+    u = rng.random(size)
+    return np.floor(np.log1p(-u) / math.log(phi)).astype(np.int64)

@@ -5,8 +5,11 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import integrate
 
+from helpers import reference_sample
 from ruinbounds import (ClaimDistribution, Erlang, ErlangMixture, Exponential,
                         HyperExponential, PreconditionError, TruncationError,
                         partial_exp_sum)
@@ -273,6 +276,44 @@ class TestConstruction:
             Exponential(1.0).density(np.array([0.0, -0.5]))
 
 
+def _pcg(seed):
+    return np.random.Generator(np.random.PCG64(seed))
+
+
+class _StubUniforms:
+    """A generator whose ``random`` returns fixed uniforms; its gamma draws
+    come from a PCG64 generator."""
+
+    def __init__(self, uniforms, seed):
+        self.uniforms = np.asarray(uniforms, dtype=float)
+        self.rng = _pcg(seed)
+
+    def random(self, size):
+        assert size == len(self.uniforms)
+        return self.uniforms.copy()
+
+    def __getattr__(self, name):        # gamma, standard_gamma, ...
+        return getattr(self.rng, name)
+
+
+@st.composite
+def _sampled_laws(draw):
+    """A law of 1-4 Erlang components with shapes 1-30, and a sample size."""
+    n = draw(st.integers(1, 4))
+    shape = st.integers(1, 30)
+    shapes = ([draw(shape)] * n if draw(st.booleans())
+              else draw(st.lists(shape, min_size=n, max_size=n)))
+    rate = st.floats(0.1, 10.0)
+    rates = ([draw(rate)] * n if draw(st.booleans())
+             else draw(st.lists(rate, min_size=n, max_size=n)))
+    # normalised by their float sum, which need not then add to 1 exactly
+    raw = draw(st.lists(st.floats(0.01, 1.0), min_size=n, max_size=n))
+    weights = [w / math.fsum(raw) for w in raw]
+    size = draw(st.one_of(st.sampled_from([0, 1, 2, 7, 2**16 - 1, 2**16 + 3]),
+                          st.integers(0, 5000)))
+    return ClaimDistribution(weights, shapes, rates), size
+
+
 class TestSampling:
     @pytest.mark.parametrize("dist", ALL_PARAMETRIC)
     def test_sample_mean_matches(self, dist):
@@ -305,6 +346,32 @@ class TestSampling:
         }
         for law, draws in expect.items():
             assert np.array_equal(law.sample(rng(), 1000), draws)
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=_sampled_laws(), seed=st.integers(0, 2**32 - 1))
+    def test_same_stream_as_reference(self, case, seed):
+        # the draws, and where they leave the generator, are the former
+        # searchsorted-and-gamma sampler's
+        law, size = case
+        new, ref = _pcg(seed), _pcg(seed)
+        assert np.array_equal(law.sample(new, size), reference_sample(law, ref, size))
+        assert new.bit_generator.state == ref.bit_generator.state
+
+    @pytest.mark.parametrize("law", [
+        HyperExponential((0.3, 0.7), (0.8, 3.0)),
+        ClaimDistribution((0.1, 0.2, 0.3, 0.4), (1, 4, 2, 30), (0.5, 1.5, 2.5, 3.5)),
+        ClaimDistribution((0.7, 0.2, 0.1), (2, 2, 2), (1.0, 2.0, 3.0)),
+        ErlangMixture((1 / 3, 1 / 3, 1 / 3), (1, 2, 3), 3.0),
+    ])
+    def test_uniform_on_a_cumulative_weight(self, law):
+        # uniforms exactly on each cumulative weight and on its neighbours
+        # pick the component searchsorted(side="right") picks
+        edges = np.cumsum(law.weights)
+        u = np.concatenate([[0.0, np.nextafter(1.0, 0.0)], edges,
+                            np.nextafter(edges, 0.0), np.nextafter(edges, 2.0)])
+        new, ref = _StubUniforms(u, 5), _StubUniforms(u, 5)
+        assert np.array_equal(law.sample(new, len(u)), reference_sample(law, ref, len(u)))
+        assert new.rng.bit_generator.state == ref.rng.bit_generator.state
 
     def test_sample_tail_matches(self):
         rng = np.random.Generator(np.random.PCG64(99))

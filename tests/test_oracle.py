@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import reference_geometric_record_counts
 from ruinbounds import (Erlang, Exponential, HyperExponential, PerturbedModel,
                         PreconditionError, RiskModel, exact_ruin_exponential,
                         k_exact_exponential, mc_estimate, oracle)
@@ -126,6 +127,68 @@ class TestValidation:
     def test_unknown_quantity(self):
         with pytest.raises(ValueError):
             mc_estimate(MODEL, "nope", 1.0, 100, seed=0)
+
+    @pytest.mark.parametrize("model, quantity, extra", [
+        (MODEL, "psi", {}), (MODEL, "deficit", {"y": 0.5}),
+        (PM, "k_tail", {}), (PM, "psi_t", {})])
+    def test_rejects_nan_surplus(self, model, quantity, extra):
+        with pytest.raises(ValueError, match="surplus"):
+            mc_estimate(model, quantity, float("nan"), 1000, seed=1, **extra)
+        with pytest.raises(ValueError, match="surplus"):
+            oracle.estimates(model, quantity, [1.0, float("nan")], 1000, seed=1,
+                             **extra)
+
+    def test_rejects_empty_surplus_list(self):
+        with pytest.raises(ValueError):
+            oracle.estimates(MODEL, "psi", [], 1000, seed=1)
+
+    def test_estimate_is_a_python_float(self):
+        for quantity, extra in (("psi", {}), ("deficit", {"y": 0.5})):
+            est = mc_estimate(MODEL, quantity, 1.0, 1000, seed=1, **extra)
+            assert type(est.estimate) is float
+            assert type(est.standard_error) is float
+
+
+class TestManySurpluses:
+    US = [0.0, 2.0, 0.5, 1.0, 0.5, 7.0]
+
+    @pytest.mark.parametrize("model, quantity, extra", [
+        (RiskModel(0.6, 0.9, HyperExponential((0.3, 0.7), (0.5, 3.0))), "psi", {}),
+        (RiskModel(0.6, 0.9, HyperExponential((0.3, 0.7), (0.5, 3.0))), "deficit",
+         {"y": 0.4}),
+        (PerturbedModel(RiskModel(0.6, 1.2, Erlang(3, 3.0)), 0.3), "k_tail", {}),
+        (PerturbedModel(RiskModel(0.6, 1.2, Erlang(3, 3.0)), 0.3), "psi_t", {}),
+    ])
+    def test_equal_to_one_call_per_u(self, model, quantity, extra):
+        n = 2 * BLOCK_SIZE + 17
+        together = oracle.estimates(model, quantity, self.US, n, seed=11, **extra)
+        apart = [mc_estimate(model, quantity, u, n, seed=11, **extra)
+                 for u in self.US]
+        assert together == apart
+        assert len({est.seconds for est in together}) == 1
+
+    def test_exceedances_match_a_sorted_count(self):
+        # a sorted copy answers "how many exceed u" with searchsorted
+        rng = np.random.Generator(np.random.PCG64(3))
+        totals = np.round(rng.exponential(1.0, 5000), 2)
+        us = np.concatenate([[0.0, 0.5, 100.0], totals[:20]])
+        expect = len(totals) - np.searchsorted(np.sort(totals), us, side="right")
+        assert np.array_equal(oracle._exceedances(totals, us), expect)
+
+
+class TestRecordCounts:
+    @settings(max_examples=100, deadline=None)
+    @given(phi=st.floats(1e-6, 1.0, exclude_max=True),
+           size=st.one_of(st.sampled_from([0, 1, 3, BLOCK_SIZE, BLOCK_SIZE + 1]),
+                          st.integers(0, 3000)),
+           seed=st.integers(0, 2**32 - 1))
+    def test_same_counts_and_stream_as_reference(self, phi, size, seed):
+        new = np.random.Generator(np.random.PCG64(seed))
+        ref = np.random.Generator(np.random.PCG64(seed))
+        got = oracle._geometric_record_counts(new, size, phi)
+        want = reference_geometric_record_counts(ref, size, phi)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+        assert new.bit_generator.state == ref.bit_generator.state
 
 
 # Hit counts of n = 3 BLOCK_SIZE + 999 paths (the last block partial) at
