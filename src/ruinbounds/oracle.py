@@ -14,25 +14,24 @@ its record counts, then its ladder heights (``ClaimDistribution.sample``
 and, for the perturbed model, standard exponentials times D/c).  It
 counts its hits at every requested u from one set of paths and returns
 the integer counts; each estimate is the sum of its counts over
-n_samples.  The blocks run on threads, one per CPU the process
-may use (the calling thread takes its share), and numpy releases the
-interpreter lock while it draws and sums; since no block reads another's
-stream and integer addition is exact in any order, an estimate depends only
-on (seed, n_samples), whatever the number of CPUs or the order in which
-the blocks finish.
+n_samples.  The blocks run on the package's thread map, up to one thread
+per CPU the process may use, each taking the next block as soon as it is
+free, and numpy releases the interpreter lock while it draws and sums;
+since no block reads another's stream and integer addition is exact in any
+order, an estimate depends only on (seed, n_samples), whatever the number
+of CPUs or the thread that drew each block.
 """
 
 from __future__ import annotations
 
 import math
-import os
-import threading
 import time
 from dataclasses import dataclass, field
 from functools import partial
 
 import numpy as np
 
+from ._parallel import thread_map
 from .classical import RiskModel
 from .diffusion import PerturbedModel
 from .errors import PreconditionError
@@ -60,13 +59,6 @@ class MCEstimate:
 
     def within(self, true_value: float, n_se: float = 3.0) -> bool:
         return abs(self.estimate - true_value) <= n_se * self.standard_error
-
-
-def _cpu_count() -> int:
-    """CPUs this process may run on."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
 
 
 def _rng_for_block(seed: int, block: int) -> np.random.Generator:
@@ -158,33 +150,9 @@ def _block_perturbed(eq, phi, b0, us, quantity, rng, size) -> np.ndarray:
 
 
 def _run_blocks(block_hits, seed: int, sizes: list):
-    """Sum of block_hits(rng of block b, sizes[b]) over the blocks b.
-
-    Worker w takes blocks w, w + W, w + 2W, ... of W = min(CPUs, blocks)
-    workers; worker 0 is the calling thread.  An exception raised in any
-    block is raised here once every worker has stopped.
-    """
-    workers = max(1, min(_cpu_count(), len(sizes)))
-    hits = [0] * workers
-    errors = []
-
-    def work(w):
-        try:
-            for b in range(w, len(sizes), workers):
-                hits[w] += block_hits(_rng_for_block(seed, b), sizes[b])
-        except BaseException as exc:        # re-raised in the calling thread
-            errors.append(exc)
-
-    threads = [threading.Thread(target=work, args=(w,), daemon=True)
-               for w in range(1, workers)]
-    for t in threads:
-        t.start()
-    work(0)
-    for t in threads:
-        t.join()
-    if errors:
-        raise errors[0]
-    return sum(hits)
+    """Sum of block_hits(rng of block b, sizes[b]) over the blocks b."""
+    return sum(thread_map(lambda b: block_hits(_rng_for_block(seed, b), sizes[b]),
+                          range(len(sizes))))
 
 
 def estimates(model, quantity: str, us, n_samples: int, seed: int,

@@ -11,11 +11,12 @@ within the per-table tolerance or the run fails.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 
 from . import bounds as bounds_mod
+from ._parallel import thread_map
 from .classical import RiskModel, deficit_tail_family, ruin_probability
 from .diffusion import (PerturbedModel, k_exact_exponential, k_iterate_erlang,
                         k_tail)
@@ -233,12 +234,15 @@ def _psi_cached(model, h, u_max):
 def _run_table_1(table_id):
     lam, gamma, cells = PAPER_TABLE_1[table_id]
     tol = TOLERANCES["1"]
+    # six independent solves, on every CPU
+    models = [RiskModel(lam, c, law) for c in cells for law in (MIX_54_56, EXP_1)]
+    psi = dict(zip(models, thread_map(partial(_psi_cached, h=H, u_max=40.0),
+                                      models)))
     rows = []
     for c, (paper_exact, paper_dk1) in cells.items():
         m = RiskModel(lam, c, MIX_54_56)
         mt = RiskModel(lam, c, EXP_1)
-        psi_m = _psi_cached(m, H, 40.0)
-        psi_t = _psi_cached(mt, H, 40.0)
+        psi_m, psi_t = psi[m], psi[mt]
         inputs = f"gamma={gamma:g} lambda={lam:.6g} c={c:g}"
         exact = nu_gamma(psi_m, psi_t, gamma)
         rows.append(_row(table_id, inputs, "exact", exact, paper_exact,
@@ -285,9 +289,11 @@ def _run_table_3():
     mt1 = replace(mt, lam=mt.c / (2.0 * mt.mu))
     pairs = [(PerturbedModel(m, D), PerturbedModel(mt, Dt))
              for D, Dt, _, _ in PAPER_TABLE_3]
-    # rows share their D values: one solve per distinct perturbed model
-    k = {pm: k_tail(pm, h=H, u_max=15.0)
-         for pm in dict.fromkeys(p for pair in pairs for p in pair)}
+    # rows share their D values: one solve per distinct perturbed model,
+    # all of them on every CPU
+    distinct = list(dict.fromkeys(p for pair in pairs for p in pair))
+    k = dict(zip(distinct, thread_map(partial(k_tail, h=H, u_max=15.0),
+                                      distinct)))
     rows = []
     for (pm, pmt), (D, Dt, paper_sup, paper_dk3) in zip(pairs, PAPER_TABLE_3):
         inputs = f"D={D:g} Dt={Dt:g}"

@@ -5,6 +5,7 @@ import os
 import platform
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -12,8 +13,8 @@ import pytest
 from scipy.linalg import expm
 
 from helpers import k_iterate_exact
-from ruinbounds import (Erlang, PerturbedModel, RiskModel, classical, cli,
-                        config, deficit_tail, diffusion, k_iterates, k_tail,
+from ruinbounds import (Erlang, PerturbedModel, RiskModel, _parallel, classical,
+                        cli, config, deficit_tail, diffusion, k_iterates, k_tail,
                         psi_total, renewal, ruin_probability, tables)
 from ruinbounds.config import ConfigError
 from ruinbounds.errors import PreconditionError, TruncationError
@@ -104,6 +105,35 @@ class TestTableCommand:
         code, out, _ = run_cli(capsys, "table", tid)
         assert code == 0
         assert out.encode() == (GOLDEN / f"table_{tid}.csv").read_bytes()
+
+    @pytest.mark.parametrize("cpus", [1, 2, 5])
+    @pytest.mark.parametrize("tid", ["1a", "3"])
+    def test_golden_bytes_on_any_cpu_count(self, capsys, monkeypatch, cpus,
+                                           tid):
+        # tables 1a and 3 map their independent solves over the CPUs
+        monkeypatch.setattr(_parallel, "cpu_count", lambda: cpus)
+        tables._psi_cached.cache_clear()
+        code, out, _ = run_cli(capsys, "table", tid)
+        assert code == 0
+        assert out.encode() == (GOLDEN / f"table_{tid}.csv").read_bytes()
+
+    @pytest.mark.parametrize("cpus", [1, 2, 5, 8])
+    def test_table_1a_solves_on_min_cpus_6_threads(self, capsys, monkeypatch,
+                                                   cpus):
+        monkeypatch.setattr(_parallel, "cpu_count", lambda: cpus)
+        threads = []
+        solve = tables.ruin_probability
+
+        def spy(*args, **kwargs):
+            threads.append(threading.current_thread())
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(tables, "ruin_probability", spy)
+        tables._psi_cached.cache_clear()
+        run_cli(capsys, "table", "1a")
+        tables._psi_cached.cache_clear()
+        assert len(threads) == 6
+        assert len(set(threads)) == min(cpus, 6)
 
     def test_output_deterministic(self, capsys):
         _, first, _ = run_cli(capsys, "table", "5")

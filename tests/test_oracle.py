@@ -2,6 +2,7 @@
 
 import sys
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -10,8 +11,9 @@ from hypothesis import strategies as st
 
 from helpers import reference_geometric_record_counts
 from ruinbounds import (Erlang, Exponential, HyperExponential, PerturbedModel,
-                        PreconditionError, RiskModel, exact_ruin_exponential,
-                        k_exact_exponential, mc_estimate, oracle)
+                        PreconditionError, RiskModel, _parallel,
+                        exact_ruin_exponential, k_exact_exponential,
+                        mc_estimate, oracle)
 from ruinbounds.oracle import BLOCK_SIZE
 
 MODEL = RiskModel(0.5, 0.5, Exponential(2.0))
@@ -279,7 +281,7 @@ class TestWorkers:
     def _estimates(self, monkeypatch, cpus):
         # the threads each estimate ran blocks on: Thread objects, since
         # CPython hands an exited thread's ident to the next one it starts
-        monkeypatch.setattr(oracle, "_cpu_count", lambda: cpus)
+        monkeypatch.setattr(_parallel, "cpu_count", lambda: cpus)
         threads = set()
         rng_for_block = oracle._rng_for_block
 
@@ -312,7 +314,7 @@ class TestWorkers:
 
     @pytest.mark.parametrize("failing_block", [0, 1, 3])
     def test_block_error_raises_from_estimate(self, monkeypatch, failing_block):
-        monkeypatch.setattr(oracle, "_cpu_count", lambda: 2)
+        monkeypatch.setattr(_parallel, "cpu_count", lambda: 2)
         rng_for_block = oracle._rng_for_block
         raised_in = []
 
@@ -326,7 +328,35 @@ class TestWorkers:
         before = threading.active_count()
         with pytest.raises(MemoryError, match=f"block {failing_block}"):
             mc_estimate(MODEL, "psi", 1.0, PINNED_N, seed=5)
-        assert (raised_in[0] is threading.main_thread()) == (failing_block % 2 == 0)
+        if failing_block < 2:
+            # worker w draws block w first; later blocks go to whichever
+            # worker is free
+            assert (raised_in[0] is threading.main_thread()) == (failing_block == 0)
+        assert threading.active_count() == before
+
+    def test_no_block_starts_after_a_failed_one(self, monkeypatch):
+        # block 1 fails on the worker thread; block 0 ends only once that
+        # thread has exited, so the main thread sees the error before it
+        # could take block 2
+        monkeypatch.setattr(_parallel, "cpu_count", lambda: 2)
+        rng_for_block = oracle._rng_for_block
+        started = []
+        before = threading.active_count()
+
+        def failing(seed, block):
+            started.append(block)
+            if block == 0:
+                deadline = time.monotonic() + 10.0
+                while threading.active_count() > before and time.monotonic() < deadline:
+                    time.sleep(1e-3)
+            if block == 1:
+                raise MemoryError("block 1")
+            return rng_for_block(seed, block)
+
+        monkeypatch.setattr(oracle, "_rng_for_block", failing)
+        with pytest.raises(MemoryError, match="block 1"):
+            mc_estimate(MODEL, "psi", 1.0, 8 * BLOCK_SIZE, seed=5)
+        assert sorted(started) == [0, 1]
         assert threading.active_count() == before
 
 
