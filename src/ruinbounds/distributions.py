@@ -110,10 +110,12 @@ def _de_quadrature(tails, points, rate, gamma):
     rate of the tails.
 
     tails is called once, on the array of all nodes.  A node where the
-    tails are 0.0 contributes 0.0 even where (1+t)^gamma overflows; a
-    stretch where the weight overflows before the tails reach 0.0
-    integrates to ``math.inf``, and tails that are not finite (shapes above
-    about 520) raise ``TruncationError``.
+    tails are 0.0 contributes 0.0 even where (1+t)^gamma overflows; at a
+    node where the weight overflows before the tails reach 0.0, the term
+    is formed in log space, sign(f) exp(gamma log1p(t) + log|f|), and only
+    those nodes are, so every finite integral keeps its bits.  An integral
+    past the float range is ``math.inf``, and tails that are not finite
+    (shapes above about 520) raise ``TruncationError``.
     """
     nodes, weights, starts = _de_nodes(points, rate)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -121,9 +123,13 @@ def _de_quadrature(tails, points, rate, gamma):
         if not np.isfinite(f).all():
             raise TruncationError("claim tails overflow float far out "
                                   "(an Erlang shape above about 520)")
-        out = np.add.reduceat(
-            np.where(f == 0.0, 0.0, (1.0 + nodes) ** gamma * f) * weights,
-            starts)
+        weight = (1.0 + nodes) ** gamma
+        terms = np.where(f == 0.0, 0.0, weight * f)
+        far = np.isinf(weight) & (f != 0.0)
+        if far.any():
+            terms[far] = np.sign(f[far]) * np.exp(
+                gamma * np.log1p(nodes[far]) + np.log(np.abs(f[far])))
+        out = np.add.reduceat(terms * weights, starts)
     return np.where(np.isfinite(out), out, math.inf)
 
 
@@ -197,9 +203,15 @@ class ClaimDistribution:
         return float(out) if x.ndim == 0 else out
 
     def tail(self, t):
-        """Survival function F-bar(t) = 1 - F(t); a float for a scalar t."""
+        """Survival function F-bar(t) = 1 - F(t); a float for a scalar t.
+
+        An exponential component (k = 1) is w e^{-z} alone: S_0 is exactly
+        1.0, so skipping the partial sum changes no bit.
+        """
         # P(Erlang(k, r) > t) = e^{-z} S_{k-1}(z)
         def term(w, k, r, z):
+            if k == 1:
+                return w * np.exp(-z)
             capped = np.minimum(z, _EXP_UNDERFLOW)
             return w * np.exp(-z) * partial_exp_sum(k - 1, capped)
         return self._erlang_sum(t, term)
@@ -293,15 +305,23 @@ class ClaimDistribution:
         """Weighted tail moment: integral of (1+t)^gamma * tail(t) over [0, inf).
 
         Equals (E(X+1)^(gamma+1) - 1)/(gamma+1); the identity is exercised
-        by the test suite.  Where (1+t)^gamma overflows float before the
-        tail has reached 0.0, the moment is reported as ``math.inf``, and any
-        hypothesis that bounds it fails.
+        by the test suite.  A moment past the float range is reported as
+        ``math.inf``, and any hypothesis that bounds it fails.  Memoised
+        per law and gamma (``_weighted_tail_moment``).
         """
         if gamma < 0:
             raise ValueError("gamma must be >= 0")
-        pieces = _de_quadrature(self.tail, _breaks((0.0,), (self,)),
-                                self.slowest_rate, gamma)
-        return float(pieces.sum())
+        return _weighted_tail_moment(self, float(gamma))
+
+
+@lru_cache(maxsize=256)
+def _weighted_tail_moment(law, gamma):
+    # a pure function of the law's value and gamma: the bounds ask for one
+    # law's moment once per table row, and equal laws hash equal; gamma
+    # comes in as a float, so 1 and 1.0 share an entry and a result
+    pieces = _de_quadrature(law.tail, _breaks((0.0,), (law,)),
+                            law.slowest_rate, gamma)
+    return float(pieces.sum())
 
 
 def Exponential(beta):

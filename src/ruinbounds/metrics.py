@@ -14,6 +14,7 @@ more, where its tail drops.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -169,10 +170,16 @@ def tail_crossings(F: ClaimDistribution, G: ClaimDistribution,
                    t[flips + 1]).tolist()
 
 
-def _nu_gamma_distributions(F, G, gamma, lower=0.0):
-    # where (1+t)^gamma overflows float before the tails reach 0.0 the
-    # distance is reported as inf, like ``weighted_tail_moment``; the
-    # stretches between crossings keep one sign, and so do their pieces
+@lru_cache(maxsize=256)
+def _nu_gamma_distributions(F, G, gamma, lower):
+    """nu_gamma(F, G) over [lower, inf), memoised on the laws' values and
+    the floats gamma and lower: the bounds of one table ask for the same
+    pair and gamma in every row, and equal laws hash equal.
+
+    A distance past the float range is ``math.inf``, like
+    ``weighted_tail_moment``; the stretches between crossings keep one
+    sign, and so do their pieces.
+    """
     pts = _breaks([lower, *tail_crossings(F, G, lower)], (F, G))
     pieces = _de_quadrature(lambda t: F.tail(t) - G.tail(t), pts,
                             min(F.slowest_rate, G.slowest_rate), gamma)
@@ -224,7 +231,7 @@ def nu_gamma(x, y, gamma: float = 0.0) -> float:
     if gamma < 0:
         raise ValueError("gamma must be >= 0")
     if isinstance(x, ClaimDistribution) and isinstance(y, ClaimDistribution):
-        return _nu_gamma_distributions(x, y, gamma)
+        return _nu_gamma_distributions(x, y, float(gamma), 0.0)
     if isinstance(x, GridFunction) and isinstance(y, GridFunction):
         return _nu_gamma_grids(x, y, gamma)
     raise TypeError("nu_gamma compares two ClaimDistributions or two GridFunctions")
@@ -241,4 +248,4 @@ def q_y(F: ClaimDistribution, G: ClaimDistribution, y: float) -> float:
     [y, inf).  Coincides with ``kantorovich`` at y = 0."""
     if y < 0:
         raise ValueError("y must be >= 0")
-    return _nu_gamma_distributions(F, G, 0.0, lower=y)
+    return _nu_gamma_distributions(F, G, 0.0, float(y))

@@ -116,9 +116,10 @@ def solve(problem: RenewalProblem) -> GridFunction:
     """
     c, x = _system(problem)
     b = _reciprocal(c.tobytes())
+    spectra = _halves(b, _fast_len(len(b)))
     r = x[1:]
-    y = _product(b, r)
-    y -= _product(b, _residual(c, y, r))
+    y = _product(b, r, spectra)
+    y -= _product(b, _residual(c, y, r), spectra)
     x[1:] = y
     return GridFunction(problem.h, x)
 
@@ -198,17 +199,21 @@ def _assemble(lo, cross, m, size):
     return out
 
 
-def _product(a, x):
-    """(a x) mod t^m for power series a and x of m terms."""
+def _product(a, x, spectra=None):
+    """(a x) mod t^m for power series a and x of m terms.
+
+    ``spectra`` may carry a's two half spectra, ``_halves(a, _fast_len(m))``,
+    so that several products with one a transform it once; they are only
+    read, never written.
+    """
     size = _fast_len(len(a))
-    a_lo, a_hi = _halves(a, size)
+    a_lo, a_hi = _halves(a, size) if spectra is None else spectra
     x_lo, x_hi = _halves(x, size)
     lo = a_lo * x_lo
     # numpy's complex product may fuse a multiply-add, so a b and b a can
     # differ in the last bit; this order keeps the bytes of every table
     x_lo *= a_hi
-    a_lo *= x_hi
-    x_lo += a_lo
+    x_lo += np.multiply(a_lo, x_hi, out=x_hi)
     del a_lo, a_hi, x_hi
     return _assemble(lo, x_lo, len(a), size)
 
@@ -287,8 +292,10 @@ def _residual(c, y, r):
 def _reciprocal(coeffs: bytes) -> np.ndarray:
     """First coefficients of 1/c(t) for the float64 coefficients in
     ``coeffs``, by Newton doubling b <- b (2 - c b) (Brent & Kung, J. ACM
-    25(4), 1978).  Kept for the last kernel, so the deficit tails for
-    several y on one kernel build it once."""
+    25(4), 1978).  Kept for the last kernel, b alone: the deficit tails
+    for several y on one kernel, psi_d beside K-bar in ``decompose``, and
+    successive commands in one process on one kernel build it once.  Its
+    half spectra are not kept; ``solve`` forms them once per solve."""
     c = np.frombuffer(coeffs)
     sizes = [len(c)]
     while sizes[-1] > 1:

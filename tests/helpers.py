@@ -23,9 +23,11 @@ renewal solver.  The claim pairs come from ``phase_type()``, which
 exponentials go through ``diffusion._expm``: scipy's ``expm`` loses
 accuracy on triangular matrices with nearly equal diagonal entries.
 
-The module also keeps the former claim sampler and record-count sampler,
-written with ``searchsorted`` and ``rng.gamma``, as references that the
-current samplers must match bit for bit.
+The module also keeps former code paths as references that the current
+ones must match bit for bit: the claim sampler and record-count sampler,
+written with ``searchsorted`` and ``rng.gamma``; the claim tail, which
+formed every component through the partial exponential sum; and the
+renewal solve, whose two products each transformed the reciprocal anew.
 """
 
 import math
@@ -33,10 +35,14 @@ import math
 import numpy as np
 
 from ruinbounds.diffusion import _expm
+from ruinbounds.distributions import partial_exp_sum
+from ruinbounds.renewal import (_assemble, _fast_len, _halves, _reciprocal,
+                                _residual, _system)
 
 __all__ = ["psi_exact", "psi_decay_rate", "k_bar_exact", "psi_total_exact",
            "psi_d_exact", "k_iterate_exact", "reference_sample",
-           "reference_geometric_record_counts"]
+           "reference_geometric_record_counts", "reference_tail",
+           "reference_product", "reference_solve"]
 
 
 def _at(start, M, u, right=None):
@@ -151,3 +157,38 @@ def reference_geometric_record_counts(rng, size: int, phi: float) -> np.ndarray:
     # inversion: P(N >= n) = phi^n, using 1-U in (0, 1] to dodge log(0)
     u = rng.random(size)
     return np.floor(np.log1p(-u) / math.log(phi)).astype(np.int64)
+
+
+# The former ``ClaimDistribution.tail``, verbatim but for ``law`` in place of
+# ``self``: an exponential component too goes through S_0.
+def reference_tail(law, t):
+    def term(w, k, r, z):
+        capped = np.minimum(z, 746.0)
+        return w * np.exp(-z) * partial_exp_sum(k - 1, capped)
+    return law._erlang_sum(t, term)
+
+
+# The former ``renewal._product``, verbatim: it transforms a itself and
+# reuses a's spectrum as scratch.
+def reference_product(a, x):
+    size = _fast_len(len(a))
+    a_lo, a_hi = _halves(a, size)
+    x_lo, x_hi = _halves(x, size)
+    lo = a_lo * x_lo
+    x_lo *= a_hi
+    a_lo *= x_hi
+    x_lo += a_lo
+    del a_lo, a_hi, x_hi
+    return _assemble(lo, x_lo, len(a), size)
+
+
+# The former ``renewal.solve``, on the grid values: each of its two products
+# transforms the reciprocal b.
+def reference_solve(problem):
+    c, x = _system(problem)
+    b = _reciprocal(c.tobytes())
+    r = x[1:]
+    y = reference_product(b, r)
+    y -= reference_product(b, _residual(c, y, r))
+    x[1:] = y
+    return x

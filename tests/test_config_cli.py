@@ -1,7 +1,9 @@
 """Config parsing, CLI behaviour, exit codes, output determinism."""
 
+import importlib
 import math
 import os
+import pkgutil
 import platform
 import subprocess
 import sys
@@ -13,9 +15,11 @@ import pytest
 from scipy.linalg import expm
 
 from helpers import k_iterate_exact
+import ruinbounds
 from ruinbounds import (Erlang, PerturbedModel, RiskModel, _parallel, classical,
-                        cli, config, deficit_tail, diffusion, k_iterates, k_tail,
-                        psi_total, renewal, ruin_probability, tables)
+                        cli, config, deficit_tail, diffusion, distributions,
+                        k_iterates, k_tail, metrics, psi_total, renewal,
+                        ruin_probability, tables)
 from ruinbounds.config import ConfigError
 from ruinbounds.errors import PreconditionError, TruncationError
 
@@ -83,6 +87,19 @@ class TestConfigParsing:
         assert config.NumericSpec().h == renewal.DEFAULT_H
 
 
+def clear_package_caches():
+    """Empty every memo of the package, each an ``lru_cache`` at module
+    level; returns how many there are."""
+    caches = set()
+    for info in pkgutil.iter_modules(ruinbounds.__path__):
+        module = importlib.import_module(f"ruinbounds.{info.name}")
+        caches.update(f for f in vars(module).values()
+                      if hasattr(f, "cache_clear"))
+    for f in caches:
+        f.cache_clear()
+    return len(caches)
+
+
 def run_cli(capsys, *argv):
     code = cli.main(list(argv))
     captured = capsys.readouterr()
@@ -105,6 +122,47 @@ class TestTableCommand:
         code, out, _ = run_cli(capsys, "table", tid)
         assert code == 0
         assert out.encode() == (GOLDEN / f"table_{tid}.csv").read_bytes()
+
+    @pytest.mark.parametrize("tid", tables.TABLE_IDS)
+    def test_golden_bytes_from_empty_caches(self, capsys, tid):
+        # no table leans on a memo that an earlier one filled
+        assert clear_package_caches() >= 6
+        code, out, _ = run_cli(capsys, "table", tid)
+        assert code == 0
+        assert out.encode() == (GOLDEN / f"table_{tid}.csv").read_bytes()
+
+    def test_golden_bytes_in_one_process_in_reverse_order(self, capsys):
+        # every memo filled by a later table serves an earlier one unchanged
+        clear_package_caches()
+        for tid in reversed(tables.TABLE_IDS):
+            code, out, _ = run_cli(capsys, "table", tid)
+            assert code == 0
+            assert out.encode() == (GOLDEN / f"table_{tid}.csv").read_bytes()
+
+    def test_claim_metrics_once_per_pair_and_gamma(self, monkeypatch):
+        # the bounds ask for one claim pair's metrics in every row: table 1a
+        # computes nu_gamma(F, F~) once at each of gamma = 0 and 1, and the
+        # moments M_0 and M~_1 once, over its three rows; table 3 computes
+        # K(F, F~) once over its fourteen dk3 calls
+        gammas = {"nu": [], "moment": []}
+
+        def spy(module, key):
+            quadrature = module._de_quadrature
+
+            def counted(tails, points, rate, gamma):
+                gammas[key].append(gamma)
+                return quadrature(tails, points, rate, gamma)
+            monkeypatch.setattr(module, "_de_quadrature", counted)
+
+        spy(metrics, "nu")
+        spy(distributions, "moment")
+        clear_package_caches()
+        tables.run_table("1a")
+        assert sorted(gammas["nu"]) == [0.0, 1.0]
+        assert sorted(gammas["moment"]) == [0.0, 1.0]
+        gammas["nu"].clear()
+        tables.run_table("3")
+        assert gammas["nu"] == [0.0]
 
     @pytest.mark.parametrize("cpus", [1, 2, 5])
     @pytest.mark.parametrize("tid", ["1a", "3"])

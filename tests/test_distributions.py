@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 
-from helpers import reference_sample
+from helpers import reference_sample, reference_tail
 from ruinbounds import (ClaimDistribution, Erlang, ErlangMixture, Exponential,
                         HyperExponential, PreconditionError, TruncationError,
                         partial_exp_sum)
@@ -24,6 +24,17 @@ ALL_PARAMETRIC = [
     Erlang(2, 0.7),
     ErlangMixture((0.25, 0.75), (1, 3), 2.0),
 ]
+
+
+@st.composite
+def _mixed_laws(draw):
+    """A law with an exponential and an Erlang component, and up to two
+    more components of shapes 1-30."""
+    shapes = [1, draw(st.integers(2, 30))]
+    shapes += draw(st.lists(st.integers(1, 30), max_size=2))
+    raw = [draw(st.floats(0.05, 1.0)) for _ in shapes]
+    rates = [draw(st.floats(0.1, 20.0)) for _ in shapes]
+    return ClaimDistribution([w / math.fsum(raw) for w in raw], shapes, rates)
 
 
 class TestTail:
@@ -58,6 +69,18 @@ class TestTail:
         tails = Erlang(100, 100.0).tail(t)
         assert tails[0] > 0.0 and np.all(tails[1:] == 0.0)
         assert Erlang(100, 100.0).tail(800.0) == 0.0
+
+    @settings(max_examples=100, deadline=None)
+    @given(law=_mixed_laws(), t=st.lists(st.floats(0.0, 1e4), max_size=20))
+    def test_exponential_components_skip_the_partial_sum(self, law, t):
+        # S_0 is exactly 1.0, so w e^{-z} is the former w e^{-z} S_0(z) bit
+        # for bit; the grid holds 0, points where r t passes 746, and inf
+        far = [747.0 / r for r in law.rates] + [1e4 / min(law.rates)]
+        grid = np.array([0.0, *t, *far, math.inf])
+        assert np.array_equal(law.tail(grid), reference_tail(law, grid))
+        for x in (0.0, t[0] if t else 1.0, far[0], math.inf):
+            got = law.tail(np.array(x))        # a 0-d input gives a float
+            assert type(got) is float and got == reference_tail(law, x)
 
     @pytest.mark.parametrize("dist", ALL_PARAMETRIC)
     def test_tail_integrates_to_mean(self, dist):
@@ -120,6 +143,18 @@ class TestWeightedTailMoment:
         # the last exp-sinh node is 725.8, where 726.8^106.2 still fits
         assert Exponential(1.0).weighted_tail_moment(106.2) == pytest.approx(
             math.e * math.gamma(107.2), rel=1e-11)
+
+    def test_weight_past_float_range(self):
+        # (1+t)^150 overflows past t = 112, where e^{-2t} is not yet 0.0;
+        # those terms are formed in log space.  The moment is
+        # 150! S_150(2) / 2^151 = 1.479e218, exact in rationals; the rule,
+        # whose step is about the width of the integrand's peak here, gets
+        # it to about 4e-9
+        exact = float(math.factorial(150) * partial_exp_sum(150, Fraction(2))
+                      / 2**151)
+        assert exact == pytest.approx(1.4789484e218, rel=1e-7)
+        assert Exponential(2.0).weighted_tail_moment(150) == pytest.approx(
+            exact, rel=1e-8)
 
     @pytest.mark.parametrize("shape", [100, 400, 520])
     def test_high_shape_is_mean(self, shape):

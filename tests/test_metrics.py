@@ -1,6 +1,7 @@
 """Probability metrics: frozen oracle values, metric axioms, crossing logic."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -8,8 +9,8 @@ import pytest
 from ruinbounds import metrics
 from ruinbounds import (ClaimDistribution, Erlang, Exponential, GridFunction,
                         GridMismatchError, HyperExponential, TruncationError,
-                        kantorovich, nu_gamma, q_y, sup_distance,
-                        tail_crossings)
+                        kantorovich, nu_gamma, partial_exp_sum, q_y,
+                        sup_distance, tail_crossings)
 
 ERL = Erlang(3, 3.0)
 EXP1 = Exponential(1.0)
@@ -55,9 +56,20 @@ class TestNuGamma:
             vals = [nu_gamma(f, g, gamma) for gamma in (0.0, 0.5, 1.0, 2.0)]
             assert all(a <= b + 1e-12 for a, b in zip(vals, vals[1:]))
 
-    def test_weight_overflow_is_inf(self):
-        # (1+t)^150 leaves the float range before the tails have decayed
-        assert nu_gamma(Exponential(2.0), Exponential(2.1), 150.0) == math.inf
+    def test_weight_overflow_in_log_space(self):
+        # (1+t)^150 leaves the float range past t = 112, before the tails
+        # have decayed; there the terms are formed in log space.  The tails
+        # never cross, so nu_150 = M(2) - M(2.1) with the weighted tail
+        # moment M(r) = 150! S_150(r) / r^151 of Exp(r), exact in rationals.
+        # The peak of the integrand is about one step of the rule wide,
+        # which limits the rule to about 4e-9 here.
+        def moment(rate):
+            r = Fraction(rate)
+            return math.factorial(150) * partial_exp_sum(150, r) / r**151
+        exact = float(moment(2.0) - moment(2.1))
+        assert exact == pytest.approx(1.4779161e218, rel=1e-7)
+        assert nu_gamma(Exponential(2.0), Exponential(2.1), 150.0) == \
+            pytest.approx(exact, rel=1e-8)
 
     def test_rejects_mixed_types(self):
         grid = GridFunction(0.1, np.linspace(1, 0, 11))

@@ -11,14 +11,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import psi_exact
+from helpers import psi_exact, reference_product, reference_solve
 from ruinbounds import (ClaimDistribution, Erlang, Exponential, GridFunction,
                         HyperExponential, PerturbedModel, PreconditionError,
                         RenewalProblem, RiskModel, iterate, residual,
                         ruin_probability, solve)
 from ruinbounds.classical import _psi_problem
 from ruinbounds.diffusion import _k_problem
-from ruinbounds.renewal import (_fast_len, _integer_bound, _product,
+from ruinbounds.renewal import (_fast_len, _halves, _integer_bound, _product,
                                 _reciprocal, _residual, _system, nodes,
                                 trapezoid_convolution)
 
@@ -281,6 +281,28 @@ class TestSolve:
         x = solve(problem(0.02)).values
         assert np.all((0.0 <= x) & (x <= 1.0))
 
+    # m unknowns: the shortest systems, a short one, and the 40 960 of a
+    # table-1 solve
+    @pytest.mark.parametrize("m", [1, 2, 3, 256, 40960])
+    @pytest.mark.parametrize("name", list(KERNELS))
+    def test_spectra_of_b_formed_once_change_no_bit(self, name, m):
+        # solve transforms the reciprocal b once for both of its products;
+        # the former route, which transformed it in each, is the reference
+        h = 2.0**-10
+        p = KERNELS[name](h, m * h)
+        assert len(p.forcing) == m + 1
+        assert np.array_equal(solve(p).values, reference_solve(p))
+        c, x = _system(p)
+        b = _reciprocal(c.tobytes())
+        spectra = _halves(b, _fast_len(m))
+        for s in spectra:
+            s.flags.writeable = False       # an in-place write raises
+        r = x[1:]
+        y = _product(b, r, spectra)
+        assert np.array_equal(y, reference_product(b, r))
+        assert np.array_equal(_product(b, r), y)
+        e = _residual(c, y, r)
+        assert np.array_equal(_product(b, e, spectra), reference_product(b, e))
 
 
 class TestProblem:
