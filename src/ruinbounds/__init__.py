@@ -8,8 +8,7 @@ from .classical import (RiskModel, adjustment_rate, deficit_tail,
                         pk_truncated_series, ruin_probability,
                         weighted_psi_moment)
 from .diffusion import (PerturbedModel, decompose, k_exact_exponential,
-                        k_iterate_erlang, k_iterates, k_tail, ladder_density,
-                        ladder_tail, psi_total)
+                        k_iterate_erlang, k_iterates, k_tail, psi_total)
 from .distributions import (ClaimDistribution, Erlang, ErlangMixture,
                             Exponential, HyperExponential, partial_exp_sum)
 from .errors import (GridMismatchError, PreconditionError, RuinboundsError,
@@ -28,7 +27,7 @@ __all__ = [
     "exact_ruin_exponential", "pk_truncated_series", "ruin_probability",
     "weighted_psi_moment",
     "PerturbedModel", "decompose", "k_exact_exponential", "k_iterate_erlang",
-    "k_iterates", "k_tail", "ladder_density", "ladder_tail", "psi_total",
+    "k_iterates", "k_tail", "psi_total",
     "ClaimDistribution", "Erlang", "ErlangMixture", "Exponential",
     "HyperExponential", "partial_exp_sum",
     "GridMismatchError", "PreconditionError", "RuinboundsError",

@@ -1,13 +1,16 @@
 """Classical (non-perturbed) risk model quantities.
 
 The ruin probability and the deficit-at-ruin tail both solve defective
-renewal equations with the equilibrium density of the claim law as kernel
-and modulus phi = lambda * mu / c:
+renewal equations with modulus phi = lambda * mu / c and, as kernel, the
+density of one ladder step, a draw of the equilibrium law of the claims:
 
     psi(u)      : forcing phi * Fe-bar(u)
     G-bar(u, y) : forcing phi * Fe-bar(u + y)
 
-so both delegate to the generic renewal solver.
+The perturbed model's K-bar is the same equation on its own ladder step, so
+``_problem`` builds either model's equation from the model's ``ladder``
+(``distributions._Ladder``), and every quantity delegates to the generic
+renewal solver.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .distributions import ClaimDistribution, _de_quadrature
+from .distributions import ClaimDistribution, _de_quadrature, _Ladder
 from .errors import PreconditionError
 from .metrics import GridFunction
 from .renewal import (DEFAULT_H, RenewalProblem, _as_tail, nodes, solve,
@@ -32,7 +35,6 @@ __all__ = [
     "deficit_tail_family",
     "adjustment_rate",
     "pk_truncated_series",
-    "default_u_max",
 ]
 
 
@@ -48,8 +50,8 @@ class RiskModel:
     claims: ClaimDistribution
 
     def __post_init__(self):
-        if self.lam <= 0 or self.c <= 0:
-            raise ValueError("intensity and premium rate must be positive")
+        if not all(0 < x < math.inf for x in (self.lam, self.c)):  # nan fails too
+            raise ValueError("intensity and premium rate must be positive and finite")
         if self.phi >= 1.0:
             raise PreconditionError(
                 f"net profit condition fails: lam*mu/c = {self.phi:.6f} >= 1")
@@ -68,26 +70,20 @@ class RiskModel:
         """Relative security loading."""
         return self.c / (self.lam * self.mu) - 1.0
 
-
-def _u_max(phi: float, rate: float) -> float:
-    # smallest U with phi * exp(-rate U) / (1 - phi) below 1e-9, at least 10
-    u = np.log(phi / ((1.0 - phi) * 1e-9)) / rate
-    return float(max(10.0, np.ceil(u)))
+    @property
+    def ladder(self) -> _Ladder:
+        return _Ladder(self.phi, self.claims)
 
 
-def default_u_max(model: RiskModel) -> float:
-    """Smallest U with phi * exp(-r U) / (1 - phi) below 1e-9, r the slowest
-    exponential rate of the claim law; at least 10."""
-    return _u_max(model.phi, model.claims.slowest_rate)
-
-
-def _psi_problem(model, h, u_max, y=0.0):
-    """G-bar(., y)'s renewal problem, psi's at y = 0; u_max None means
-    ``default_u_max``."""
-    grid = nodes(h, default_u_max(model) if u_max is None else u_max)
-    fe = model.claims.equilibrium()
-    return RenewalProblem(phi=model.phi, forcing=model.phi * fe.tail(grid + y),
-                          kernel=model.claims.tail(grid) / model.mu, h=h)
+def _problem(model, h, u_max):
+    """The renewal problem of psi (a RiskModel) or of K-bar (a
+    PerturbedModel): the model's ladder density as kernel and phi times
+    its tail as forcing; u_max None means the ladder's default end."""
+    ladder = model.ladder
+    grid = nodes(h, ladder.default_end() if u_max is None else u_max)
+    kernel, tail = ladder.on_grid(grid, h)
+    return RenewalProblem(phi=ladder.phi, forcing=ladder.phi * tail,
+                          kernel=kernel, h=h)
 
 
 def ruin_probability(model: RiskModel, h: float = DEFAULT_H,
@@ -110,26 +106,11 @@ def exact_ruin_exponential(model: RiskModel, u) -> float:
     return float(arr) if np.ndim(u) == 0 else arr
 
 
-def adjustment_rate(model: RiskModel) -> float:
-    """Lundberg decay rate R of psi: the root of phi * E exp(R Y) = 1 with Y
-    the equilibrium law.  Exists for every light-tailed family in scope.
-
-    The bisection tests the sign of log phi + log E exp(r Y), so no shape
-    overflows float near the slowest rate.
-    """
-    fe = model.claims.equilibrium()
-    log_phi = math.log(model.phi)
-    # log phi < 0 at r = 0, and the mgf diverges at the slowest rate
-    lo, hi = 0.0, fe.slowest_rate
-    # bisect until the midpoint rounds to an endpoint
-    mid = 0.5 * (lo + hi)
-    while lo < mid < hi:
-        if log_phi + fe.log_mgf(mid) >= 0:
-            hi = mid
-        else:
-            lo = mid
-        mid = 0.5 * (lo + hi)
-    return mid
+def adjustment_rate(model) -> float:
+    """Lundberg decay rate R of psi, or of K-bar for a PerturbedModel: the
+    root of phi * E exp(R A) = 1 with A one ladder step.  Exists for every
+    light-tailed family in scope."""
+    return model.ladder.decay_rate()
 
 
 def weighted_psi_moment(model: RiskModel, gamma: float,
@@ -171,22 +152,17 @@ def deficit_tail_family(model: RiskModel, ys, h: float = DEFAULT_H,
                         u_max: float | None = None) -> dict:
     """G-bar(., y) for several y at once, reusing one kernel evaluation.
 
-    The kernel (equilibrium density) does not depend on y; only the forcing
-    changes, so every y after the first reuses the first y's problem with
-    its own forcing, and ``solve``, which keeps the reciprocal of the last
-    kernel's Toeplitz column, builds that once.
+    The kernel (the ladder density) does not depend on y; only the forcing
+    changes, so every y swaps phi * Fe-bar(grid + y) into psi's problem, and
+    ``solve``, which keeps the reciprocal of the last kernel's Toeplitz
+    column, builds that once.
     """
+    if any(y < 0 for y in ys):
+        raise ValueError("y must be >= 0")
+    p = _problem(model, h, u_max)
     fe = model.claims.equilibrium()
-    out, p = {}, None
-    for y in ys:
-        if y < 0:
-            raise ValueError("y must be >= 0")
-        if p is None:
-            p = _psi_problem(model, h, u_max, y)
-        else:
-            p = replace(p, forcing=model.phi * fe.tail(p.grid + y))
-        out[y] = solve(p)
-    return out
+    return {y: solve(replace(p, forcing=model.phi * fe.tail(p.grid + y))
+                     if y else p) for y in ys}
 
 
 def pk_truncated_series(model: RiskModel, n_terms: int, h: float = DEFAULT_H,
@@ -200,7 +176,7 @@ def pk_truncated_series(model: RiskModel, n_terms: int, h: float = DEFAULT_H,
     scheme except for sharing the trapezoid rule, so it cross-checks the
     solver.
     """
-    p = _psi_problem(model, h, u_max)
+    p = _problem(model, h, u_max)
     fe_tail = model.claims.equilibrium().tail(p.grid)
     phi = model.phi
     tail_k = fe_tail.copy()          # tail of the 1-fold sum

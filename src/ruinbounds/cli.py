@@ -20,8 +20,8 @@ import sys
 
 from . import bounds as bounds_mod
 from . import config as config_mod
-from . import diffusion, oracle, tables
-from .classical import default_u_max, deficit_tail, ruin_probability
+from . import oracle, tables
+from .classical import deficit_tail, ruin_probability
 from .diffusion import PerturbedModel, k_iterates, k_tail, psi_total
 from .errors import PreconditionError, TruncationError
 
@@ -145,10 +145,20 @@ def cmd_bound(args) -> int:
     return EXIT_OK
 
 
-def _grid_end(args, cfg) -> float:
+def _eval_model(cfg, quantity):
+    """The model of ``quantity``: the config's classical model, or that
+    model perturbed by the config's D."""
+    if quantity in ("ruin", "deficit", "psi"):
+        return cfg.model
+    if cfg.D is None:
+        raise config_mod.ConfigError(f"{quantity} needs D in [diffusion]")
+    return PerturbedModel(cfg.model, cfg.D)
+
+
+def _grid_end(args, cfg, model) -> float:
     """End of the grid ``eval`` solves on, after refusing a config grid of
     fewer than two nodes and a u past the end of the config's grid
-    (``umax``, or the default end of the quantity).
+    (``umax``, or the default end of the model's ladder).
 
     The renewal equation is causal, its value at u depending only on the
     kernel and forcing on [0, u], so the grid stops one node past the first
@@ -157,8 +167,7 @@ def _grid_end(args, cfg) -> float:
     """
     h, end = cfg.numeric.h, cfg.numeric.umax
     if end is None:
-        end = (default_u_max(cfg.model) if args.quantity in ("ruin", "deficit")
-               else diffusion.default_u_max(PerturbedModel(cfg.model, cfg.D)))
+        end = model.ladder.default_end()
     n = int(round(end / h))
     if n < 1:
         raise config_mod.ConfigError(f"umax = {end:g} at h = {h:g} gives a "
@@ -171,40 +180,32 @@ def _grid_end(args, cfg) -> float:
     return min(n, math.ceil(u / h) + 1) * h
 
 
-def _grid_function(args, cfg, u_max):
-    """The quantity ``args.quantity`` on the grid 0, h, ..., u_max."""
-    h = cfg.numeric.h
+def _grid_function(args, model, h, u_max):
+    """The quantity ``args.quantity`` of model on the grid 0, h, ..., u_max."""
     if args.quantity == "ruin":
-        return ruin_probability(cfg.model, h=h, u_max=u_max)
+        return ruin_probability(model, h=h, u_max=u_max)
     if args.quantity == "deficit":
-        return deficit_tail(cfg.model, args.y, h=h, u_max=u_max)
-    pm = PerturbedModel(cfg.model, cfg.D)
+        return deficit_tail(model, args.y, h=h, u_max=u_max)
     if args.quantity == "ktail":
-        return k_tail(pm, h=h, u_max=u_max)
+        return k_tail(model, h=h, u_max=u_max)
     if args.quantity == "psit":
-        return psi_total(pm, h=h, u_max=u_max)
-    return k_iterates(pm, args.k0, args.n, h=h, u_max=u_max).iterates[-1]
+        return psi_total(model, h=h, u_max=u_max)
+    return k_iterates(model, args.k0, args.n, h=h, u_max=u_max).iterates[-1]
 
 
 def cmd_eval(args) -> int:
     cfg = config_mod.load(args.config)
-    if args.quantity == "mc":
+    mc = args.quantity == "mc"
+    model = _eval_model(cfg, args.mc_quantity if mc else args.quantity)
+    if mc:
         seed = args.seed if args.seed is not None else cfg.numeric.seed
-        model = cfg.model
-        if args.mc_quantity in ("psi_t", "k_tail"):
-            if cfg.D is None:
-                raise config_mod.ConfigError("perturbed quantities need D in "
-                                             "[diffusion]")
-            model = PerturbedModel(cfg.model, cfg.D)
         out = oracle.estimates(model, args.mc_quantity, args.u, args.samples,
                                seed, y=args.y)
         rows = [(_fmt(u), _fmt(e.estimate), _fmt(e.standard_error))
                 for u, e in zip(args.u, out)]
         sys.stdout.write(_write_csv(rows, ("u", "value", "se")))
         return EXIT_OK
-    if args.quantity in ("ktail", "psit", "iterate") and cfg.D is None:
-        raise config_mod.ConfigError(f"{args.quantity} needs D in [diffusion]")
-    g = _grid_function(args, cfg, _grid_end(args, cfg))
+    g = _grid_function(args, model, cfg.numeric.h, _grid_end(args, cfg, model))
     rows = [(_fmt(u), _fmt(g(u))) for u in args.u]
     sys.stdout.write(_write_csv(rows, ("u", "value")))
     return EXIT_OK

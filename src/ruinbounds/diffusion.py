@@ -1,23 +1,17 @@
-"""Diffusion-perturbed surplus: ladder law, compound geometric tail K-bar,
-fixed-point iterates, total ruin probability and its decomposition.
+"""Diffusion-perturbed surplus: compound geometric tail K-bar, fixed-point
+iterates, total ruin probability and its decomposition.
 
 Oscillation record highs are exponential with rate b0 = c/D, claim record
 highs follow the equilibrium law, so one ladder step has law
-A = Exp(b0) * F_e (convolution).  Every claim family in scope is
-phase-type, so A is too: an Exp(b0) stage followed by the equilibrium
-law's phases.  Its density a(t) = e_1 exp(T t) t_exit is exact at any t,
-and on a solver grid all nodes come from one matrix exponential exp(T h).
-The tail follows from the identity
-
-    A-bar(t) = Fe-bar(t) + a(t) / b0,
-
-which supplies the renewal forcing for free once the kernel is known.
-K-bar solves the defective renewal equation with modulus
-phi = 1/(1+theta), kernel a and forcing phi * A-bar.  The total ruin
-probability psi_t and its oscillation-caused part psi_d solve the same
-equation on the same kernel, with the oscillation tail e^{-b0 u} added to
-the forcing or in place of it, so one solver and one cached inverse carry
-all three.
+A = Exp(b0) * F_e (convolution), the model's ``ladder``: phase-type, with
+density a(t) = e_1 exp(T t) t_exit exact at any t and tail
+A-bar(t) = Fe-bar(t) + a(t) / b0 (``distributions._Ladder``).  K-bar
+solves the defective renewal equation with modulus phi = 1/(1+theta),
+kernel a and forcing phi * A-bar, built by ``classical._problem`` as psi's
+is.  The total ruin probability psi_t and its oscillation-caused part psi_d
+solve the same equation on the same kernel, with the oscillation tail
+e^{-b0 u} added to the forcing or in place of it, so one solver and one
+cached inverse carry all three.
 """
 
 from __future__ import annotations
@@ -27,28 +21,23 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .classical import RiskModel, _u_max
-from .distributions import partial_exp_sum
+from .classical import RiskModel, _problem
+from .distributions import _Ladder, partial_exp_sum
 from .errors import PreconditionError
 from .metrics import GridFunction
-from .renewal import (DEFAULT_H, IterationTrace, RenewalProblem, _as_tail,
-                      iterate, nodes, solve)
+from .renewal import DEFAULT_H, IterationTrace, _as_tail, iterate, solve
 
 __all__ = [
     "PerturbedModel",
-    "ladder_density",
-    "ladder_tail",
     "k_tail",
     "k_exact_exponential",
     "k_iterates",
     "k_iterate_erlang",
     "psi_total",
     "decompose",
-    "default_u_max",
 ]
 
 _RATE_MATCH = 1e-9  # relative threshold for "b0 equals a claim rate"
-_TAYLOR_DEGREE = 20  # of the matrix exponential at 1-norm <= 1
 
 
 @dataclass(frozen=True)
@@ -63,8 +52,8 @@ class PerturbedModel:
     D: float
 
     def __post_init__(self):
-        if self.D <= 0:
-            raise ValueError("diffusion coefficient must be positive")
+        if not 0 < self.D < math.inf:       # nan fails too
+            raise ValueError("diffusion coefficient must be positive and finite")
 
     @property
     def b0(self) -> float:
@@ -82,95 +71,15 @@ class PerturbedModel:
     def theta(self) -> float:
         return self.base.theta
 
-
-def _ladder_phase_type(pm: PerturbedModel):
-    """One ladder step as a phase-type law: an Exp(b0) stage, then the
-    equilibrium law's phases.  Returns the sub-generator T and the exit
-    rates; the start vector is the first unit vector."""
-    pe, Te = pm.base.claims.equilibrium().phase_type()
-    d = len(pe)
-    T = np.zeros((d + 1, d + 1))
-    T[0, 0] = -pm.b0
-    T[0, 1:] = pm.b0 * pe
-    T[1:, 1:] = Te
-    # the first stage only feeds the claim phases, so it never exits itself
-    exit_rates = np.concatenate(([0.0], -Te.sum(axis=1)))
-    return T, exit_rates
-
-
-def _expm(A):
-    """exp(A) for a matrix or a stack of matrices.
-
-    exp(A / 2^s) with |A / 2^s|_1 <= 1 from its degree-20 Taylor polynomial
-    in Horner form, whose truncation error is below 1/21! there, then
-    squared s times (Higham, SIAM J. Matrix Anal. Appl. 26(4), 2005).  The
-    polynomial uses no divided differences (e^a - e^b)/(a - b), so nearly
-    equal diagonal entries, b0 one rounding off a claim rate, cost no
-    accuracy.
-    """
-    norm = float(np.max(np.abs(A).sum(axis=-2), initial=0.0))
-    s = max(0, math.ceil(math.log2(norm))) if norm > 0 else 0
-    X = A / 2.0**s
-    eye = np.eye(A.shape[-1])
-    E = eye + X / _TAYLOR_DEGREE
-    for k in range(_TAYLOR_DEGREE - 1, 0, -1):
-        E = eye + X @ E / k
-    for _ in range(s):
-        E = E @ E
-    return E
-
-
-def ladder_density(pm: PerturbedModel, t):
-    """Density a(t) = e_1 exp(T t) t_exit of one ladder step L_o + L_c."""
-    T, exit_rates = _ladder_phase_type(pm)
-    arr = np.asarray(t, dtype=float)
-    out = _expm(arr[..., None, None] * T)[..., 0, :] @ exit_rates
-    return float(out) if np.ndim(t) == 0 else out
-
-
-def _ladder_density_grid(pm: PerturbedModel, n: int, h: float) -> np.ndarray:
-    """a at the nodes 0, h, ..., (n-1) h from one exp(T h).
-
-    Node i m + j is (e_1 E^{i m}) (E^j t_exit) with E = exp(T h), so about
-    2 sqrt(n) matrix-vector products give all n values.
-    """
-    T, exit_rates = _ladder_phase_type(pm)
-    step = _expm(T * h)
-    m = int(math.ceil(math.sqrt(n)))
-    big = np.linalg.matrix_power(step, m)
-    cols, rows = np.empty((len(T), m)), np.empty((m, len(T)))
-    v, r = exit_rates, np.eye(len(T))[0]
-    for i in range(m):
-        cols[:, i], rows[i] = v, r
-        v, r = step @ v, r @ big
-    return (rows @ cols).ravel()[:n]
-
-
-def ladder_tail(pm: PerturbedModel, t):
-    """Tail A-bar(t) = Fe-bar(t) + a(t)/b0 of one ladder step."""
-    fe = pm.base.claims.equilibrium()
-    out = np.asarray(fe.tail(t)) + np.asarray(ladder_density(pm, t)) / pm.b0
-    return float(out) if np.ndim(t) == 0 else out
-
-
-def default_u_max(pm: PerturbedModel) -> float:
-    """Default grid end of K-bar, psi_t and psi_d: ``classical._u_max`` at
-    the slower of b0 and the slowest claim rate."""
-    return _u_max(pm.phi, min(pm.b0, pm.base.claims.slowest_rate))
-
-
-def _k_problem(pm: PerturbedModel, h, u_max):
-    """K-bar's renewal problem; u_max None means ``default_u_max``."""
-    grid = nodes(h, default_u_max(pm) if u_max is None else u_max)
-    a = _ladder_density_grid(pm, len(grid), h)
-    abar = pm.base.claims.equilibrium().tail(grid) + a / pm.b0
-    return RenewalProblem(phi=pm.phi, forcing=pm.phi * abar, kernel=a, h=h)
+    @property
+    def ladder(self) -> _Ladder:
+        return _Ladder(self.phi, self.base.claims, self.b0)
 
 
 def k_tail(pm: PerturbedModel, h: float = DEFAULT_H,
            u_max: float | None = None) -> GridFunction:
     """Compound geometric tail K-bar on a grid; K-bar(0) = phi exactly."""
-    return _as_tail(solve(_k_problem(pm, h, u_max)))
+    return _as_tail(solve(_problem(pm, h, u_max)))
 
 
 def k_exact_exponential(pm: PerturbedModel, u):
@@ -208,7 +117,7 @@ def k_iterates(pm: PerturbedModel, k0: float, n: int, h: float = DEFAULT_H,
     """
     if not 0.0 <= k0 <= 1.0:
         raise PreconditionError("starting constant must lie in [0, 1]")
-    return iterate(_k_problem(pm, h, u_max), k0, n)
+    return iterate(_problem(pm, h, u_max), k0, n)
 
 
 def k_iterate_erlang(pm: PerturbedModel, k0: float, n: int, u: float) -> float:
@@ -261,7 +170,7 @@ def psi_total(pm: PerturbedModel, h: float = DEFAULT_H,
 
     H1-bar(u) = e^{-b0 u} the tail of one oscillation record high.
     """
-    p = _k_problem(pm, h, u_max)
+    p = _problem(pm, h, u_max)
     forcing = p.forcing + (1.0 - pm.phi) * np.exp(-pm.b0 * p.grid)
     return _as_tail(solve(replace(p, forcing=forcing)))
 
@@ -283,7 +192,7 @@ def decompose(pm: PerturbedModel, h: float = DEFAULT_H,
     is immediate and caused by oscillation, never by a claim.  Neither part
     is monotone in general, so both come back as plain grid functions.
     """
-    p = _k_problem(pm, h, u_max)
+    p = _problem(pm, h, u_max)
     psi_d = solve(replace(p, forcing=np.exp(-pm.b0 * p.grid))).values
     psi_s = solve(p).values - pm.phi * psi_d
     return GridFunction(p.h, psi_d), GridFunction(p.h, psi_s)

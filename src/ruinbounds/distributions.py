@@ -8,8 +8,13 @@ functions that return one; construction drops components of weight 0 and
 sorts and merges the rest, so two spellings of one law compare and hash
 equal.  The class gives the survival function, density, moments and log
 mgf in closed form, the equilibrium transform as another Erlang mixture, an
-exact sampler, and the phase-type pair (alpha, T) that the perturbed
-model's ladder law is built from.
+exact sampler, and the phase-type pair (alpha, T).
+
+``_Ladder`` is the law of one ladder step of either risk model: P(N >= n)
+= phi^n record highs, each a claim ladder height from the equilibrium law,
+after an Exp(b0) oscillation record high once diffusion is added.  psi,
+G-bar, K-bar and psi_t are its compound geometric tails, so it gives their
+renewal kernel and forcing, default grid end, decay rate and paths.
 """
 
 from __future__ import annotations
@@ -41,6 +46,7 @@ _DE_REACH = 800.0
 # exp(-z) is 0.0 for z >= 746: capping z there in the partial sum changes no
 # tail and keeps the sum finite for shapes up to about 520
 _EXP_UNDERFLOW = 746.0
+_TAYLOR_DEGREE = 20  # of the matrix exponential at 1-norm <= 1
 
 
 def partial_exp_sum(m, z):
@@ -139,6 +145,37 @@ def _standard_gamma(rng, shape, size):
     if shape == 1:
         return rng.standard_exponential(size)
     return rng.standard_gamma(shape, size)
+
+
+def _geometric_record_counts(rng, size: int, phi: float) -> np.ndarray:
+    # inversion: P(N >= n) = phi^n, using 1-U in (0, 1] to dodge log(0);
+    # floor(log1p(-U) / log phi) is formed in the uniforms' own buffer
+    x = rng.random(size)
+    np.negative(x, out=x)
+    np.log1p(x, out=x)
+    x /= math.log(phi)
+    np.floor(x, out=x)
+    return x.astype(np.int64)
+
+
+def _exponentials(rng, scale: float, size: int) -> np.ndarray:
+    # exponential(scale) is scale * standard_exponential(), bit for bit
+    draws = rng.standard_exponential(size)
+    draws *= scale
+    return draws
+
+
+def _running_sums(values: np.ndarray) -> np.ndarray:
+    """Running sums of values, with a leading 0."""
+    cs = np.empty(len(values) + 1)
+    cs[0] = 0.0
+    np.cumsum(values, out=cs[1:])
+    return cs
+
+
+def _segment_sums(values: np.ndarray, ends: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    cs = _running_sums(values)
+    return cs[ends] - cs[starts]
 
 
 @dataclass(frozen=True, init=False)
@@ -312,6 +349,120 @@ class ClaimDistribution:
         if gamma < 0:
             raise ValueError("gamma must be >= 0")
         return _weighted_tail_moment(self, float(gamma))
+
+
+def _expm(A):
+    """exp(A) for a matrix or a stack of matrices.
+
+    exp(A / 2^s) with |A / 2^s|_1 <= 1 from its degree-20 Taylor polynomial
+    in Horner form, whose truncation error is below 1/21! there, then
+    squared s times (Higham, SIAM J. Matrix Anal. Appl. 26(4), 2005).  The
+    polynomial uses no divided differences (e^a - e^b)/(a - b), so nearly
+    equal diagonal entries, b0 one rounding off a claim rate, cost no
+    accuracy.
+    """
+    norm = float(np.max(np.abs(A).sum(axis=-2), initial=0.0))
+    s = max(0, math.ceil(math.log2(norm))) if norm > 0 else 0
+    X = A / 2.0**s
+    eye = np.eye(A.shape[-1])
+    E = eye + X / _TAYLOR_DEGREE
+    for k in range(_TAYLOR_DEGREE - 1, 0, -1):
+        E = eye + X @ E / k
+    for _ in range(s):
+        E = E @ E
+    return E
+
+
+class _Ladder:
+    """Law of one ladder step, with the modulus phi of the record count:
+    the equilibrium law F_e of the claims, or, given b0, A = Exp(b0) * F_e,
+    phase-type with an Exp(b0) stage before F_e's phases (Dufresne &
+    Gerber, Insurance Math. Econom. 10(1), 1991)."""
+
+    def __init__(self, phi: float, claims: ClaimDistribution, b0=None):
+        self.phi, self.claims, self.b0 = phi, claims, b0
+        self.fe = claims.equilibrium()
+        rate = claims.slowest_rate
+        self.slowest_rate = rate if b0 is None else min(b0, rate)
+
+    def default_end(self) -> float:
+        """Smallest U with phi exp(-r U) / (1 - phi) below 1e-9, r the
+        slowest rate of the step law; at least 10."""
+        u = np.log(self.phi / ((1.0 - self.phi) * 1e-9)) / self.slowest_rate
+        return float(max(10.0, np.ceil(u)))
+
+    def on_grid(self, grid: np.ndarray, h: float):
+        """Density and tail of the step law at the nodes grid = 0, h, ...
+
+        Without b0 they are the claim tail over the mean and Fe-bar.  With
+        b0 the density a is e_1 exp(T t) t_exit, node i m + j being
+        (e_1 E^{i m}) (E^j t_exit) with E = exp(T h), so about 2 sqrt(n)
+        matrix-vector products give all n values; the tail follows from
+        A-bar(t) = Fe-bar(t) + a(t) / b0.
+        """
+        if self.b0 is None:
+            return self.claims.tail(grid) / self.claims.mean(), self.fe.tail(grid)
+        pe, Te = self.fe.phase_type()
+        d = len(pe)
+        T = np.zeros((d + 1, d + 1))
+        T[0, 0] = -self.b0
+        T[0, 1:] = self.b0 * pe
+        T[1:, 1:] = Te
+        # the first stage only feeds the claim phases, so it never exits itself
+        exit_rates = np.concatenate(([0.0], -Te.sum(axis=1)))
+        step = _expm(T * h)
+        n = len(grid)
+        m = int(math.ceil(math.sqrt(n)))
+        big = np.linalg.matrix_power(step, m)
+        cols, rows = np.empty((d + 1, m)), np.empty((m, d + 1))
+        v, r = exit_rates, np.eye(d + 1)[0]
+        for i in range(m):
+            cols[:, i], rows[i] = v, r
+            v, r = step @ v, r @ big
+        a = (rows @ cols).ravel()[:n]
+        return a, self.fe.tail(grid) + a / self.b0
+
+    def log_mgf(self, r: float) -> float:
+        """log E exp(r A) of one step A, for r below the slowest rate."""
+        out = self.fe.log_mgf(r)
+        return out if self.b0 is None else out - math.log1p(-r / self.b0)
+
+    def decay_rate(self) -> float:
+        """Lundberg rate R: the root of phi E exp(R A) = 1.
+
+        The bisection tests the sign of log phi + log E exp(r A), so no
+        shape overflows float near the slowest rate.
+        """
+        log_phi = math.log(self.phi)
+        # log phi < 0 at r = 0, and the mgf diverges at the slowest rate
+        lo, hi = 0.0, self.slowest_rate
+        # bisect until the midpoint rounds to an endpoint
+        mid = 0.5 * (lo + hi)
+        while lo < mid < hi:
+            if log_phi + self.log_mgf(mid) >= 0:
+                hi = mid
+            else:
+                lo = mid
+            mid = 0.5 * (lo + hi)
+        return mid
+
+    def sample_paths(self, rng, size: int):
+        """size paths of the ladder sum, drawn from rng.
+
+        Draws the record counts, then, with b0, every path's Exp(b0)
+        heights, then every path's claim ladder heights.  Returns the
+        counts, the claim heights path after path, and each path's sum of
+        Exp(b0) heights (None without b0), which a path's total adds to the
+        sum of its claim heights.
+        """
+        counts = _geometric_record_counts(rng, size, self.phi)
+        total = int(counts.sum())
+        oscillations = None
+        if self.b0 is not None:
+            ends = np.cumsum(counts)
+            oscillations = _segment_sums(_exponentials(rng, 1.0 / self.b0, total),
+                                         ends, ends - counts)
+        return counts, self.fe.sample(rng, total), oscillations
 
 
 @lru_cache(maxsize=256)

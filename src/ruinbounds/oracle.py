@@ -2,24 +2,26 @@
 
 No numerical integration is shared with the solvers: ruin events are
 sampled from the geometric number of record highs and exact draws of the
-ladder laws.  The record count N is geometric with P(N = n) =
-(1-phi) phi^n and is sampled by inversion; claim ladder heights follow the
-equilibrium law (exact samplers exist for every family in scope) and
-oscillation ladder heights are exponential with rate c/D.
+ladder steps, the model's ``ladder`` (``distributions._Ladder``).  The
+record count N is geometric with P(N = n) = (1-phi) phi^n and is sampled
+by inversion; claim ladder heights follow the equilibrium law (exact
+samplers exist for every family in scope) and, in the perturbed model,
+oscillation ladder heights are exponential with rate b0 = c/D.
 
 Streams: the samples are cut into blocks of ``BLOCK_SIZE`` paths, and
 block b draws from its own PCG64 generator (explicitly constructed, never a
 platform default) seeded through SeedSequence((seed, b)).  A block draws
-its record counts, then its ladder heights (``ClaimDistribution.sample``
-and, for the perturbed model, standard exponentials times D/c).  It
-counts its hits at every requested u from one set of paths and returns
-the integer counts; each estimate is the sum of its counts over
-n_samples.  The blocks run on the package's thread map, up to one thread
-per CPU the process may use, each taking the next block as soon as it is
-free, and numpy releases the interpreter lock while it draws and sums;
-since no block reads another's stream and integer addition is exact in any
-order, an estimate depends only on (seed, n_samples), whatever the number
-of CPUs or the thread that drew each block.
+its record counts, then its oscillation heights (perturbed model only,
+standard exponentials times D/c), then its claim ladder heights
+(``ClaimDistribution.sample``), then, for psi_t, one last oscillation
+record high per path.  It counts its hits at every requested u from one
+set of paths and returns the integer counts; each estimate is the sum of
+its counts over n_samples.  The blocks run on the package's thread map, up
+to one thread per CPU the process may use, each taking the next block as
+soon as it is free, and numpy releases the interpreter lock while it draws
+and sums; since no block reads another's stream and integer addition is
+exact in any order, an estimate depends only on (seed, n_samples),
+whatever the number of CPUs or the thread that drew each block.
 """
 
 from __future__ import annotations
@@ -34,13 +36,16 @@ import numpy as np
 from ._parallel import thread_map
 from .classical import RiskModel
 from .diffusion import PerturbedModel
+from .distributions import _exponentials, _running_sums, _segment_sums
 from .errors import PreconditionError
 
 __all__ = ["MCEstimate", "estimate", "estimates", "BLOCK_SIZE"]
 
 BLOCK_SIZE = 2**16
 
-_QUANTITIES = ("psi", "psi_t", "k_tail", "deficit")
+# the model class each quantity is a quantity of
+_QUANTITIES = {"psi": RiskModel, "psi_t": PerturbedModel,
+               "k_tail": PerturbedModel, "deficit": RiskModel}
 
 
 @dataclass(frozen=True)
@@ -63,37 +68,6 @@ class MCEstimate:
 
 def _rng_for_block(seed: int, block: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, block))))
-
-
-def _geometric_record_counts(rng, size: int, phi: float) -> np.ndarray:
-    # inversion: P(N >= n) = phi^n, using 1-U in (0, 1] to dodge log(0);
-    # floor(log1p(-U) / log phi) is formed in the uniforms' own buffer
-    x = rng.random(size)
-    np.negative(x, out=x)
-    np.log1p(x, out=x)
-    x /= math.log(phi)
-    np.floor(x, out=x)
-    return x.astype(np.int64)
-
-
-def _exponentials(rng, scale: float, size: int) -> np.ndarray:
-    # exponential(scale) is scale * standard_exponential(), bit for bit
-    draws = rng.standard_exponential(size)
-    draws *= scale
-    return draws
-
-
-def _running_sums(values: np.ndarray) -> np.ndarray:
-    """Running sums of values, with a leading 0."""
-    cs = np.empty(len(values) + 1)
-    cs[0] = 0.0
-    np.cumsum(values, out=cs[1:])
-    return cs
-
-
-def _segment_sums(values: np.ndarray, ends: np.ndarray, starts: np.ndarray) -> np.ndarray:
-    cs = _running_sums(values)
-    return cs[ends] - cs[starts]
 
 
 def _deficit_hits(values, counts, u, y):
@@ -128,25 +102,17 @@ def _exceedances(totals: np.ndarray, us: np.ndarray) -> np.ndarray:
     return np.array([np.count_nonzero(totals > u) for u in us])
 
 
-def _block_classical(eq, phi, us, y, quantity, rng, size) -> np.ndarray:
-    counts = _geometric_record_counts(rng, size, phi)
-    draws = eq.sample(rng, int(counts.sum()))
+def _block(ladder, us, y, quantity, rng, size) -> np.ndarray:
+    counts, heights, oscillations = ladder.sample_paths(rng, size)
     if quantity == "deficit":
-        return _deficit_hits(draws, counts, us, y)
+        return _deficit_hits(heights, counts, us, y)
     ends = np.cumsum(counts)
-    return _exceedances(_segment_sums(draws, ends, ends - counts), us)
-
-
-def _block_perturbed(eq, phi, b0, us, quantity, rng, size) -> np.ndarray:
-    counts = _geometric_record_counts(rng, size, phi)
-    total = int(counts.sum())
-    ends = np.cumsum(counts)
-    starts = ends - counts
-    l_k = _segment_sums(_exponentials(rng, 1.0 / b0, total), ends, starts)
-    l_k += _segment_sums(eq.sample(rng, total), ends, starts)
+    totals = _segment_sums(heights, ends, ends - counts)
+    if oscillations is not None:
+        totals += oscillations
     if quantity == "psi_t":
-        l_k += _exponentials(rng, 1.0 / b0, size)
-    return _exceedances(l_k, us)
+        totals += _exponentials(rng, 1.0 / ladder.b0, size)
+    return _exceedances(totals, us)
 
 
 def _run_blocks(block_hits, seed: int, sizes: list):
@@ -172,7 +138,8 @@ def estimates(model, quantity: str, us, n_samples: int, seed: int,
     are pathwise ordered.
     """
     if quantity not in _QUANTITIES:
-        raise ValueError(f"unknown quantity {quantity!r}; expected one of {_QUANTITIES}")
+        raise ValueError(f"unknown quantity {quantity!r}; expected one of "
+                         f"{tuple(_QUANTITIES)}")
     if n_samples < 1:
         raise ValueError("need at least one sample")
     us = np.asarray(us, dtype=float)
@@ -183,22 +150,14 @@ def estimates(model, quantity: str, us, n_samples: int, seed: int,
     if quantity == "deficit":
         if y is None or math.isnan(y):
             raise ValueError("deficit estimation needs a number y")
-        if not isinstance(model, RiskModel):
-            raise PreconditionError("deficit is a classical-model quantity")
-    elif quantity == "psi":
-        if not isinstance(model, RiskModel):
-            raise PreconditionError("psi is a classical-model quantity")
-    else:
-        if not isinstance(model, PerturbedModel):
-            raise PreconditionError(f"{quantity} needs a PerturbedModel")
+        if y < 0:
+            raise ValueError("y must be >= 0")
+    if not isinstance(model, _QUANTITIES[quantity]):
+        raise PreconditionError(f"{quantity} is a quantity of a "
+                                f"{_QUANTITIES[quantity].__name__}")
 
     start = time.perf_counter()
-    if quantity in ("psi", "deficit"):
-        block_hits = partial(_block_classical, model.claims.equilibrium(),
-                             model.phi, us, y, quantity)
-    else:
-        block_hits = partial(_block_perturbed, model.base.claims.equilibrium(),
-                             model.phi, model.b0, us, quantity)
+    block_hits = partial(_block, model.ladder, us, y, quantity)
     sizes = [min(BLOCK_SIZE, n_samples - done)
              for done in range(0, n_samples, BLOCK_SIZE)]
     hits = _run_blocks(block_hits, seed, sizes)

@@ -20,29 +20,32 @@ time u: the sum over n of phi^n P(S_n <= u < S_n + L_o), an oscillation
 record high crossing u.  None of this shares a discretization with the
 renewal solver.  The claim pairs come from ``phase_type()``, which
 ``test_phase_type.py`` checks against pairs built there.  Matrix
-exponentials go through ``diffusion._expm``: scipy's ``expm`` loses
+exponentials go through ``distributions._expm``: scipy's ``expm`` loses
 accuracy on triangular matrices with nearly equal diagonal entries.
 
 The module also keeps former code paths as references that the current
 ones must match bit for bit: the claim sampler and record-count sampler,
 written with ``searchsorted`` and ``rng.gamma``; the claim tail, which
-formed every component through the partial exponential sum; and the
-renewal solve, whose two products each transformed the reciprocal anew.
+formed every component through the partial exponential sum; the renewal
+solve, whose two products each transformed the reciprocal anew; and the
+two renewal problems of psi and K-bar, built by separate functions before
+one ladder law built both.
 """
 
 import math
 
 import numpy as np
 
-from ruinbounds.diffusion import _expm
-from ruinbounds.distributions import partial_exp_sum
-from ruinbounds.renewal import (_assemble, _fast_len, _halves, _reciprocal,
-                                _residual, _system)
+from ruinbounds.distributions import _expm, partial_exp_sum
+from ruinbounds.renewal import (RenewalProblem, _assemble, _fast_len, _halves,
+                                _reciprocal, _residual, _system, nodes)
 
-__all__ = ["psi_exact", "psi_decay_rate", "k_bar_exact", "psi_total_exact",
-           "psi_d_exact", "k_iterate_exact", "reference_sample",
+__all__ = ["psi_exact", "psi_decay_rate", "k_bar_exact", "k_decay_rate",
+           "psi_total_exact", "psi_d_exact", "k_iterate_exact",
+           "ladder_at", "reference_sample",
            "reference_geometric_record_counts", "reference_tail",
-           "reference_product", "reference_solve"]
+           "reference_product", "reference_solve", "reference_psi_problem",
+           "reference_k_problem"]
 
 
 def _at(start, M, u, right=None):
@@ -99,6 +102,20 @@ def psi_decay_rate(model):
 def k_bar_exact(pm, u):
     """Compound geometric tail K-bar of a perturbed model."""
     return _at(*_compound_geometric_generator(*_ladder_pair(pm), pm.phi), u)
+
+
+def k_decay_rate(pm):
+    """Decay rate of K-bar: minus the dominant eigenvalue of
+    T_A + phi t_A e_1."""
+    M = _compound_geometric_generator(*_ladder_pair(pm), pm.phi)[1]
+    return -float(np.max(np.linalg.eigvals(M).real))
+
+
+def ladder_at(ladder, t):
+    """Density and tail of one ladder step at t: node 1 of the grid of
+    step t."""
+    kernel, tail = ladder.on_grid(np.array([0.0, t]), t)
+    return float(kernel[1]), float(tail[1])
 
 
 def psi_total_exact(pm, u):
@@ -192,3 +209,59 @@ def reference_solve(problem):
     y -= reference_product(b, _residual(c, y, r))
     x[1:] = y
     return x
+
+
+# The former ``classical._psi_problem`` and ``diffusion._k_problem``,
+# verbatim but for their names and the names of what they call, with the
+# functions they called: the default grid ends and the ladder density grid.
+def _u_max(phi: float, rate: float) -> float:
+    # smallest U with phi * exp(-rate U) / (1 - phi) below 1e-9, at least 10
+    u = np.log(phi / ((1.0 - phi) * 1e-9)) / rate
+    return float(max(10.0, np.ceil(u)))
+
+
+def reference_default_u_max(model) -> float:
+    return _u_max(model.phi, model.claims.slowest_rate)
+
+
+def reference_psi_problem(model, h, u_max, y=0.0):
+    grid = nodes(h, reference_default_u_max(model) if u_max is None else u_max)
+    fe = model.claims.equilibrium()
+    return RenewalProblem(phi=model.phi, forcing=model.phi * fe.tail(grid + y),
+                          kernel=model.claims.tail(grid) / model.mu, h=h)
+
+
+def _ladder_phase_type(pm):
+    pe, Te = pm.base.claims.equilibrium().phase_type()
+    d = len(pe)
+    T = np.zeros((d + 1, d + 1))
+    T[0, 0] = -pm.b0
+    T[0, 1:] = pm.b0 * pe
+    T[1:, 1:] = Te
+    # the first stage only feeds the claim phases, so it never exits itself
+    exit_rates = np.concatenate(([0.0], -Te.sum(axis=1)))
+    return T, exit_rates
+
+
+def _ladder_density_grid(pm, n: int, h: float) -> np.ndarray:
+    T, exit_rates = _ladder_phase_type(pm)
+    step = _expm(T * h)
+    m = int(math.ceil(math.sqrt(n)))
+    big = np.linalg.matrix_power(step, m)
+    cols, rows = np.empty((len(T), m)), np.empty((m, len(T)))
+    v, r = exit_rates, np.eye(len(T))[0]
+    for i in range(m):
+        cols[:, i], rows[i] = v, r
+        v, r = step @ v, r @ big
+    return (rows @ cols).ravel()[:n]
+
+
+def reference_k_default_u_max(pm) -> float:
+    return _u_max(pm.phi, min(pm.b0, pm.base.claims.slowest_rate))
+
+
+def reference_k_problem(pm, h, u_max):
+    grid = nodes(h, reference_k_default_u_max(pm) if u_max is None else u_max)
+    a = _ladder_density_grid(pm, len(grid), h)
+    abar = pm.base.claims.equilibrium().tail(grid) + a / pm.b0
+    return RenewalProblem(phi=pm.phi, forcing=pm.phi * abar, kernel=a, h=h)

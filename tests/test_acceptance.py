@@ -21,8 +21,7 @@ from ruinbounds import (Exponential, HyperExponential, PerturbedModel,
                         k_iterates, k_tail, mc_estimate, pk_truncated_series,
                         psi_total, residual, ruin_probability, sup_distance)
 from ruinbounds import tables
-from ruinbounds.classical import _psi_problem
-from ruinbounds.diffusion import _k_problem
+from ruinbounds.classical import _problem
 
 MIX26 = HyperExponential((0.5, 0.5), (2.0, 6.0))
 MIX54 = HyperExponential((0.5, 0.5), (1.25, 5.0 / 6.0))
@@ -284,11 +283,11 @@ class TestCriterion6:
         m = RiskModel(5.0 / 6.0, 3.0, MIX54)
         pm = PerturbedModel(RiskModel(0.5, 0.5, Exponential(2.0)), 0.25)
         for h in (2.0**-9, 2.0**-10):
-            p = _psi_problem(m, h, 12.0)
+            p = _problem(m, h, 12.0)
             r = residual(p, ruin_probability(m, h=h, u_max=12.0))
             if r > 5.0 * h * h:
                 failures.append(f"psi residual {r:.2e} > 5h^2 at h={h}")
-            pk = _k_problem(pm, h, 6.0)
+            pk = _problem(pm, h, 6.0)
             r = residual(pk, k_tail(pm, h=h, u_max=6.0))
             if r > 5.0 * h * h:
                 failures.append(f"K residual {r:.2e} > 5h^2 at h={h}")

@@ -36,6 +36,14 @@ class TestRiskModel:
         with pytest.raises(PreconditionError):
             RiskModel(3.0, 1.0, Exponential(1.0))
 
+    @pytest.mark.parametrize("lam, c", [(math.nan, 1.0), (1.0, math.nan),
+                                        (math.inf, 1.0), (0.5, math.inf),
+                                        (-math.inf, 1.0)])
+    def test_refuses_non_finite_parameters(self, lam, c):
+        # nan used to build a model with phi = nan, c = inf one with phi = 0
+        with pytest.raises(ValueError, match="positive and finite"):
+            RiskModel(lam, c, Exponential(1.0))
+
     def test_two_spellings_of_one_law_share_a_solve(self):
         a = RiskModel(0.5, 0.5, Exponential(2.0))
         b = RiskModel(0.5, 0.5, Erlang(1, 2.0))

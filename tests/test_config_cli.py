@@ -16,10 +16,10 @@ from scipy.linalg import expm
 
 from helpers import k_iterate_exact
 import ruinbounds
-from ruinbounds import (Erlang, PerturbedModel, RiskModel, _parallel, classical,
-                        cli, config, deficit_tail, diffusion, distributions,
-                        k_iterates, k_tail, metrics, psi_total, renewal,
-                        ruin_probability, tables)
+from ruinbounds import (Erlang, PerturbedModel, RiskModel, _parallel, cli,
+                        config, deficit_tail, distributions, k_iterates,
+                        k_tail, metrics, psi_total, renewal, ruin_probability,
+                        tables)
 from ruinbounds.config import ConfigError
 from ruinbounds.errors import PreconditionError, TruncationError
 
@@ -426,9 +426,10 @@ class TestEvalWindow:
         for quantity, extra in WINDOW_ARGS.items():
             args = cli.build_parser().parse_args(
                 ["eval", quantity, "m.cfg", "--u", "0.3,2.7", *extra])
-            end = cli._grid_end(args, cfg)
+            model = cli._eval_model(cfg, quantity)
+            end = cli._grid_end(args, cfg, model)
             assert end == (math.ceil(2.7 / h) + 1) * h
-            window = cli._grid_function(args, cfg, end).values
+            window = cli._grid_function(args, model, h, end).values
             full = full_grid(quantity, cfg).values
             assert len(window) == math.ceil(2.7 / h) + 2
             # psi and G-bar keep the reciprocal's rounding; K-bar's kernel
@@ -465,8 +466,7 @@ class TestEvalWindow:
                                                monkeypatch, quantity):
         def refuse(*_):
             raise AssertionError("a problem was built")
-        monkeypatch.setattr(classical, "_psi_problem", refuse)
-        monkeypatch.setattr(diffusion, "_k_problem", refuse)
+        monkeypatch.setattr(distributions._Ladder, "on_grid", refuse)
         path = tmp_path / "m.cfg"
         path.write_text(EXP_MODEL + "[diffusion]\nD = 0.25\n")
         code, out, err = run_cli(capsys, "eval", quantity, str(path),

@@ -1,19 +1,24 @@
 """Perturbed model: ladder law, K-bar routes, iterates, total ruin split."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 
-from helpers import k_bar_exact, k_iterate_exact, psi_d_exact, psi_total_exact
+from helpers import (k_bar_exact, k_decay_rate, k_iterate_exact, ladder_at,
+                     psi_d_exact, psi_total_exact, reference_k_problem,
+                     reference_psi_problem)
 from ruinbounds import (ClaimDistribution, Erlang, Exponential, HyperExponential,
                         PerturbedModel, PreconditionError, RiskModel,
-                        decompose, exact_ruin_exponential,
+                        adjustment_rate, decompose, exact_ruin_exponential,
                         k_exact_exponential, k_iterate_erlang,
-                        k_iterates, k_tail, ladder_density, ladder_tail,
-                        mc_estimate, psi_total, ruin_probability,
-                        sup_distance)
+                        k_iterates, k_tail, mc_estimate, psi_total,
+                        ruin_probability, sup_distance)
+from ruinbounds.classical import _problem
+from ruinbounds.renewal import nodes
 
 MIX26 = HyperExponential((0.5, 0.5), (2.0, 6.0))
 
@@ -31,23 +36,36 @@ def pm_mix(D=1.0 / 3.0):
     return PerturbedModel(RiskModel(0.6, 1.0, MIX26), D)
 
 
+@pytest.mark.parametrize("D", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+def test_model_refuses_a_non_positive_or_non_finite_d(D):
+    # nan used to fail only in k_tail, inf to give b0 = 0 and a divide warning
+    with pytest.raises(ValueError, match="positive and finite"):
+        PerturbedModel(RiskModel(0.5, 0.5, Exponential(2.0)), D)
+
+
+def density(pm, t):
+    return ladder_at(pm.ladder, t)[0]
+
+
 class TestLadderDensity:
     def test_matched_rates_is_erlang2(self):
         pm = pm_table4()  # b0 = c/D = 2 = beta
-        t = np.linspace(0.0, 4.0, 101)
-        assert ladder_density(pm, t) == pytest.approx(
+        h = 2.0**-5
+        t = nodes(h, 4.0)
+        assert pm.ladder.on_grid(t, h)[0] == pytest.approx(
             4.0 * t * np.exp(-2.0 * t), rel=1e-12)
 
     def test_two_rate_closed_form(self):
         pm = PerturbedModel(RiskModel(0.5, 1.0, Exponential(2.0)), 1.0)  # b0=1
-        t = np.linspace(0.0, 6.0, 101)
-        assert ladder_density(pm, t) == pytest.approx(
+        h = 2.0**-4
+        t = nodes(h, 6.0)
+        assert pm.ladder.on_grid(t, h)[0] == pytest.approx(
             2.0 * (np.exp(-t) - np.exp(-2.0 * t)), rel=1e-10)
 
     @pytest.mark.parametrize("pm", [pm_table4(), pm_mix(),
                                     PerturbedModel(RiskModel(1.0, 2.0, Erlang(3, 3.0)), 0.5)])
     def test_density_normalized(self, pm):
-        val, _ = integrate.quad(lambda t: ladder_density(pm, t), 0.0, 80.0,
+        val, _ = integrate.quad(lambda t: density(pm, t), 0.0, 80.0,
                                 limit=500)
         assert val == pytest.approx(1.0, rel=1e-6)
 
@@ -59,15 +77,15 @@ class TestLadderDensity:
             expect, _ = integrate.quad(
                 lambda z: b0 * np.exp(-b0 * (t - z))
                 * pm.base.claims.tail(z) / mu, 0.0, t, limit=200)
-            assert ladder_density(pm, t) == pytest.approx(expect, rel=1e-8)
+            assert density(pm, t) == pytest.approx(expect, rel=1e-8)
 
     def test_tail_identity(self):
         # A-bar(t) = Fe-bar(t) + a(t)/b0 against direct integration of a
         pm = pm_mix()
         for t in (0.0, 0.5, 1.5):
-            rest, _ = integrate.quad(lambda s: ladder_density(pm, s), t, 60.0,
+            rest, _ = integrate.quad(lambda s: density(pm, s), t, 60.0,
                                      limit=400)
-            assert ladder_tail(pm, t) == pytest.approx(rest, abs=1e-8)
+            assert ladder_at(pm.ladder, t)[1] == pytest.approx(rest, abs=1e-8)
 
 
 class TestKTail:
@@ -319,3 +337,49 @@ def test_psi_t_and_psi_d_within_c_h2_of_phase_type(components, phi, b0,
     bound = PSI_C * (max(max(law.rates), pm.b0) * h)**2 / (1.0 - pm.phi)
     assert np.max(np.abs(t(us) - psi_total_exact(pm, us))) <= bound
     assert np.max(np.abs(psi_d(us) - psi_d_exact(pm, us))) <= bound
+
+
+@st.composite
+def ladder_models(draw, shapes=st.integers(1, 30)):
+    """A perturbed model with 1-3 Erlang components, phi up to 0.99, and b0
+    either equal to one of the claim rates or apart from all of them."""
+    components = draw(st.lists(st.tuples(st.floats(0.05, 1.0), shapes, RATES),
+                               min_size=1, max_size=3))
+    w = np.array([c[0] for c in components])
+    law = ClaimDistribution(w / w.sum(), [c[1] for c in components],
+                            [c[2] for c in components])
+    phi = draw(st.floats(0.01, 0.99))
+    if draw(st.booleans()):
+        b0 = draw(st.sampled_from(law.rates))
+    else:
+        b0 = draw(RATES.filter(lambda b: all(abs(b - r) > 1e-3 * r
+                                             for r in law.rates)))
+    # c = b0 D with D a power of two, so c / D is b0 exactly
+    c = 0.5 * b0
+    pm = PerturbedModel(RiskModel(phi * c / law.mean(), c, law), 0.5)
+    assert pm.b0 == b0
+    return pm
+
+
+def assert_same_problem(got, want):
+    assert (got.phi, got.h) == (want.phi, want.h)
+    assert np.array_equal(got.kernel, want.kernel)
+    assert np.array_equal(got.forcing, want.forcing)
+
+
+@settings(max_examples=60, deadline=None)
+@given(ladder_models(), st.sampled_from([2.0**-4, 2.0**-6, 0.01]),
+       st.one_of(st.none(), st.floats(0.5, 12.0)))
+@example(PerturbedModel(RiskModel(0.5, 0.5, Exponential(2.0)), 0.25),
+         2.0**-6, None)
+def test_problem_bit_equal_to_the_former_builders(pm, h, u_max):
+    # u_max None takes the default grid end of each model
+    assert_same_problem(_problem(pm, h, u_max), reference_k_problem(pm, h, u_max))
+    assert_same_problem(_problem(pm.base, h, u_max),
+                        reference_psi_problem(pm.base, h, u_max))
+
+
+@settings(max_examples=60, deadline=None)
+@given(ladder_models(shapes=st.integers(1, 4)))
+def test_adjustment_rate_is_the_phase_type_decay_rate(pm):
+    assert adjustment_rate(pm) == pytest.approx(k_decay_rate(pm), rel=1e-12)

@@ -1,5 +1,6 @@
 """Monte Carlo estimator: determinism, stream structure, calibration."""
 
+import math
 import sys
 import threading
 import time
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 
 from helpers import reference_geometric_record_counts
 from ruinbounds import (Erlang, Exponential, HyperExponential, PerturbedModel,
-                        PreconditionError, RiskModel, _parallel,
+                        PreconditionError, RiskModel, _parallel, distributions,
                         exact_ruin_exponential, k_exact_exponential,
                         mc_estimate, oracle)
 from ruinbounds.oracle import BLOCK_SIZE
@@ -122,6 +123,17 @@ class TestValidation:
         with pytest.raises(ValueError):
             mc_estimate(MODEL, "deficit", 1.0, 100, seed=0, y=float("nan"))
 
+    @pytest.mark.parametrize("y", [-1.0, -1e-300, -math.inf])
+    def test_deficit_refuses_a_negative_level(self, y):
+        # as deficit_tail does; y = -1 used to count ruin alone, psi's count
+        with pytest.raises(ValueError, match="y must be >= 0"):
+            oracle.estimates(MODEL, "deficit", [0.0, 1.0], 1000, seed=0, y=y)
+
+    def test_classical_quantity_needs_classical_model(self):
+        for quantity, extra in (("psi", {}), ("deficit", {"y": 0.5})):
+            with pytest.raises(PreconditionError):
+                mc_estimate(PM, quantity, 1.0, 100, seed=0, **extra)
+
     def test_perturbed_quantity_needs_perturbed_model(self):
         with pytest.raises(PreconditionError):
             mc_estimate(MODEL, "k_tail", 1.0, 100, seed=0)
@@ -187,7 +199,7 @@ class TestRecordCounts:
     def test_same_counts_and_stream_as_reference(self, phi, size, seed):
         new = np.random.Generator(np.random.PCG64(seed))
         ref = np.random.Generator(np.random.PCG64(seed))
-        got = oracle._geometric_record_counts(new, size, phi)
+        got = distributions._geometric_record_counts(new, size, phi)
         want = reference_geometric_record_counts(ref, size, phi)
         assert got.dtype == want.dtype and np.array_equal(got, want)
         assert new.bit_generator.state == ref.bit_generator.state

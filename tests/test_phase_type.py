@@ -4,9 +4,10 @@ Each drawn law is a mixture of Erlang(k_i, r_i) components.  The reference
 (alpha, T) is built here from the weights, shapes and rates alone: component
 i is a chain of k_i stages at rate r_i, entered at its first stage with
 probability w_i.  Every closed form of the core, the law's own
-``phase_type()`` pair, and the ladder density of the perturbed model must
-agree with alpha exp(T t) expressions, and the grid iterates of K-bar must
-come within O(h^2) of the exact phase-type iterates of ``helpers``.
+``phase_type()`` pair, and the ladder density and tail of the perturbed
+model on a grid must agree with alpha exp(T t) expressions, and the grid
+iterates of K-bar must come within O(h^2) of the exact phase-type iterates
+of ``helpers``.
 """
 
 import math
@@ -17,10 +18,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
-from helpers import k_iterate_exact
-from ruinbounds import (ClaimDistribution, PerturbedModel, RiskModel,
-                        k_iterates, ladder_density)
-from ruinbounds.diffusion import _ladder_density_grid
+from helpers import k_iterate_exact, ladder_at
+from ruinbounds import ClaimDistribution, PerturbedModel, RiskModel, k_iterates
+from ruinbounds.renewal import nodes
 
 # a few shared rates make equal (shape, rate) pairs, which the equilibrium merges
 RATES = st.one_of(st.floats(0.3, 8.0), st.sampled_from([0.5, 2.0]))
@@ -130,13 +130,17 @@ def test_ladder_density(components, phi, b0, ts):
     L = np.zeros((d + 1, d + 1))
     L[0, 0], L[0, 1:], L[1:, 1:] = -b0, b0 * pi_e, T
     exit_rates = np.concatenate(([0.0], -T.sum(axis=1)))
+    ladder = pm.ladder
     for t in ts:
-        assert close(ladder_density(pm, t), ref_expm(L * t)[0] @ exit_rates)
-    h, n = 2.0**-6, 641
-    grid = _ladder_density_grid(pm, n, h)
+        a, abar = ladder_at(ladder, t)
+        assert close(a, ref_expm(L * t)[0] @ exit_rates)
+        assert close(abar, ref_expm(L * t)[0].sum())
+    h = 2.0**-6
+    kernel, tail = ladder.on_grid(nodes(h, 10.0), h)
     for i in (0, 1, 7, 200, 640):
-        assert grid[i] == pytest.approx(ref_expm(L * (i * h))[0] @ exit_rates,
-                                        rel=1e-9, abs=1e-12)
+        E = ref_expm(L * (i * h))
+        assert kernel[i] == pytest.approx(E[0] @ exit_rates, rel=1e-9, abs=1e-12)
+        assert tail[i] == pytest.approx(E[0].sum(), rel=1e-9, abs=1e-12)
 
 
 @settings(max_examples=30, deadline=None)

@@ -16,8 +16,7 @@ from ruinbounds import (ClaimDistribution, Erlang, Exponential, GridFunction,
                         HyperExponential, PerturbedModel, PreconditionError,
                         RenewalProblem, RiskModel, iterate, residual,
                         ruin_probability, solve)
-from ruinbounds.classical import _psi_problem
-from ruinbounds.diffusion import _k_problem
+from ruinbounds.classical import _problem
 from ruinbounds.renewal import (_fast_len, _halves, _integer_bound, _product,
                                 _reciprocal, _residual, _system, nodes,
                                 trapezoid_convolution)
@@ -65,10 +64,10 @@ MIX = HyperExponential((0.5, 0.5), (1.25, 5.0 / 6.0))
 # phi 1/2, the table-1 mixture at phi 5/18, Erlang(3, 3) at phi 1/2, and
 # the K-bar ladder kernel of the table-4 model at phi 3/4
 KERNELS = {
-    "exponential": lambda h, u: _psi_problem(RiskModel(0.5, 0.5, Exponential(2.0)), h, u),
-    "hyperexponential": lambda h, u: _psi_problem(RiskModel(5.0 / 6.0, 3.0, MIX), h, u),
-    "erlang": lambda h, u: _psi_problem(RiskModel(0.5, 1.0, Erlang(3, 3.0)), h, u),
-    "ladder": lambda h, u: _k_problem(
+    "exponential": lambda h, u: _problem(RiskModel(0.5, 0.5, Exponential(2.0)), h, u),
+    "hyperexponential": lambda h, u: _problem(RiskModel(5.0 / 6.0, 3.0, MIX), h, u),
+    "erlang": lambda h, u: _problem(RiskModel(0.5, 1.0, Erlang(3, 3.0)), h, u),
+    "ladder": lambda h, u: _problem(
         PerturbedModel(RiskModel(0.75, 2.0 / 3.0, Exponential(1.5)), 4.0 / 9.0), h, u),
 }
 
@@ -133,7 +132,7 @@ class TestResidual:
     # kappa(0) = 0
     CASES = {
         "hyperexponential": KERNELS["hyperexponential"],
-        "erlang_phi_099": lambda h, u: _psi_problem(
+        "erlang_phi_099": lambda h, u: _problem(
             RiskModel(0.99, 1.0, Erlang(3, 3.0)), h, u),
         "ladder": KERNELS["ladder"],
     }

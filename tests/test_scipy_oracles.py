@@ -24,7 +24,7 @@ from scipy.linalg import expm
 
 from ruinbounds import (ClaimDistribution, Erlang, RiskModel, adjustment_rate,
                         nu_gamma, q_y, ruin_probability, weighted_psi_moment)
-from ruinbounds.diffusion import _expm
+from ruinbounds.distributions import _expm
 from ruinbounds.renewal import _fast_len
 
 EPS = np.finfo(float).eps
