@@ -149,12 +149,12 @@ def _standard_gamma(rng, shape, size):
 
 def _geometric_record_counts(rng, size: int, phi: float) -> np.ndarray:
     # inversion: P(N >= n) = phi^n, using 1-U in (0, 1] to dodge log(0);
-    # floor(log1p(-U) / log phi) is formed in the uniforms' own buffer
+    # log1p(-U) / log phi >= 0 is formed in the uniforms' own buffer, and
+    # the integer cast truncates it to its floor
     x = rng.random(size)
     np.negative(x, out=x)
     np.log1p(x, out=x)
     x /= math.log(phi)
-    np.floor(x, out=x)
     return x.astype(np.int64)
 
 
@@ -173,9 +173,19 @@ def _running_sums(values: np.ndarray) -> np.ndarray:
     return cs
 
 
-def _segment_sums(values: np.ndarray, ends: np.ndarray, starts: np.ndarray) -> np.ndarray:
-    cs = _running_sums(values)
-    return cs[ends] - cs[starts]
+def _path_edges(cs: np.ndarray, ends: np.ndarray) -> np.ndarray:
+    """Running sums cs, with their leading 0, at every path's start and
+    then at its end: path i holds the values ends[i-1]..ends[i] - 1, the
+    first path from 0.  Adjacent differences are the path sums."""
+    edges = np.empty(len(ends) + 1)
+    edges[0] = 0.0
+    edges[1:] = cs[ends]
+    return edges
+
+
+def _path_sums(values: np.ndarray, ends: np.ndarray) -> np.ndarray:
+    """Every path's sum of values, the paths cut at ``ends``."""
+    return np.diff(_path_edges(_running_sums(values), ends))
 
 
 @dataclass(frozen=True, init=False)
@@ -451,18 +461,19 @@ class _Ladder:
 
         Draws the record counts, then, with b0, every path's Exp(b0)
         heights, then every path's claim ladder heights.  Returns the
-        counts, the claim heights path after path, and each path's sum of
-        Exp(b0) heights (None without b0), which a path's total adds to the
-        sum of its claim heights.
+        counts, their running sums (where each path's draws end), the
+        claim heights path after path, and each path's sum of Exp(b0)
+        heights (None without b0), which a path's total adds to the sum of
+        its claim heights.
         """
         counts = _geometric_record_counts(rng, size, self.phi)
+        ends = np.cumsum(counts)
         total = int(counts.sum())
         oscillations = None
         if self.b0 is not None:
-            ends = np.cumsum(counts)
-            oscillations = _segment_sums(_exponentials(rng, 1.0 / self.b0, total),
-                                         ends, ends - counts)
-        return counts, self.fe.sample(rng, total), oscillations
+            oscillations = _path_sums(_exponentials(rng, 1.0 / self.b0, total),
+                                      ends)
+        return counts, ends, self.fe.sample(rng, total), oscillations
 
 
 @lru_cache(maxsize=256)

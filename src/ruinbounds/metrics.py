@@ -158,6 +158,14 @@ def tail_crossings(F: ClaimDistribution, G: ClaimDistribution,
     near every Erlang mean and sparse far out, then bisected to 1e-12.
     Nodes where the tails agree to rounding carry no sign and are skipped.
     """
+    return list(_crossings(F, G, float(lower)))
+
+
+@lru_cache(maxsize=256)
+def _crossings(F, G, lower):
+    """``tail_crossings`` as a tuple, memoised like ``_nu_gamma_distributions``:
+    the crossings do not depend on gamma, so nu_gamma and nu_{gamma+1} of
+    one pair scan once."""
     t = _de_nodes(_breaks([lower], (F, G)),
                   min(F.slowest_rate, G.slowest_rate))[0]
     with np.errstate(over="ignore", invalid="ignore"):
@@ -166,8 +174,8 @@ def tail_crossings(F: ClaimDistribution, G: ClaimDistribution,
     keep = np.abs(f - g) > _ROUNDING * np.maximum(f, g)
     t, above = t[keep], (f > g)[keep]
     flips = np.flatnonzero(above[:-1] != above[1:])
-    return _bisect(lambda t: F.tail(t) - G.tail(t), t[flips],
-                   t[flips + 1]).tolist()
+    return tuple(_bisect(lambda t: F.tail(t) - G.tail(t), t[flips],
+                         t[flips + 1]).tolist())
 
 
 @lru_cache(maxsize=256)
@@ -180,7 +188,7 @@ def _nu_gamma_distributions(F, G, gamma, lower):
     ``weighted_tail_moment``; the stretches between crossings keep one
     sign, and so do their pieces.
     """
-    pts = _breaks([lower, *tail_crossings(F, G, lower)], (F, G))
+    pts = _breaks([lower, *_crossings(F, G, lower)], (F, G))
     pieces = _de_quadrature(lambda t: F.tail(t) - G.tail(t), pts,
                             min(F.slowest_rate, G.slowest_rate), gamma)
     return float(np.abs(pieces).sum())

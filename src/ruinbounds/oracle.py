@@ -36,7 +36,8 @@ import numpy as np
 from ._parallel import thread_map
 from .classical import RiskModel
 from .diffusion import PerturbedModel
-from .distributions import _exponentials, _running_sums, _segment_sums
+from .distributions import (_exponentials, _path_edges, _path_sums,
+                            _running_sums)
 from .errors import PreconditionError
 
 __all__ = ["MCEstimate", "estimate", "estimates", "BLOCK_SIZE"]
@@ -70,22 +71,22 @@ def _rng_for_block(seed: int, block: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, block))))
 
 
-def _deficit_hits(values, counts, u, y):
+def _deficit_hits(values, counts, ends, u, y):
     """Paths that are ruined with a deficit above y: a count for a scalar u,
     an array of counts for an array of u.
 
-    A path is its segment of ``counts`` draws of ``values``, and s runs
-    over its partial sums.  It is ruined when its total exceeds u, and then
+    A path is its segment of ``counts`` draws of ``values``, ending where
+    the running sums ``ends`` of the counts say, and s runs over its
+    partial sums.  It is ruined when its total exceeds u, and then
     a hit unless some s has 0 < fl(s - u) <= y.  The partial sums rise
     along a path and fl(s - u) rises with s, so this is the rule "the
     deficit fl(s - u) at the first s above u exceeds y", without locating
     that first s.
     """
     cs = _running_sums(values)
-    ends = np.cumsum(counts)
-    starts = ends - counts
-    totals = cs[ends] - cs[starts]
-    rise = np.repeat(cs[starts], counts)
+    edges = _path_edges(cs, ends)
+    totals = np.diff(edges)
+    rise = np.repeat(edges[:-1], counts)
     np.subtract(cs[1:], rise, out=rise)
     hits = []
     for ui in np.atleast_1d(u):
@@ -103,11 +104,10 @@ def _exceedances(totals: np.ndarray, us: np.ndarray) -> np.ndarray:
 
 
 def _block(ladder, us, y, quantity, rng, size) -> np.ndarray:
-    counts, heights, oscillations = ladder.sample_paths(rng, size)
+    counts, ends, heights, oscillations = ladder.sample_paths(rng, size)
     if quantity == "deficit":
-        return _deficit_hits(heights, counts, us, y)
-    ends = np.cumsum(counts)
-    totals = _segment_sums(heights, ends, ends - counts)
+        return _deficit_hits(heights, counts, ends, us, y)
+    totals = _path_sums(heights, ends)
     if oscillations is not None:
         totals += oscillations
     if quantity == "psi_t":

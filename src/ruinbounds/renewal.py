@@ -41,8 +41,21 @@ DEFAULT_H = 2.0**-10
 
 
 def nodes(h: float, u_max: float) -> np.ndarray:
-    """The grid 0, h, ..., n h with n = round(u_max / h)."""
-    return np.arange(int(round(u_max / h)) + 1) * h
+    """The grid 0, h, ..., n h with n = round(u_max / h).
+
+    A grid of more nodes than the longest FFT length of the solver
+    (``_smooth_sizes``) raises ``PreconditionError`` before anything is
+    allocated.
+    """
+    steps = u_max / h
+    count = int(round(steps)) + 1 if math.isfinite(steps) else math.inf
+    longest = _smooth_sizes()[-1]
+    if count > longest:
+        raise PreconditionError(
+            f"step h = {h:g} to u_max = {u_max:g} gives {count:.10g} nodes, "
+            f"more than the solver's longest FFT length {longest}; raise h "
+            f"or lower u_max")
+    return np.arange(count) * h
 
 
 @dataclass(frozen=True)
@@ -101,11 +114,12 @@ def solve(problem: RenewalProblem) -> GridFunction:
     is a lower-triangular Toeplitz system C y = r in y = x[1:], x_0 = z_0,
     with first column c_0 = 1 - phi h k_0 / 2, c_p = -phi h k_p and
     right-hand side r_i = z_i + phi h k_i x_0 / 2.  Its inverse is
-    multiplication by the power series 1/c(t), built by Newton doubling and
-    applied with real-FFT products.  One refinement step follows: the
-    residual C y - r comes from float64 FFTs of an error-free split of c
-    and y (``_residual``), so its accuracy does not depend on the
-    platform, and the correction from the same float64 inverse.  FFT
+    multiplication by the power series b = 1/c(t), built by Newton doubling
+    and applied with real-FFT products from b's two half spectra, which
+    ``_reciprocal`` keeps for the last kernel.  One refinement step
+    follows: the residual C y - r comes from float64 FFTs of an error-free
+    split of c and y (``_residual``), so its accuracy does not depend on
+    the platform, and the correction from the same float64 inverse.  FFT
     products alone are off by up to a few units in the last place of
     max|x|; after the step every node is within about half of one such
     unit of the exact solution of the float64 system.
@@ -116,10 +130,9 @@ def solve(problem: RenewalProblem) -> GridFunction:
     """
     c, x = _system(problem)
     b = _reciprocal(c.tobytes())
-    spectra = _halves(b, _fast_len(len(b)))
     r = x[1:]
-    y = _product(b, r, spectra)
-    y -= _product(b, _residual(c, y, r), spectra)
+    y = _product(b, r)
+    y -= _product(b, _residual(c, y, r))
     x[1:] = y
     return GridFunction(problem.h, x)
 
@@ -199,23 +212,22 @@ def _assemble(lo, cross, m, size):
     return out
 
 
-def _product(a, x, spectra=None):
-    """(a x) mod t^m for power series a and x of m terms.
-
-    ``spectra`` may carry a's two half spectra, ``_halves(a, _fast_len(m))``,
-    so that several products with one a transform it once; they are only
-    read, never written.
+def _product(a, x):
+    """(a x) mod t^m for power series a and x of m terms, a given by its two
+    half spectra ``_halves(a, _fast_len(m))``.  They are only read, never
+    written, so several products with one a transform it once.
     """
-    size = _fast_len(len(a))
-    a_lo, a_hi = _halves(a, size) if spectra is None else spectra
+    m = len(x)
+    size = _fast_len(m)
+    a_lo, a_hi = a
     x_lo, x_hi = _halves(x, size)
     lo = a_lo * x_lo
     # numpy's complex product may fuse a multiply-add, so a b and b a can
     # differ in the last bit; this order keeps the bytes of every table
     x_lo *= a_hi
     x_lo += np.multiply(a_lo, x_hi, out=x_hi)
-    del a_lo, a_hi, x_hi
-    return _assemble(lo, x_lo, len(a), size)
+    del x_hi
+    return _assemble(lo, x_lo, m, size)
 
 
 def _integer_bound(size):
@@ -288,20 +300,18 @@ def _residual(c, y, r):
     return d + _assemble(lo, cross, m, size)
 
 
-@lru_cache(maxsize=1)
-def _reciprocal(coeffs: bytes) -> np.ndarray:
-    """First coefficients of 1/c(t) for the float64 coefficients in
-    ``coeffs``, by Newton doubling b <- b (2 - c b) (Brent & Kung, J. ACM
-    25(4), 1978).  Kept for the last kernel, b alone: the deficit tails
-    for several y on one kernel, psi_d beside K-bar in ``decompose``, and
-    successive commands in one process on one kernel build it once.  Its
-    half spectra are not kept; ``solve`` forms them once per solve."""
-    c = np.frombuffer(coeffs)
+def _newton(c):
+    """First len(c) coefficients b of 1/c(t), by Newton doubling
+    b <- b (2 - c b) (Brent & Kung, J. ACM 25(4), 1978), and the spectrum
+    of b's first ceil(m/2) of m coefficients at length ``_fast_len(m)``,
+    the low half spectrum of ``_halves``, which the last step forms."""
     sizes = [len(c)]
     while sizes[-1] > 1:
         sizes.append((sizes[-1] + 1) // 2)
     b = np.empty(len(c))
     b[0] = 1.0 / c[0]
+    # with one coefficient no step runs, and this is the spectrum
+    B = rfft(b[:1], 1)
     k = 1
     for K in reversed(sizes[:-1]):
         size = _fast_len(K)
@@ -313,8 +323,21 @@ def _reciprocal(coeffs: bytes) -> np.ndarray:
         e *= B
         b[k:K] = -irfft(e, size)[:K - k]
         k = K
-    b.flags.writeable = False
-    return b
+    return b, B
+
+
+@lru_cache(maxsize=1)
+def _reciprocal(coeffs: bytes):
+    """The two half spectra, read-only, of b = 1/c(t) for the float64
+    coefficients c in ``coeffs``: the low one from Newton's last step, the
+    high one transformed once.  Kept for the last kernel: the deficit
+    tails for several y on one kernel, psi_d beside K-bar in ``decompose``,
+    and successive commands in one process on one kernel build them once,
+    and every product of ``solve`` reads them."""
+    b, lo = _newton(np.frombuffer(coeffs))
+    hi = rfft(b[(len(b) + 1) // 2:], _fast_len(len(b)))
+    lo.flags.writeable = hi.flags.writeable = False
+    return lo, hi
 
 
 def trapezoid_convolution(x: np.ndarray, k: np.ndarray, h: float) -> np.ndarray:
@@ -324,7 +347,7 @@ def trapezoid_convolution(x: np.ndarray, k: np.ndarray, h: float) -> np.ndarray:
     their convolution are needed, which is the truncated product that
     ``solve`` uses, with every FFT about len(x) long.
     """
-    full = _product(x, k)
+    full = _product(_halves(x, _fast_len(len(x))), k)
     return h * (full - 0.5 * x[0] * k - 0.5 * x * k[0])
 
 

@@ -25,7 +25,8 @@ accuracy on triangular matrices with nearly equal diagonal entries.
 
 The module also keeps former code paths as references that the current
 ones must match bit for bit: the claim sampler and record-count sampler,
-written with ``searchsorted`` and ``rng.gamma``; the claim tail, which
+written with ``searchsorted`` and ``rng.gamma``; the path sums of a Monte
+Carlo block, formed from each path's start and end; the claim tail, which
 formed every component through the partial exponential sum; the renewal
 solve, whose two products each transformed the reciprocal anew; and the
 two renewal problems of psi and K-bar, built by separate functions before
@@ -36,14 +37,15 @@ import math
 
 import numpy as np
 
-from ruinbounds.distributions import _expm, partial_exp_sum
+from ruinbounds.distributions import _expm, _running_sums, partial_exp_sum
 from ruinbounds.renewal import (RenewalProblem, _assemble, _fast_len, _halves,
-                                _reciprocal, _residual, _system, nodes)
+                                _newton, _residual, _system, nodes)
 
 __all__ = ["psi_exact", "psi_decay_rate", "k_bar_exact", "k_decay_rate",
            "psi_total_exact", "psi_d_exact", "k_iterate_exact",
            "ladder_at", "reference_sample",
-           "reference_geometric_record_counts", "reference_tail",
+           "reference_geometric_record_counts", "reference_segment_sums",
+           "reference_tail",
            "reference_product", "reference_solve", "reference_psi_problem",
            "reference_k_problem"]
 
@@ -176,6 +178,13 @@ def reference_geometric_record_counts(rng, size: int, phi: float) -> np.ndarray:
     return np.floor(np.log1p(-u) / math.log(phi)).astype(np.int64)
 
 
+# The former ``distributions._segment_sums``, verbatim but for its name: a
+# Monte Carlo block's path sums, each path cut from ``starts`` to ``ends``.
+def reference_segment_sums(values: np.ndarray, ends: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    cs = _running_sums(values)
+    return cs[ends] - cs[starts]
+
+
 # The former ``ClaimDistribution.tail``, verbatim but for ``law`` in place of
 # ``self``: an exponential component too goes through S_0.
 def reference_tail(law, t):
@@ -200,10 +209,10 @@ def reference_product(a, x):
 
 
 # The former ``renewal.solve``, on the grid values: each of its two products
-# transforms the reciprocal b.
+# transforms the reciprocal b, which comes from the uncached Newton routine.
 def reference_solve(problem):
     c, x = _system(problem)
-    b = _reciprocal(c.tobytes())
+    b = _newton(c)[0]
     r = x[1:]
     y = reference_product(b, r)
     y -= reference_product(b, _residual(c, y, r))

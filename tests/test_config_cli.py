@@ -200,8 +200,9 @@ class TestTableCommand:
 
     def test_solve_count_per_table(self, monkeypatch):
         # a repeated solve changes no byte, only the time: table 1c/1d reuse
-        # the psi grids of 1a/1b, table 3 solves each distinct D once, and
-        # tables 4 and 5 are closed forms
+        # the psi grids of 1a/1b, 2c/2d the deficit values of 2b/2c (the
+        # three laws at theta = 4, five y each), table 3 solves each
+        # distinct D once, and tables 4 and 5 are closed forms
         solves = []
         system = renewal._system
 
@@ -210,16 +211,28 @@ class TestTableCommand:
             return system(problem)
 
         monkeypatch.setattr(renewal, "_system", counted)
-        tables._psi_cached.cache_clear()
+        clear_package_caches()
         counts = {}
         for tid in tables.TABLE_IDS:
             before = len(solves)
             tables.run_table(tid)
             counts[tid] = len(solves) - before
         assert counts == {"1a": 6, "1b": 6, "1c": 0, "1d": 0, "2a": 10,
-                          "2b": 10, "2c": 10, "2d": 10, "3": 8, "4": 0,
+                          "2b": 10, "2c": 5, "2d": 0, "3": 8, "4": 0,
                           "5": 0}
-        assert len(solves) == 60
+        assert len(solves) == 45
+
+    def test_deficit_cells_read_only(self):
+        # one array serves every panel that asks for its model
+        clear_package_caches()
+        m = RiskModel(1.0, 5.0, tables.EXP_1)
+        cells = tables._deficit_cells(m)
+        assert cells.shape == (5, 5) and not cells.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            cells[0, 0] = 0.0
+        assert tables._deficit_cells(m) is cells
+        g = deficit_tail(m, 0.5, h=tables.H, u_max=2.0)
+        assert cells[2, 3] == g(1.0)
 
     def test_unknown_id_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -540,6 +553,10 @@ COARSE = ("[model]\nlambda = 9.9\nc = 1\nclaims = exp\nrate = 10\n"
     (ERLANG26_PAIR, ["bound", "dk1", "{cfg}", "--gamma", "0.5"], 0),
     # (1+t)^gamma overflows float: the moment is inf, so the contraction fails
     *[(PAIR, ["bound", "dk1", "{cfg}", "--gamma", g], 3) for g in ("150", "400")],
+    # b0 = 5e-301 puts the default grid end at 4.1e301, so u = 1e7 is on it,
+    # but its 1.024e10 nodes are more than the solver's longest FFT
+    (EXP_MODEL + "[diffusion]\nD = 1e300\n", ["eval", "psit", "{cfg}", "--u", "1e7"],
+     3),
 ])
 def test_exit_codes(tmp_path, capsys, text, argv, code):
     path = tmp_path / "m.cfg"

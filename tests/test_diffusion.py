@@ -128,6 +128,15 @@ class TestKTail:
             est = mc_estimate(pm, "k_tail", u, 200_000, seed=11)
             assert est.within(k_exact_exponential(pm, u), 3.0)
 
+    def test_default_grid_past_longest_fft_is_a_precondition(self):
+        # b0 = 5e-301 puts the default grid end at 4.1e301: a typed error
+        # from the grid, before numpy is asked for the array
+        pm = PerturbedModel(pm_table4().base, 1e300)
+        with pytest.raises(PreconditionError,
+                           match=r"u_max = 4\.14465e\+301 gives 4\.2\d+e\+304 "
+                                 r"nodes"):
+            k_tail(pm)
+
 
 class TestKExactExponential:
     def test_origin_identity(self):

@@ -234,6 +234,30 @@ class TestCrossings:
         g = ClaimDistribution((0.661, 0.339), (28, 24), (0.04082, 0.03836))
         assert tail_crossings(f, g) == []
 
+    def test_scanned_once_per_pair_and_lower_end(self, monkeypatch):
+        # the crossings do not depend on gamma: nu_gamma at gamma = 0 and 1
+        # scans once; another lower end scans anew; every call of
+        # tail_crossings gets a list of its own
+        scans = []
+        de_nodes = metrics._de_nodes
+
+        def counted(points, rate):
+            scans.append(rate)
+            return de_nodes(points, rate)
+
+        monkeypatch.setattr(metrics, "_de_nodes", counted)
+        metrics._crossings.cache_clear()
+        metrics._nu_gamma_distributions.cache_clear()
+        nu_gamma(MIX54, EXP1, 0.0)
+        nu_gamma(MIX54, EXP1, 1.0)
+        assert len(scans) == 1
+        q_y(MIX54, EXP1, 0.5)
+        assert len(scans) == 2
+        first = tail_crossings(MIX54, EXP1)
+        first.append(99.0)
+        assert tail_crossings(MIX54, EXP1) == first[:-1]
+        assert len(scans) == 2
+
     @pytest.mark.parametrize("pair,count", [((EXP1, Exponential(2.0)), 0),
                                             ((ERL, EXP1), 1), ((EXP1, TWICE), 2)])
     def test_array_bisection_matches_scalar(self, pair, count):

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import reference_geometric_record_counts
+from helpers import reference_geometric_record_counts, reference_segment_sums
 from ruinbounds import (Erlang, Exponential, HyperExponential, PerturbedModel,
                         PreconditionError, RiskModel, _parallel, distributions,
                         exact_ruin_exponential, k_exact_exponential,
@@ -205,6 +205,23 @@ class TestRecordCounts:
         assert new.bit_generator.state == ref.bit_generator.state
 
 
+class TestPathSums:
+    @settings(max_examples=300, deadline=None)
+    @given(counts=st.lists(st.integers(0, 6), max_size=40), data=st.data())
+    def test_same_bits_as_segment_sums(self, counts, data):
+        # the running sums gathered once at the path ends, differenced,
+        # against the former route through each path's start and end
+        counts = np.array(counts, dtype=np.int64)
+        total = int(counts.sum())
+        values = np.array(data.draw(st.lists(
+            st.floats(-1e6, 1e6, allow_subnormal=True),
+            min_size=total, max_size=total)), dtype=float)
+        ends = np.cumsum(counts)
+        got = distributions._path_sums(values, ends)
+        want = reference_segment_sums(values, ends, ends - counts)
+        assert got.tobytes() == want.tobytes()
+
+
 # Hit counts of n = 3 BLOCK_SIZE + 999 paths (the last block partial) at
 # seed 20240917, u = 1.2 claim means, y = 0.4, theta = 0.5, D = 0.3, as the
 # serial block loop drew them.  Any change to a stream, to the order of the
@@ -273,7 +290,8 @@ class TestDeficitKernel:
     @given(_deficit_blocks())
     def test_matches_first_crossing_overshoot(self, case):
         values, counts, u, y = case
-        assert (oracle._deficit_hits(values, counts, u, y)
+        ends = np.cumsum(counts)
+        assert (oracle._deficit_hits(values, counts, ends, u, y)
                 == _reference_deficit_hits(values, counts, u, y))
 
     @pytest.mark.parametrize("u, y, hits", [
@@ -285,7 +303,8 @@ class TestDeficitKernel:
     def test_boundaries(self, u, y, hits):
         counts = np.array([0, 2, 3, 0])
         values = np.array([0.5, 0.5, 0.25, 1.25, 2.0])
-        assert oracle._deficit_hits(values, counts, u, y) == hits
+        ends = np.cumsum(counts)
+        assert oracle._deficit_hits(values, counts, ends, u, y) == hits
         assert _reference_deficit_hits(values, counts, u, y) == hits
 
 

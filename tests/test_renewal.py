@@ -10,16 +10,17 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from numpy.fft import rfft
 
 from helpers import psi_exact, reference_product, reference_solve
 from ruinbounds import (ClaimDistribution, Erlang, Exponential, GridFunction,
                         HyperExponential, PerturbedModel, PreconditionError,
-                        RenewalProblem, RiskModel, iterate, residual,
-                        ruin_probability, solve)
+                        RenewalProblem, RiskModel, iterate, renewal,
+                        residual, ruin_probability, solve)
 from ruinbounds.classical import _problem
-from ruinbounds.renewal import (_fast_len, _halves, _integer_bound, _product,
-                                _reciprocal, _residual, _system, nodes,
-                                trapezoid_convolution)
+from ruinbounds.renewal import (_fast_len, _halves, _integer_bound, _newton,
+                                _product, _reciprocal, _residual, _system,
+                                nodes, trapezoid_convolution)
 
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
@@ -160,7 +161,7 @@ class TestResidual:
         # the bound; ``_residual`` multiplies its integer parts this way
         a = float(math.isqrt(int(_integer_bound(_fast_len(m)) / m)))
         v = np.full(m, a)
-        prod = _product(v, v)
+        prod = _product(_halves(v, _fast_len(m)), v)
         exact = (np.arange(m) + 1.0) * a * a
         assert np.max(np.abs(prod - exact)) <= 1.0 / 16.0
         assert np.array_equal(np.rint(prod), exact)
@@ -170,7 +171,8 @@ class TestResidual:
         a = math.isqrt(int(_integer_bound(_fast_len(m)) / m))
         u, v = np.random.default_rng(m).integers(-a, a + 1, size=(2, m))
         exact = np.convolve(u, v)[:m]
-        prod = np.rint(_product(u.astype(float), v.astype(float)))
+        prod = np.rint(_product(_halves(u.astype(float), _fast_len(m)),
+                                v.astype(float)))
         assert np.array_equal(prod.astype(np.int64), exact)
 
     @pytest.mark.parametrize("name", KERNELS)
@@ -285,23 +287,31 @@ class TestSolve:
     @pytest.mark.parametrize("m", [1, 2, 3, 256, 40960])
     @pytest.mark.parametrize("name", list(KERNELS))
     def test_spectra_of_b_formed_once_change_no_bit(self, name, m):
-        # solve transforms the reciprocal b once for both of its products;
-        # the former route, which transformed it in each, is the reference
+        # solve reads b's two half spectra from the one-entry cache, the low
+        # one from Newton's last step; the former route, which transformed
+        # the uncached b in each of its two products, is the reference
         h = 2.0**-10
         p = KERNELS[name](h, m * h)
         assert len(p.forcing) == m + 1
-        assert np.array_equal(solve(p).values, reference_solve(p))
+        want = reference_solve(p)
+        _reciprocal.cache_clear()
+        assert np.array_equal(solve(p).values, want)
+        assert np.array_equal(solve(p).values, want)
+        info = _reciprocal.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
         c, x = _system(p)
-        b = _reciprocal(c.tobytes())
-        spectra = _halves(b, _fast_len(m))
-        for s in spectra:
-            s.flags.writeable = False       # an in-place write raises
+        b = _newton(c)[0]
+        half, size = (m + 1) // 2, _fast_len(m)
+        lo, hi = _reciprocal(c.tobytes())
+        assert lo.tobytes() == rfft(b[:half], size).tobytes()
+        assert hi.tobytes() == rfft(b[half:], size).tobytes()
+        # only read: an in-place write would raise
+        assert not (lo.flags.writeable or hi.flags.writeable)
         r = x[1:]
-        y = _product(b, r, spectra)
+        y = _product((lo, hi), r)
         assert np.array_equal(y, reference_product(b, r))
-        assert np.array_equal(_product(b, r), y)
         e = _residual(c, y, r)
-        assert np.array_equal(_product(b, e, spectra), reference_product(b, e))
+        assert np.array_equal(_product((lo, hi), e), reference_product(b, e))
 
 
 class TestProblem:
@@ -356,6 +366,22 @@ class TestProblem:
         assert np.array_equal(p.grid, nodes(h, 12.0))
         # a step that does not divide u_max rounds the node count
         assert len(nodes(0.3, 10.0)) == 34
+
+    def test_grid_past_longest_fft_raises_before_allocating(self, monkeypatch):
+        # 2^32 nodes are the most the solver's FFT lengths cover; past
+        # them, and for a ratio u_max/h past the float range, a typed
+        # error names h, u_max and the count
+        with pytest.raises(PreconditionError,
+                           match=r"h = 1 to u_max = 4\.29497e\+09 gives "
+                                 r"4294967297 nodes, .* 4294967296"):
+            nodes(1.0, 2.0**32)
+        with pytest.raises(PreconditionError, match="gives inf nodes"):
+            nodes(1e-300, 1e10)
+        # the limit itself is admitted, shown on a short stand-in list
+        monkeypatch.setattr(renewal, "_smooth_sizes", lambda: (1, 2, 4, 8))
+        assert len(nodes(1.0, 7.0)) == 8
+        with pytest.raises(PreconditionError, match="gives 9 nodes"):
+            nodes(1.0, 8.0)
 
     def test_arrays_are_read_only_copies(self):
         z, k = 0.5 * np.exp(-2.0 * nodes(0.25, 4.0)), np.full(17, 0.1)
