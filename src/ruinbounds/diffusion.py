@@ -60,10 +60,6 @@ class PerturbedModel:
         return self.base.c / self.D
 
     @property
-    def sigma(self) -> float:
-        return math.sqrt(2.0 * self.D)
-
-    @property
     def phi(self) -> float:
         return self.base.phi
 

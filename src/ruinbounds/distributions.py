@@ -197,11 +197,10 @@ class ClaimDistribution:
     rates)``; the four parametric families are functions that build it.
     Every quantity but the weighted tail moment has a closed form: the tail
     is sum_i w_i exp(-r_i t) S_{k_i - 1}(r_i t) with S the partial
-    exponential sum, and the law is phase-type, each component a chain of
-    k_i exponential stages at rate r_i.  Construction puts the components
-    in a canonical form, so equality and hashing compare laws, whatever
-    constructor or order of components built them; only weights that do
-    not sum to 1 exactly may round apart in the last bit between orders.
+    exponential sum, and the law is phase-type, each component the last
+    k_i of a chain of exponential stages at rate r_i.  Construction puts
+    the components in a canonical form, so equality and hashing compare
+    laws, whatever constructor or order of components built them.
     """
 
     weights: tuple
@@ -215,7 +214,7 @@ class ClaimDistribution:
         if w.ndim != 1 or len(w) == 0 or k.shape != w.shape or r.shape != w.shape:
             raise ValueError("weights, shapes and rates must be 1-d sequences "
                              "of equal length")
-        total = w.sum()
+        total = math.fsum(w)    # correctly rounded: one value in every order
         if np.any(w < 0) or not abs(total - 1.0) <= 1e-9:   # nan fails too
             raise ValueError(f"weights must be >= 0 and sum to 1 (got {total!r})")
         if np.any(k != k.astype(int)) or np.any(k.astype(int) < 1):
@@ -224,17 +223,17 @@ class ClaimDistribution:
             raise ValueError("rates must be positive and finite")
         # drop the components of weight 0, then, in (rate, shape) order,
         # merge those whose shapes agree and whose rates coincide to machine
-        # accuracy
+        # accuracy, each group weighing the fsum of its weights
         kept = [part for part in zip(w / total, k.astype(int), r) if part[0] > 0]
-        parts = []
+        groups = []
         for wi, ki, ri in sorted(kept, key=lambda part: (part[2], part[1])):
-            for n, (wj, kj, rj) in enumerate(parts):
+            for ws, kj, rj in groups:
                 if kj == ki and abs(ri - rj) <= 1e-12 * ri:
-                    parts[n] = (wj + wi, kj, rj)
+                    ws.append(wi)
                     break
             else:
-                parts.append((wi, ki, ri))
-        wm, km, rm = zip(*parts)
+                groups.append(([wi], ki, ri))
+        wm, km, rm = zip(*((math.fsum(ws), kj, rj) for ws, kj, rj in groups))
         object.__setattr__(self, "weights", tuple(float(x) for x in wm))
         object.__setattr__(self, "shapes", tuple(int(x) for x in km))
         object.__setattr__(self, "rates", tuple(float(x) for x in rm))
@@ -331,15 +330,19 @@ class ClaimDistribution:
         return draws
 
     def phase_type(self):
-        """Start vector alpha and sub-generator T with
-        tail(t) = alpha exp(T t) 1."""
-        d = sum(self.shapes)
-        alpha, T = np.zeros(d), np.zeros((d, d))
+        """Start vector alpha and sub-generator T with tail(t) =
+        alpha exp(T t) 1: one chain of stages per rate, as long as the
+        largest shape at it, which Erlang(k, r) enters k stages before its
+        end.  So Erlang(k, r) and its equilibrium law have k stages."""
+        longest = {r: k for _, k, r in self._parts}   # shapes ascend per rate
+        d = sum(longest.values())
+        alpha, T, ends = np.zeros(d), np.zeros((d, d)), {}
         i = 0
+        for r, n in longest.items():
+            T[i:i + n, i:i + n] = r * (np.eye(n, k=1) - np.eye(n))
+            i = ends[r] = i + n
         for w, k, r in self._parts:
-            alpha[i] = w
-            T[i:i + k, i:i + k] = r * (np.eye(k, k=1) - np.eye(k))
-            i += k
+            alpha[ends[r] - k] = w
         return alpha, T
 
     @property
@@ -387,7 +390,8 @@ class _Ladder:
     """Law of one ladder step, with the modulus phi of the record count:
     the equilibrium law F_e of the claims, or, given b0, A = Exp(b0) * F_e,
     phase-type with an Exp(b0) stage before F_e's phases (Dufresne &
-    Gerber, Insurance Math. Econom. 10(1), 1991)."""
+    Gerber, Insurance Math. Econom. 10(1), 1991).  F_e's phases are the
+    claims' own, entered at alpha (-T)^-1 / mu: A has k + 1 on Erlang(k)."""
 
     def __init__(self, phi: float, claims: ClaimDistribution, b0=None):
         self.phi, self.claims, self.b0 = phi, claims, b0

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from helpers import k_iterate_exact
+from helpers import k_bar_exact, k_iterate_exact, psi_total_exact
 import ruinbounds
 from ruinbounds import (Erlang, PerturbedModel, RiskModel, _parallel, cli,
                         config, deficit_tail, distributions, k_iterates,
@@ -312,6 +312,20 @@ class TestEvalCommand:
                                *argv[1:], "--u", "0,0.5,1,2,5")
         assert code == 0
         assert out.encode() == (DATA / pinned).read_bytes()
+
+    @pytest.mark.parametrize("quantity, exact", [("ktail", k_bar_exact),
+                                                 ("psit", psi_total_exact)])
+    def test_erlang_high_matches_pin_and_oracle(self, capsys, quantity, exact):
+        # Erlang(150, 15) claims: the commands listed in erlang_high.cfg,
+        # which CI also runs; the pins answer to the exact phase-type values
+        pinned = DATA / f"erlang_high_eval_{quantity}.csv"
+        code, out, _ = run_cli(capsys, "eval", quantity,
+                               str(DATA / "erlang_high.cfg"), "--u", "0,5,10,20")
+        assert code == 0
+        assert out.encode() == pinned.read_bytes()
+        pm = PerturbedModel(RiskModel(0.05, 1.0, Erlang(150, 15.0)), 0.5)
+        rows = np.loadtxt(pinned, delimiter=",", skiprows=1)
+        assert np.all(np.abs(rows[:, 1] - exact(pm, rows[:, 0])) <= 1e-6)
 
     def test_ruin_at_origin(self, tmp_path, capsys):
         path = tmp_path / "m.cfg"

@@ -299,6 +299,32 @@ class TestConstruction:
         assert (law.weights, law.shapes, law.rates) == (
             canonical.weights, canonical.shapes, canonical.rates)
 
+    @pytest.mark.parametrize("shapes, rates", [
+        ((1, 1, 1), (1.0, 1.0, 1.0)),
+        ((1, 2, 3), (1.0, 2.0, 3.0)),
+    ])
+    def test_weight_order_is_immaterial(self, shapes, rates):
+        # 0.7 + 0.2 + 0.1 adds up to 1.0000000000000002 in this order, but
+        # its exact sum rounds to 1.0, in every order
+        law = ClaimDistribution((0.7, 0.2, 0.1), shapes, rates)
+        back = ClaimDistribution((0.1, 0.2, 0.7), shapes[::-1], rates[::-1])
+        assert law == back and hash(law) == hash(back)
+        assert math.fsum(law.weights) == 1.0
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.tuples(st.floats(0.01, 1.0), st.integers(1, 3),
+                              st.sampled_from([0.5, 1.0, 3.0])),
+                    min_size=2, max_size=6), st.data())
+    def test_component_order_is_immaterial(self, parts, data):
+        # weights normalised by their float sum, so they need not add to 1
+        # exactly; components of one (shape, rate) merge in any order
+        w = np.array([p[0] for p in parts])
+        w /= w.sum()
+        order = data.draw(st.permutations(range(len(parts))))
+        law = ClaimDistribution(w, *zip(*(p[1:] for p in parts)))
+        other = ClaimDistribution(w[order], *zip(*(parts[i][1:] for i in order)))
+        assert law == other and hash(law) == hash(other)
+
     def test_drops_components_of_weight_zero(self):
         law = HyperExponential((0.0, 1.0), (0.5, 2.0))
         assert law == Exponential(2.0)

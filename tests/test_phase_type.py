@@ -7,7 +7,9 @@ probability w_i.  Every closed form of the core, the law's own
 ``phase_type()`` pair, and the ladder density and tail of the perturbed
 model on a grid must agree with alpha exp(T t) expressions, and the grid
 iterates of K-bar must come within O(h^2) of the exact phase-type iterates
-of ``helpers``.
+of ``helpers``.  The law's own pair is smaller than the reference where
+components share a rate: they share one chain, as long as their largest
+shape.
 """
 
 import math
@@ -19,7 +21,8 @@ from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from helpers import k_iterate_exact, ladder_at
-from ruinbounds import ClaimDistribution, PerturbedModel, RiskModel, k_iterates
+from ruinbounds import (ClaimDistribution, Erlang, ErlangMixture, PerturbedModel,
+                        RiskModel, k_iterates)
 from ruinbounds.renewal import nodes
 
 # a few shared rates make equal (shape, rate) pairs, which the equilibrium merges
@@ -79,6 +82,42 @@ def test_tail_and_density(components, ts):
     assert close(law.tail(arr), [alpha @ ref_expm(T * t).sum(axis=1) for t in ts])
 
 
+def stage_count(law):
+    """The sum over distinct rates of the largest shape at each."""
+    longest = {}
+    for k, r in zip(law.shapes, law.rates):
+        longest[r] = max(k, longest.get(r, 0))
+    return sum(longest.values())
+
+
+@st.composite
+def erlang_mixtures(draw):
+    """ErlangMixture laws: up to four shapes, 1-40, at one rate."""
+    shapes = draw(st.lists(st.integers(1, 40), min_size=1, max_size=4))
+    w = np.array(draw(st.lists(st.floats(0.05, 1.0), min_size=len(shapes),
+                               max_size=len(shapes))))
+    return ErlangMixture(w / w.sum(), shapes, draw(RATES))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(MIXTURES.map(lambda components: build(components)[0]),
+                 erlang_mixtures()))
+def test_one_chain_per_rate(law):
+    for claims in (law, law.equilibrium()):
+        alpha, T = claims.phase_type()
+        assert len(alpha) == T.shape[0] == stage_count(claims)
+        assert math.fsum(alpha) == pytest.approx(1.0, rel=1e-12)
+
+
+@pytest.mark.parametrize("k", [1, 3, 30, 60])
+def test_erlang_equilibrium_has_k_stages(k):
+    # the equilibrium law of Erlang(k, r) is the k components Erlang(1..k, r)
+    alpha, T = Erlang(k, 2.5).equilibrium().phase_type()
+    assert T.shape == (k, k)
+    assert alpha == pytest.approx(np.full(k, 1.0 / k), rel=1e-14)
+    assert np.array_equal(T, Erlang(k, 2.5).phase_type()[1])
+
+
 @settings(max_examples=60, deadline=None)
 @given(MIXTURES, st.floats(-2.0, 0.95))
 def test_moments_and_mgf(components, frac):
@@ -118,6 +157,8 @@ def test_equilibrium_tail(components, ts):
 @given(MIXTURES, st.floats(0.1, 0.9), st.one_of(st.floats(0.3, 8.0), st.just(None)),
        POINTS)
 @example([(1.0, 1, 6.4375)], 0.5, None, [1.0])   # b0 = 6.437500000000001
+@example([(1.0, 30, 6.0)], 0.5, 2.0, [0.5, 5.0])   # a 30-stage chain
+@example([(0.6, 30, 6.0), (0.4, 2, 6.0)], 0.7, None, [1.0, 4.5])  # one chain for both
 def test_ladder_density(components, phi, b0, ts):
     # b0 = None puts the oscillation rate on a claim rate, the matched case
     law, (alpha, T) = build(components)
