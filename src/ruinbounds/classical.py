@@ -16,7 +16,7 @@ renewal solver.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -80,10 +80,15 @@ def _problem(model, h, u_max):
     PerturbedModel): the model's ladder density as kernel and phi times
     its tail as forcing; u_max None means the ladder's default end."""
     ladder = model.ladder
-    grid = nodes(h, ladder.default_end() if u_max is None else u_max)
+    grid = _grid(ladder, h, u_max)
     kernel, tail = ladder.on_grid(grid, h)
     return RenewalProblem(phi=ladder.phi, forcing=ladder.phi * tail,
                           kernel=kernel, h=h)
+
+
+def _grid(ladder, h, u_max):
+    """The nodes 0, h, ... to u_max, or to the ladder's default end."""
+    return nodes(h, ladder.default_end() if u_max is None else u_max)
 
 
 def ruin_probability(model: RiskModel, h: float = DEFAULT_H,
@@ -93,7 +98,7 @@ def ruin_probability(model: RiskModel, h: float = DEFAULT_H,
     psi(0) = phi holds exactly at the origin node (the forcing equals phi
     there and the convolution term vanishes).
     """
-    return _as_tail(deficit_tail(model, 0.0, h=h, u_max=u_max))
+    return _as_tail(solve(_problem(model, h, u_max)))
 
 
 def exact_ruin_exponential(model: RiskModel, u) -> float:
@@ -153,16 +158,19 @@ def deficit_tail_family(model: RiskModel, ys, h: float = DEFAULT_H,
     """G-bar(., y) for several y at once, reusing one kernel evaluation.
 
     The kernel (the ladder density) does not depend on y; only the forcing
-    changes, so every y swaps phi * Fe-bar(grid + y) into psi's problem, and
-    ``solve``, which keeps the reciprocal of the last kernel's Toeplitz
-    column, builds that once.
+    phi * Fe-bar(grid + y) changes, psi's at y = 0, and it is sampled only
+    for the y asked.  ``solve``, which keeps the reciprocal of the last
+    kernel's Toeplitz column, builds that once.
     """
     if any(y < 0 for y in ys):
         raise ValueError("y must be >= 0")
-    p = _problem(model, h, u_max)
-    fe = model.claims.equilibrium()
-    return {y: solve(replace(p, forcing=model.phi * fe.tail(p.grid + y))
-                     if y else p) for y in ys}
+    ladder = model.ladder
+    grid = _grid(ladder, h, u_max)
+    kernel = ladder.density(grid, h)
+    return {y: solve(RenewalProblem(phi=ladder.phi,
+                                    forcing=ladder.phi * ladder.fe.tail(grid + y),
+                                    kernel=kernel, h=h))
+            for y in ys}
 
 
 def pk_truncated_series(model: RiskModel, n_terms: int, h: float = DEFAULT_H,

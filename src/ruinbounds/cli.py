@@ -206,7 +206,7 @@ def cmd_eval(args) -> int:
         sys.stdout.write(_write_csv(rows, ("u", "value", "se")))
         return EXIT_OK
     g = _grid_function(args, model, cfg.numeric.h, _grid_end(args, cfg, model))
-    rows = [(_fmt(u), _fmt(g(u))) for u in args.u]
+    rows = [(_fmt(u), _fmt(v)) for u, v in zip(args.u, g(args.u))]
     sys.stdout.write(_write_csv(rows, ("u", "value")))
     return EXIT_OK
 

@@ -22,6 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import groupby
 
 import numpy as np
 
@@ -139,6 +140,14 @@ def _de_quadrature(tails, points, rate, gamma):
     return np.where(np.isfinite(out), out, math.inf)
 
 
+def _claim_sizes(t):
+    """t as a float array, refused if any entry is negative."""
+    x = np.asarray(t, dtype=float)
+    if np.any(x < 0):
+        raise ValueError("claim sizes are nonnegative; got a negative argument")
+    return x
+
+
 def _standard_gamma(rng, shape, size):
     # standard_gamma(1) draws exactly what standard_exponential draws, which
     # skips the per-draw shape dispatch
@@ -242,25 +251,41 @@ class ClaimDistribution:
 
     def _erlang_sum(self, t, term):
         """sum_i term(w_i, k_i, r_i, z_i), z_i = r_i t."""
-        x = np.asarray(t, dtype=float)
-        if np.any(x < 0):
-            raise ValueError("claim sizes are nonnegative; got a negative argument")
+        x = _claim_sizes(t)
         out = sum(term(w, k, r, r * x) for w, k, r in self._parts)
         return float(out) if x.ndim == 0 else out
 
     def tail(self, t):
         """Survival function F-bar(t) = 1 - F(t); a float for a scalar t.
 
-        An exponential component (k = 1) is w e^{-z} alone: S_0 is exactly
-        1.0, so skipping the partial sum changes no bit.
+        The sum over components, in canonical order, of
+        w e^{-z} S_{k-1}(z), z = r t, S_{k-1} being ``partial_exp_sum`` at
+        z capped at 746.  Components at one rate share z, e^{-z} and one
+        running partial sum, read at each shape as it ascends: its steps
+        are those of ``partial_exp_sum``, so every component's term keeps
+        its bits, and Erlang(k, r).equilibrium() costs O(k) per node, not
+        O(k^2).  An exponential component (k = 1) is w e^{-z} alone: S_0
+        is exactly 1.0, so skipping it changes no bit.
         """
-        # P(Erlang(k, r) > t) = e^{-z} S_{k-1}(z)
-        def term(w, k, r, z):
-            if k == 1:
-                return w * np.exp(-z)
-            capped = np.minimum(z, _EXP_UNDERFLOW)
-            return w * np.exp(-z) * partial_exp_sum(k - 1, capped)
-        return self._erlang_sum(t, term)
+        x = _claim_sizes(t)
+        out = 0
+        for r, parts in groupby(self._parts, key=lambda part: part[2]):
+            z = r * x
+            e = np.exp(-z)
+            j = 0   # degree of the running partial sum, once it is formed
+            for w, k, _ in parts:
+                if k == 1:
+                    out = out + w * e
+                    continue
+                if j == 0:
+                    capped = np.minimum(z, _EXP_UNDERFLOW)
+                    term = total = 1 + 0 * capped
+                while j < k - 1:
+                    j += 1
+                    term = term * capped / j
+                    total = total + term
+                out = out + w * e * total
+        return float(out) if x.ndim == 0 else out
 
     def density(self, t):
         # Erlang(k, r) density r z^{k-1} e^{-z} / (k-1)!, formed in log space
@@ -405,17 +430,16 @@ class _Ladder:
         u = np.log(self.phi / ((1.0 - self.phi) * 1e-9)) / self.slowest_rate
         return float(max(10.0, np.ceil(u)))
 
-    def on_grid(self, grid: np.ndarray, h: float):
-        """Density and tail of the step law at the nodes grid = 0, h, ...
+    def density(self, grid: np.ndarray, h: float):
+        """Density of the step law at the nodes grid = 0, h, ...
 
-        Without b0 they are the claim tail over the mean and Fe-bar.  With
-        b0 the density a is e_1 exp(T t) t_exit, node i m + j being
+        Without b0 it is the claim tail over the mean.  With b0 it is
+        a(t) = e_1 exp(T t) t_exit, node i m + j being
         (e_1 E^{i m}) (E^j t_exit) with E = exp(T h), so about 2 sqrt(n)
-        matrix-vector products give all n values; the tail follows from
-        A-bar(t) = Fe-bar(t) + a(t) / b0.
+        matrix-vector products give all n values.
         """
         if self.b0 is None:
-            return self.claims.tail(grid) / self.claims.mean(), self.fe.tail(grid)
+            return self.claims.tail(grid) / self.claims.mean()
         pe, Te = self.fe.phase_type()
         d = len(pe)
         T = np.zeros((d + 1, d + 1))
@@ -433,8 +457,14 @@ class _Ladder:
         for i in range(m):
             cols[:, i], rows[i] = v, r
             v, r = step @ v, r @ big
-        a = (rows @ cols).ravel()[:n]
-        return a, self.fe.tail(grid) + a / self.b0
+        return (rows @ cols).ravel()[:n]
+
+    def on_grid(self, grid: np.ndarray, h: float):
+        """Density and tail of the step law at the nodes grid = 0, h, ...:
+        ``density`` and Fe-bar, to which b0 adds a(t) / b0, as
+        A-bar(t) = Fe-bar(t) + a(t) / b0."""
+        a, tail = self.density(grid, h), self.fe.tail(grid)
+        return a, tail if self.b0 is None else tail + a / self.b0
 
     def log_mgf(self, r: float) -> float:
         """log E exp(r A) of one step A, for r below the slowest rate."""

@@ -28,6 +28,7 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 from numpy.fft import irfft, rfft
@@ -119,7 +120,9 @@ def solve(problem: RenewalProblem) -> GridFunction:
     ``_reciprocal`` keeps for the last kernel.  One refinement step
     follows: the residual C y - r comes from float64 FFTs of an error-free
     split of c and y (``_residual``), so its accuracy does not depend on
-    the platform, and the correction from the same float64 inverse.  FFT
+    the platform, and the correction from the same float64 inverse.  The
+    kernel side of that split is kept beside b, so a solve on the last
+    kernel transforms only r, y and the residual: 16 real FFTs.  FFT
     products alone are off by up to a few units in the last place of
     max|x|; after the step every node is within about half of one such
     unit of the exact solution of the float64 system.
@@ -128,13 +131,18 @@ def solve(problem: RenewalProblem) -> GridFunction:
     When c(1) > 0, 1/c(t) has nonnegative coefficients (c_p <= 0 for
     p >= 1) summing to 1/c(1), so sup|y| <= sup|r|/c(1).
     """
+    h = problem.h
     c, x = _system(problem)
-    b = _reciprocal(c.tobytes())
+    # what solve needs of the problem and of c is in x and the inverse; a
+    # problem passed as a temporary is freed here, c in any case
+    del problem
+    inverse = _reciprocal(c.tobytes())
+    del c
     r = x[1:]
-    y = _product(b, r)
-    y -= _product(b, _residual(c, y, r))
+    y = _product(inverse.b, r)
+    y -= _product(inverse.b, _residual(inverse.split, y, r))
     x[1:] = y
-    return GridFunction(problem.h, x)
+    return GridFunction(h, x)
 
 
 def _as_tail(x: GridFunction) -> GridFunction:
@@ -208,6 +216,7 @@ def _assemble(lo, cross, m, size):
     has length about m, not 2m."""
     half = (m + 1) // 2
     out = irfft(lo, size)[:m]
+    del lo      # spent: freed here when the caller passed a temporary
     out[half:] += irfft(cross, size)[:m - half]
     return out
 
@@ -255,49 +264,77 @@ def _scale(v, bits):
     return bits - e - math.ceil(0.5 * math.log2(np.sum(w * w)))
 
 
-def _residual(c, y, r):
+def _split(v):
+    """The error-free split v = 2^-e V + v' of ``_residual``, as (e, V, v'):
+    V is integer-valued with ||V||_2 <= 2^bits + sqrt(m)/2, bits the
+    largest that keeps the product of two such norms within
+    ``_integer_bound``."""
+    m = len(v)
+    bits = math.floor(math.log2(math.sqrt(_integer_bound(_fast_len(m)))
+                                - 0.5 * math.sqrt(m)))
+    e = _scale(v, bits)
+    V = np.rint(np.ldexp(v, e))
+    low = np.ldexp(V, -e)
+    np.subtract(v, low, out=low)
+    return e, V, low
+
+
+def _residual(kernel, y, r):
     """C y - r for the Toeplitz system of ``solve``, with float64 FFTs only.
 
     Both factors split without error (Ozaki, Ogita, Oishi & Rump, Numer.
     Algorithms 59, 2012): c = 2^-s C + c' and y = 2^-t Y + y', with C and
     Y integer-valued and ||C||_2 ||Y||_2 <= (2^bits + sqrt(m)/2)^2 <=
-    ``_integer_bound``.  So rint of their FFT product is C Y exactly, and
-    2^-(s+t) C Y - r is exact wherever r is near it.  The low parts
-    2^-s C y' + c' y take their spectra from those of C and Y by
+    ``_integer_bound`` (``_split``).  So rint of their FFT product is C Y
+    exactly, and 2^-(s+t) C Y - r is exact wherever r is near it.  The low
+    parts 2^-s C y' + c' y take their spectra from those of C and Y by
     linearity; they are small, and their FFTs' rounding is the only error.
-    Spectra are dropped once spent, because peak memory binds before time
-    does.
+    ``kernel`` is c's side, s and the half spectra of C and of c', which
+    ``_reciprocal`` keeps with the inverse; it is only read.
     """
-    m = len(c)
+    m = len(y)
     size = _fast_len(m)
-    bits = math.floor(math.log2(math.sqrt(_integer_bound(size))
-                                - 0.5 * math.sqrt(m)))
-    s, t = _scale(c, bits), _scale(y, bits)
-    C, Y = np.rint(np.ldexp(c, s)), np.rint(np.ldexp(y, t))
-    c_low, y_low = c - np.ldexp(C, -s), y - np.ldexp(Y, -t)
-    C_lo, C_hi = _halves(C, size)
+    s, (C_lo, C_hi), (c_lo, c_hi) = kernel
+    t, Y, y_low = _split(y)
     Y_lo, Y_hi = _halves(Y, size)
-    del C, Y
-    d = _assemble(C_lo * Y_lo, Y_lo * C_hi + C_lo * Y_hi, m, size)
-    d = np.ldexp(np.rint(d), -(s + t)) - r
-    # low parts 2^-s C y' + c' y; the spectra of 2^-s C and of
-    # y = 2^-t Y + y' follow from those of C and Y by linearity
-    C_lo *= np.ldexp(1.0, -s)
-    C_hi *= np.ldexp(1.0, -s)
+    del Y
+    d = Y_lo * C_hi
+    d += np.multiply(C_lo, Y_hi)
+    d = _assemble(C_lo * Y_lo, d, m, size)
+    np.rint(d, out=d)
+    np.ldexp(d, -(s + t), out=d)
+    d -= r
+    # low parts 2^-s C y' + c' y; the spectra of y = 2^-t Y + y' and of
+    # 2^-s C follow from those of Y and C by linearity.  Each product keeps
+    # its operand order (see ``_product``) and each sum its terms; results
+    # go into spent spectra, and spectra are dropped once spent, because
+    # peak memory binds before time does
     w_lo, w_hi = _halves(y_low, size)
     del y_low
-    lo, cross = C_lo * w_lo, w_lo * C_hi + C_lo * w_hi
-    del C_lo, C_hi
     Y_lo *= np.ldexp(1.0, -t)
     Y_lo += w_lo
     Y_hi *= np.ldexp(1.0, -t)
     Y_hi += w_hi
-    w_lo, w_hi = _halves(c_low, size)
-    del c_low
-    lo += w_lo * Y_lo
-    cross += Y_lo * w_hi + w_lo * Y_hi
-    del Y_lo, Y_hi, w_lo, w_hi
-    return d + _assemble(lo, cross, m, size)
+    # c' y: lo = c'_lo y_lo, cross = y_lo c'_hi + c'_lo y_hi
+    lo = c_lo * Y_lo
+    cross = np.multiply(Y_lo, c_hi, out=Y_lo)
+    cross += np.multiply(c_lo, Y_hi, out=Y_hi)
+    del Y_lo, Y_hi
+    # 2^-s C y', added to each: lo gains S_lo y'_lo and cross
+    # y'_lo S_hi + S_lo y'_hi, S = 2^-s C
+    S = C_lo * np.ldexp(1.0, -s)
+    np.multiply(S, w_hi, out=w_hi)
+    lo += np.multiply(S, w_lo, out=S)
+    del S
+    low = C_hi * np.ldexp(1.0, -s)
+    np.multiply(w_lo, low, out=low)
+    del w_lo
+    low += w_hi
+    del w_hi
+    cross += low
+    del low
+    d += _assemble(lo, cross, m, size)
+    return d
 
 
 def _newton(c):
@@ -319,25 +356,43 @@ def _newton(c):
         # coefficients k..K-1 of c b; the cyclic wrap only reaches below k
         e = rfft(c[:K], size)
         e *= B
-        e = rfft(irfft(e, size)[k:K], size)
+        e = irfft(e, size)
+        e = rfft(e[k:K], size)
         e *= B
         b[k:K] = -irfft(e, size)[:K - k]
         k = K
     return b, B
 
 
+class _Inverse(NamedTuple):
+    """What ``solve`` keeps of the last kernel's column c, read-only: the
+    two half spectra of b = 1/c(t), and c's error-free split (``_split``)
+    for ``_residual``: its scale s and the half spectra of C and c'."""
+
+    b: tuple
+    split: tuple
+
+
 @lru_cache(maxsize=1)
-def _reciprocal(coeffs: bytes):
-    """The two half spectra, read-only, of b = 1/c(t) for the float64
-    coefficients c in ``coeffs``: the low one from Newton's last step, the
-    high one transformed once.  Kept for the last kernel: the deficit
-    tails for several y on one kernel, psi_d beside K-bar in ``decompose``,
-    and successive commands in one process on one kernel build them once,
-    and every product of ``solve`` reads them."""
-    b, lo = _newton(np.frombuffer(coeffs))
-    hi = rfft(b[(len(b) + 1) // 2:], _fast_len(len(b)))
-    lo.flags.writeable = hi.flags.writeable = False
-    return lo, hi
+def _reciprocal(coeffs: bytes) -> _Inverse:
+    """``_Inverse`` of the float64 coefficients c in ``coeffs``: b's low
+    half spectrum from Newton's last step, the high one transformed once.
+    Kept for the last kernel: the deficit tails for several y on one
+    kernel, psi_d beside K-bar in ``decompose``, and successive commands
+    in one process on one kernel build it once, and every product and
+    residual of ``solve`` reads it.  Six spectra of about m/2 + 1 complex
+    values: about 48 bytes per node."""
+    c = np.frombuffer(coeffs)
+    size = _fast_len(len(c))
+    b, lo = _newton(c)
+    hi = rfft(b[(len(b) + 1) // 2:], size)
+    del b
+    s, C, low = _split(c)
+    C = _halves(C, size)
+    low = _halves(low, size)
+    for spectrum in (lo, hi, *C, *low):
+        spectrum.flags.writeable = False
+    return _Inverse((lo, hi), (s, C, low))
 
 
 def trapezoid_convolution(x: np.ndarray, k: np.ndarray, h: float) -> np.ndarray:
@@ -347,13 +402,36 @@ def trapezoid_convolution(x: np.ndarray, k: np.ndarray, h: float) -> np.ndarray:
     their convolution are needed, which is the truncated product that
     ``solve`` uses, with every FFT about len(x) long.
     """
-    full = _product(_halves(x, _fast_len(len(x))), k)
+    return _convolution(x, k, _spectra(k), h)
+
+
+def _spectra(k):
+    """The two half spectra ``_halves`` of k at length ``_fast_len(len(k))``."""
+    return _halves(k, _fast_len(len(k)))
+
+
+def _convolution(x, k, spectra, h):
+    """``trapezoid_convolution`` of x and k, k also given by its
+    ``_spectra``.  They are only read, so several convolutions with one k
+    transform it once."""
+    m = len(k)
+    size = _fast_len(m)
+    k_lo, k_hi = spectra
+    x_lo, x_hi = _halves(x, size)
+    lo = x_lo * k_lo
+    # the operand order of the products is that of ``_product`` with x's
+    # spectra as its a, which keeps the bytes of every iterate
+    np.multiply(k_lo, x_hi, out=x_hi)
+    x_hi += np.multiply(x_lo, k_hi, out=x_lo)
+    del x_lo
+    full = _assemble(lo, x_hi, m, size)
     return h * (full - 0.5 * x[0] * k - 0.5 * x * k[0])
 
 
-def _apply(problem, xv):
-    return problem.forcing + problem.phi * trapezoid_convolution(
-        xv, problem.kernel, problem.h)
+def _apply(problem, xv, spectra):
+    """T xv = z + phi (xv conv kappa), ``spectra`` being the kernel's."""
+    return problem.forcing + problem.phi * _convolution(
+        xv, problem.kernel, spectra, problem.h)
 
 
 def _check_grid(problem, x, name):
@@ -364,7 +442,8 @@ def _check_grid(problem, x, name):
 def residual(problem: RenewalProblem, x: GridFunction) -> float:
     """Sup-norm defect of x as a solution of the equation."""
     _check_grid(problem, x, "x")
-    return float(np.max(np.abs(x.values - _apply(problem, x.values))))
+    tx = _apply(problem, x.values, _spectra(problem.kernel))
+    return float(np.max(np.abs(x.values - tx)))
 
 
 @dataclass(frozen=True)
@@ -406,15 +485,17 @@ def iterate(problem: RenewalProblem, x0, n: int) -> IterationTrace:
         x0 = GridFunction(problem.h, np.full(len(problem.forcing), float(x0)))
     _check_grid(problem, x0, "x0")
     phi = problem.phi
+    # every application reads the kernel's spectra, transformed once
+    spectra = _spectra(problem.kernel)
     iterates, sups = [], []
     prev = x0.values
     for _ in range(n):
-        cur = _apply(problem, prev)
+        cur = _apply(problem, prev, spectra)
         iterates.append(GridFunction(problem.h, cur))
         sups.append(float(np.max(np.abs(cur - prev))))
         prev = cur
     # one extra application prices the final a posteriori residual
-    nxt = _apply(problem, prev)
+    nxt = _apply(problem, prev, spectra)
     residuals = np.array(sups[1:] + [float(np.max(np.abs(nxt - prev)))])
     first_step = sups[0]
     a_priori = np.array([phi**j / (1.0 - phi) * first_step for j in range(1, n + 1)])

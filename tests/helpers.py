@@ -28,9 +28,11 @@ ones must match bit for bit: the claim sampler and record-count sampler,
 written with ``searchsorted`` and ``rng.gamma``; the path sums of a Monte
 Carlo block, formed from each path's start and end; the claim tail, which
 formed every component through the partial exponential sum; the renewal
-solve, whose two products each transformed the reciprocal anew; and the
-two renewal problems of psi and K-bar, built by separate functions before
-one ladder law built both.
+solve, whose two products each transformed the reciprocal anew and whose
+residual split and transformed the kernel's column anew; the trapezoid
+convolution, which transformed the kernel on every call; and the two
+renewal problems of psi and K-bar, built by separate functions before one
+ladder law built both.
 """
 
 import math
@@ -39,14 +41,16 @@ import numpy as np
 
 from ruinbounds.distributions import _expm, _running_sums, partial_exp_sum
 from ruinbounds.renewal import (RenewalProblem, _assemble, _fast_len, _halves,
-                                _newton, _residual, _system, nodes)
+                                _integer_bound, _newton, _product, _scale,
+                                _system, nodes)
 
 __all__ = ["psi_exact", "psi_decay_rate", "k_bar_exact", "k_decay_rate",
            "psi_total_exact", "psi_d_exact", "k_iterate_exact",
            "ladder_at", "reference_sample",
            "reference_geometric_record_counts", "reference_segment_sums",
            "reference_tail",
-           "reference_product", "reference_solve", "reference_psi_problem",
+           "reference_product", "reference_residual", "reference_solve",
+           "reference_trapezoid_convolution", "reference_psi_problem",
            "reference_k_problem"]
 
 
@@ -208,16 +212,57 @@ def reference_product(a, x):
     return _assemble(lo, x_lo, len(a), size)
 
 
+# The former ``renewal._residual``, verbatim but for its name and docstring:
+# it splits and transforms the column c on every call.
+def reference_residual(c, y, r):
+    m = len(c)
+    size = _fast_len(m)
+    bits = math.floor(math.log2(math.sqrt(_integer_bound(size))
+                                - 0.5 * math.sqrt(m)))
+    s, t = _scale(c, bits), _scale(y, bits)
+    C, Y = np.rint(np.ldexp(c, s)), np.rint(np.ldexp(y, t))
+    c_low, y_low = c - np.ldexp(C, -s), y - np.ldexp(Y, -t)
+    C_lo, C_hi = _halves(C, size)
+    Y_lo, Y_hi = _halves(Y, size)
+    del C, Y
+    d = _assemble(C_lo * Y_lo, Y_lo * C_hi + C_lo * Y_hi, m, size)
+    d = np.ldexp(np.rint(d), -(s + t)) - r
+    C_lo *= np.ldexp(1.0, -s)
+    C_hi *= np.ldexp(1.0, -s)
+    w_lo, w_hi = _halves(y_low, size)
+    del y_low
+    lo, cross = C_lo * w_lo, w_lo * C_hi + C_lo * w_hi
+    del C_lo, C_hi
+    Y_lo *= np.ldexp(1.0, -t)
+    Y_lo += w_lo
+    Y_hi *= np.ldexp(1.0, -t)
+    Y_hi += w_hi
+    w_lo, w_hi = _halves(c_low, size)
+    del c_low
+    lo += w_lo * Y_lo
+    cross += Y_lo * w_hi + w_lo * Y_hi
+    del Y_lo, Y_hi, w_lo, w_hi
+    return d + _assemble(lo, cross, m, size)
+
+
 # The former ``renewal.solve``, on the grid values: each of its two products
-# transforms the reciprocal b, which comes from the uncached Newton routine.
+# transforms the reciprocal b, which comes from the uncached Newton routine,
+# and its residual splits and transforms the column c anew.
 def reference_solve(problem):
     c, x = _system(problem)
     b = _newton(c)[0]
     r = x[1:]
     y = reference_product(b, r)
-    y -= reference_product(b, _residual(c, y, r))
+    y -= reference_product(b, reference_residual(c, y, r))
     x[1:] = y
     return x
+
+
+# The former ``renewal.trapezoid_convolution``, verbatim but for its name and
+# docstring: it transforms x and k on every call.
+def reference_trapezoid_convolution(x, k, h):
+    full = _product(_halves(x, _fast_len(len(x))), k)
+    return h * (full - 0.5 * x[0] * k - 0.5 * x * k[0])
 
 
 # The former ``classical._psi_problem`` and ``diffusion._k_problem``,

@@ -6,14 +6,15 @@ import warnings
 import numpy as np
 import pytest
 
-from helpers import psi_decay_rate, psi_exact
-from ruinbounds import (Erlang, Exponential, HyperExponential,
-                        PerturbedModel, PreconditionError, RiskModel,
-                        adjustment_rate, deficit_tail, deficit_tail_family,
-                        exact_ruin_exponential, k_exact_exponential,
-                        mc_estimate, pk_truncated_series, ruin_probability,
-                        weighted_psi_moment)
+from helpers import psi_decay_rate, psi_exact, reference_psi_problem
+from ruinbounds import (ClaimDistribution, Erlang, Exponential,
+                        HyperExponential, PerturbedModel, PreconditionError,
+                        RiskModel, adjustment_rate, deficit_tail,
+                        deficit_tail_family, exact_ruin_exponential,
+                        k_exact_exponential, mc_estimate, pk_truncated_series,
+                        ruin_probability, solve, weighted_psi_moment)
 from ruinbounds import tables
+from ruinbounds.renewal import nodes
 
 MIX = HyperExponential((0.5, 0.5), (1.25, 5.0 / 6.0))
 
@@ -240,11 +241,38 @@ class TestDeficitTail:
 
     def test_family_matches_single_solves(self):
         m = model_mix()
-        # the first y's problem is built directly, the others derived from it
+        # every y's problem is built on one sample of the kernel
         fam = deficit_tail_family(m, (0.3, 0.0, 1.2), u_max=5.0)
         for y in (0.3, 0.0, 1.2):
             single = deficit_tail(m, y, u_max=5.0)
             assert np.max(np.abs(single.values - fam[y].values)) == 0.0
+        # psi's own problem is the family's at y = 0, bit for bit
+        assert np.array_equal(ruin_probability(m, u_max=5.0).values,
+                              fam[0.0].values)
+
+    @pytest.mark.parametrize("ys", [(0.5,), (0.5, 0.0, 2.0)])
+    def test_forcing_sampled_only_for_the_ys_asked(self, monkeypatch, ys):
+        # Fe-bar is sampled at grid + y for each y asked and nowhere else,
+        # psi's forcing Fe-bar(grid) only when y = 0 is asked; every member
+        # is the solve of the problem that reference_psi_problem builds
+        m = RiskModel(1.0, 2.0, Erlang(3, 3.0))
+        h, u_max = 2.0**-8, 4.0
+        fe, real, seen = m.claims.equilibrium(), ClaimDistribution.tail, []
+
+        def tail(law, t):
+            if law == fe:
+                seen.append(np.array(t))
+            return real(law, t)
+
+        monkeypatch.setattr(ClaimDistribution, "tail", tail)
+        fam = deficit_tail_family(m, ys, h=h, u_max=u_max)
+        monkeypatch.undo()
+        grid = nodes(h, u_max)
+        assert len(seen) == len(ys)
+        assert all(np.array_equal(t, grid + y) for t, y in zip(seen, ys))
+        for y in ys:
+            want = solve(reference_psi_problem(m, h, u_max, y)).values
+            assert np.array_equal(fam[y].values, want)
 
     def test_monte_carlo_ladder_oracle(self):
         m = model_exp2()

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 
@@ -70,17 +70,49 @@ class TestTail:
         assert tails[0] > 0.0 and np.all(tails[1:] == 0.0)
         assert Erlang(100, 100.0).tail(800.0) == 0.0
 
+    # the k components Erlang(1..k, r) of Erlang(k, r).equilibrium() share
+    # one running partial sum; past shape 520 it overflows where e^{-z} is
+    # 0.0, and the NaN there must be the former one too
+    @example(law=Erlang(30, 6.0).equilibrium(), t=[0.5, 4.9, 20.0])
+    @example(law=Erlang(150, 15.0).equilibrium(), t=[1.0, 9.5, 10.0, 40.0])
+    @example(law=Erlang(600, 1.0).equilibrium(), t=[1.0, 300.0, 599.5, 640.0])
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
+                                "ignore:invalid value:RuntimeWarning")
     @settings(max_examples=100, deadline=None)
     @given(law=_mixed_laws(), t=st.lists(st.floats(0.0, 1e4), max_size=20))
     def test_exponential_components_skip_the_partial_sum(self, law, t):
         # S_0 is exactly 1.0, so w e^{-z} is the former w e^{-z} S_0(z) bit
-        # for bit; the grid holds 0, points where r t passes 746, and inf
+        # for bit; the grid holds 0, points where r t passes 746, and inf.
+        # assert_array_equal requires equal bits, a NaN only against a NaN
         far = [747.0 / r for r in law.rates] + [1e4 / min(law.rates)]
         grid = np.array([0.0, *t, *far, math.inf])
-        assert np.array_equal(law.tail(grid), reference_tail(law, grid))
+        np.testing.assert_array_equal(law.tail(grid), reference_tail(law, grid))
         for x in (0.0, t[0] if t else 1.0, far[0], math.inf):
             got = law.tail(np.array(x))        # a 0-d input gives a float
-            assert type(got) is float and got == reference_tail(law, x)
+            assert type(got) is float
+            np.testing.assert_array_equal(got, reference_tail(law, x))
+
+    def test_one_exponential_per_rate(self, monkeypatch):
+        # components at one rate share z and e^{-z}: 30 components at one
+        # rate, and four at two rates
+        laws = [Erlang(30, 6.0).equilibrium(),
+                ClaimDistribution((0.1, 0.2, 0.3, 0.4), (1, 3, 1, 2),
+                                  (2.0, 2.0, 5.0, 5.0))]
+        exp, calls = np.exp, []
+
+        def spy(*args, **kwargs):
+            calls.append(args[0])
+            return exp(*args, **kwargs)
+
+        monkeypatch.setattr(np, "exp", spy)
+        grid = np.linspace(0.0, 10.0, 65)
+        for law in laws:
+            calls.clear()
+            law.tail(grid)
+            # once per distinct rate, at -r t
+            rates = sorted(set(law.rates))
+            assert len(calls) == len(rates)
+            assert all(np.array_equal(z, -r * grid) for z, r in zip(calls, rates))
 
     @pytest.mark.parametrize("dist", ALL_PARAMETRIC)
     def test_tail_integrates_to_mean(self, dist):

@@ -12,7 +12,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.fft import rfft
 
-from helpers import psi_exact, reference_product, reference_solve
+from helpers import (psi_exact, reference_product, reference_residual,
+                     reference_solve, reference_trapezoid_convolution)
 from ruinbounds import (ClaimDistribution, Erlang, Exponential, GridFunction,
                         HyperExponential, PerturbedModel, PreconditionError,
                         RenewalProblem, RiskModel, iterate, renewal,
@@ -147,8 +148,9 @@ class TestResidual:
         c, x = _system(self.CASES[name](h, (m + 0.4) * h))
         assert len(c) == m
         r = x[1:]
-        y = _product(_reciprocal(c.tobytes()), r)
-        d = _residual(c, y, r)
+        inverse = _reciprocal(c.tobytes())
+        y = _product(inverse.b, r)
+        d = _residual(inverse.split, y, r)
         cf, yf = [Fraction(v) for v in c], [Fraction(v) for v in y]
         bound = sum(abs(v) for v in cf) * max(abs(v) for v in yf) / 2**64
         for i in range(m):
@@ -302,7 +304,8 @@ class TestSolve:
         c, x = _system(p)
         b = _newton(c)[0]
         half, size = (m + 1) // 2, _fast_len(m)
-        lo, hi = _reciprocal(c.tobytes())
+        inverse = _reciprocal(c.tobytes())
+        lo, hi = inverse.b
         assert lo.tobytes() == rfft(b[:half], size).tobytes()
         assert hi.tobytes() == rfft(b[half:], size).tobytes()
         # only read: an in-place write would raise
@@ -310,8 +313,78 @@ class TestSolve:
         r = x[1:]
         y = _product((lo, hi), r)
         assert np.array_equal(y, reference_product(b, r))
-        e = _residual(c, y, r)
+        e = _residual(inverse.split, y, r)
+        assert np.array_equal(e, reference_residual(c, y, r))
         assert np.array_equal(_product((lo, hi), e), reference_product(b, e))
+
+
+class _FFTCount:
+    """Counts the real FFTs of ``renewal`` and records every array whose
+    two half spectra ``_halves`` forms and every array ``_split`` splits."""
+
+    def __init__(self, monkeypatch):
+        self.rfft = self.irfft = 0
+        self.halved, self.split = [], []
+        real = {name: getattr(renewal, name)
+                for name in ("rfft", "irfft", "_halves", "_split")}
+
+        def rfft(*args, **kwargs):
+            self.rfft += 1
+            return real["rfft"](*args, **kwargs)
+
+        def irfft(*args, **kwargs):
+            self.irfft += 1
+            return real["irfft"](*args, **kwargs)
+
+        def halves(v, size):
+            self.halved.append(np.array(v))
+            return real["_halves"](v, size)
+
+        def split(v):
+            self.split.append(np.array(v))
+            return real["_split"](v)
+
+        monkeypatch.setattr(renewal, "rfft", rfft)
+        monkeypatch.setattr(renewal, "irfft", irfft)
+        monkeypatch.setattr(renewal, "_halves", halves)
+        monkeypatch.setattr(renewal, "_split", split)
+
+
+class TestKeptKernel:
+    """The one-entry cache keeps, beside b's half spectra, the kernel side of
+    the residual's error-free split; a solve on the kept kernel transforms
+    only r, y and the residual."""
+
+    @pytest.mark.parametrize("m", [1, 2, 256, 40960])
+    @pytest.mark.parametrize("name", list(KERNELS))
+    def test_hit_is_bit_equal_and_transforms_no_kernel_side_array(
+            self, monkeypatch, name, m):
+        h = 2.0**-10
+        p = KERNELS[name](h, m * h)
+        want = reference_solve(p)
+        _reciprocal.cache_clear()
+        assert np.array_equal(solve(p).values, want)       # the miss
+        c = _system(p)[0]
+        s, C_halves, low_halves = _reciprocal(c.tobytes()).split
+        count = _FFTCount(monkeypatch)
+        assert np.array_equal(solve(p).values, want)       # the hit
+        assert _reciprocal.cache_info().hits == 2
+        # two products and the residual transform r, the residual, and the
+        # integer and low parts of y, each in two halves: 8 forward and 8
+        # inverse FFTs, where a miss makes 20 besides Newton's; only y is
+        # split, never c
+        assert (count.rfft, count.irfft) == (8, 8)
+        assert len(count.halved) == 4 and len(count.split) == 1
+        assert not np.array_equal(count.split[0], c)
+        # the kept split is the former residual's, and only read
+        C = np.rint(np.ldexp(c, s))
+        half, size = (m + 1) // 2, _fast_len(m)
+        for v, kept in ((C, C_halves), (c - np.ldexp(C, -s), low_halves)):
+            assert kept[0].tobytes() == rfft(v[:half], size).tobytes()
+            assert kept[1].tobytes() == rfft(v[half:], size).tobytes()
+            assert not any(spectrum.flags.writeable for spectrum in kept)
+        with pytest.raises(ValueError):
+            C_halves[0][0] = 0.0
 
 
 class TestProblem:
@@ -437,6 +510,32 @@ class TestIterate:
             true_err = np.max(np.abs(trace.iterates[j - 1].values
                                      - fixed.values))
             assert true_err <= trace.a_posteriori_error_bound(j) + 1e-6
+
+    @pytest.mark.parametrize("name", list(KERNELS))
+    def test_bit_equal_to_applications_of_the_former_convolution(
+            self, monkeypatch, name):
+        # the former route: n + 1 applications, each transforming the
+        # kernel anew; the trace transforms it once, and 26 FFTs in all for
+        # n = 5 where the former route made 36
+        p = KERNELS[name](2.0**-10, 6.0)
+        n = 5
+        prev = np.full(len(p.forcing), 0.4)
+        want = []
+        for _ in range(n + 1):
+            want.append(p.forcing + p.phi * reference_trapezoid_convolution(
+                prev, p.kernel, p.h))
+            prev = want[-1]
+        count = _FFTCount(monkeypatch)
+        trace = iterate(p, 0.4, n)
+        for got, ref in zip(trace.iterates, want):
+            assert np.array_equal(got.values, ref)
+        steps = [np.max(np.abs(b - a)) for a, b in
+                 zip([np.full(len(p.forcing), 0.4)] + want, want)]
+        assert np.array_equal(trace.residuals, steps[1:])
+        assert np.array_equal(trace.a_priori, [
+            p.phi**j / (1.0 - p.phi) * steps[0] for j in range(1, n + 1)])
+        assert sum(np.array_equal(v, p.kernel) for v in count.halved) == 1
+        assert count.rfft + count.irfft == 26
 
     def test_rejects_mismatched_start(self):
         p = exp_psi_problem(u_max=4.0)
