@@ -21,11 +21,7 @@ __all__ = ["BoundReport", "dk1", "dk2", "dk3"]
 @dataclass(frozen=True)
 class BoundReport:
     """A bound value with its build: named components, the contraction
-    modulus, hypothesis flags and any convention notes.
-
-    ``reconstruct()`` reassembles the value from the components; the two
-    must agree to machine accuracy, which the test suite enforces.
-    """
+    modulus, hypothesis flags and any convention notes."""
 
     kind: str
     value: float
@@ -33,21 +29,6 @@ class BoundReport:
     contraction_modulus: float
     preconditions: list = field(default_factory=list)
     convention_notes: list = field(default_factory=list)
-
-    def reconstruct(self) -> float:
-        c = self.components
-        if self.kind == "dk1":
-            return c["prefactor"] * (c["nu_gamma_plus_one_term"]
-                                     + c["nu_gamma_ml_term"]
-                                     + c["intensity_term"])
-        if self.kind == "dk2":
-            return c["prefactor"] * (c["q_y_term"] + c["intensity_term"])
-        if self.kind == "dk3":
-            inner = (c["h1_kantorovich_term"] + c["diffusion_ratio_term"]
-                     + c["claims_kantorovich_term"] + c["mean_ratio_term"])
-            return c["prefactor"] * (c["claim_scale"] * inner
-                                     + c["intensity_term"])
-        raise ValueError(f"unknown bound kind {self.kind!r}")
 
 
 def _check(preconditions):

@@ -20,7 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import ClaimDistribution, _de_quadrature, _Ladder
+from .distributions import (ClaimDistribution, _de_quadrature,
+                            _finite_tails, _Ladder)
 from .errors import PreconditionError
 from .metrics import GridFunction
 from .renewal import (DEFAULT_H, RenewalProblem, _as_tail, nodes, solve,
@@ -166,11 +167,10 @@ def deficit_tail_family(model: RiskModel, ys, h: float = DEFAULT_H,
         raise ValueError("y must be >= 0")
     ladder = model.ladder
     grid = _grid(ladder, h, u_max)
-    kernel = ladder.density(grid, h)
-    return {y: solve(RenewalProblem(phi=ladder.phi,
-                                    forcing=ladder.phi * ladder.fe.tail(grid + y),
-                                    kernel=kernel, h=h))
-            for y in ys}
+    kernel, tail = ladder.density(grid, h), ladder.fe.tail
+    return {y: solve(RenewalProblem(
+        phi=ladder.phi, forcing=ladder.phi * _finite_tails(tail, grid + y),
+        kernel=kernel, h=h)) for y in ys}
 
 
 def pk_truncated_series(model: RiskModel, n_terms: int, h: float = DEFAULT_H,

@@ -4,6 +4,10 @@
     ruinbounds bound KIND CONFIG [...]    evaluate one continuity bound
     ruinbounds eval QUANTITY CONFIG [...] evaluate model quantities as CSV
 
+QUANTITY is a name of ``oracle._QUANTITIES`` (ruin, deficit, ktail, psit,
+iterate), or mc with ``--quantity`` one of the first four; psi, k_tail and
+psi_t are aliases of ruin, ktail and psit.
+
 Exit codes: 0 success, 2 usage or config parse error, 3 mathematical
 precondition violated, 4 a table cell graded MISMATCH or a tail that has not
 decayed enough (TruncationError).
@@ -21,8 +25,7 @@ import sys
 from . import bounds as bounds_mod
 from . import config as config_mod
 from . import oracle, tables
-from .classical import deficit_tail, ruin_probability
-from .diffusion import PerturbedModel, k_iterates, k_tail, psi_total
+from .diffusion import PerturbedModel
 from .errors import PreconditionError, TruncationError
 
 EXIT_OK = 0
@@ -145,16 +148,6 @@ def cmd_bound(args) -> int:
     return EXIT_OK
 
 
-def _eval_model(cfg, quantity):
-    """The model of ``quantity``: the config's classical model, or that
-    model perturbed by the config's D."""
-    if quantity in ("ruin", "deficit", "psi"):
-        return cfg.model
-    if cfg.D is None:
-        raise config_mod.ConfigError(f"{quantity} needs D in [diffusion]")
-    return PerturbedModel(cfg.model, cfg.D)
-
-
 def _grid_end(args, cfg, model) -> float:
     """End of the grid ``eval`` solves on, after refusing a config grid of
     fewer than two nodes and a u past the end of the config's grid
@@ -180,34 +173,31 @@ def _grid_end(args, cfg, model) -> float:
     return min(n, math.ceil(u / h) + 1) * h
 
 
-def _grid_function(args, model, h, u_max):
-    """The quantity ``args.quantity`` of model on the grid 0, h, ..., u_max."""
-    if args.quantity == "ruin":
-        return ruin_probability(model, h=h, u_max=u_max)
-    if args.quantity == "deficit":
-        return deficit_tail(model, args.y, h=h, u_max=u_max)
-    if args.quantity == "ktail":
-        return k_tail(model, h=h, u_max=u_max)
-    if args.quantity == "psit":
-        return psi_total(model, h=h, u_max=u_max)
-    return k_iterates(model, args.k0, args.n, h=h, u_max=u_max).iterates[-1]
-
-
 def cmd_eval(args) -> int:
     cfg = config_mod.load(args.config)
     mc = args.quantity == "mc"
-    model = _eval_model(cfg, args.mc_quantity if mc else args.quantity)
-    if mc:
-        seed = args.seed if args.seed is not None else cfg.numeric.seed
-        out = oracle.estimates(model, args.mc_quantity, args.u, args.samples,
-                               seed, y=args.y)
-        rows = [(_fmt(u), _fmt(e.estimate), _fmt(e.standard_error))
-                for u, e in zip(args.u, out)]
-        sys.stdout.write(_write_csv(rows, ("u", "value", "se")))
+    name = args.mc_quantity if mc else args.quantity
+    quantity, model = oracle._QUANTITIES[name], cfg.model
+    if quantity.model is PerturbedModel:
+        if cfg.D is None:
+            raise config_mod.ConfigError(f"{name} needs D in [diffusion]")
+        model = PerturbedModel(model, cfg.D)
+    if not mc:
+        g = quantity.grid(model, args, cfg.numeric.h,
+                          _grid_end(args, cfg, model))
+        rows = zip(map(_fmt, args.u), map(_fmt, g(args.u)))
+        sys.stdout.write(_write_csv(rows, ("u", "value")))
         return EXIT_OK
-    g = _grid_function(args, model, cfg.numeric.h, _grid_end(args, cfg, model))
-    rows = [(_fmt(u), _fmt(v)) for u, v in zip(args.u, g(args.u))]
-    sys.stdout.write(_write_csv(rows, ("u", "value")))
+    seed = args.seed if args.seed is not None else cfg.numeric.seed
+    out = oracle.estimates(model, name, args.u, args.samples, seed, y=args.y)
+    rows = [(_fmt(u), _fmt(e.estimate), _fmt(e.standard_error))
+            for u, e in zip(args.u, out)]
+    # no hit in n paths: p <= 1 - 0.05^(1/n), about 3/n, at 95% confidence
+    # (Hanley & Lippman-Hand, JAMA 249(13), 1983)
+    top = _fmt(-math.expm1(math.log(0.05) / args.samples))
+    sys.stdout.write(_write_csv(rows, ("u", "value", "se"), [
+        f"u = {_fmt(u)}: no hit in {args.samples} paths; one-sided 95% "
+        f"upper bound {top}" for u, e in zip(args.u, out) if e.estimate == 0]))
     return EXIT_OK
 
 
@@ -229,10 +219,11 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("--y", type=_nonnegative, default=0.0)
     b.set_defaults(func=cmd_bound)
 
+    aliases = "aliases: " + ", ".join(f"{a} for {q}"
+                                      for a, q in oracle._ALIASES.items())
     e = sub.add_parser("eval", help="evaluate model quantities")
-    e.add_argument("quantity",
-                   choices=("ruin", "deficit", "ktail", "psit", "iterate",
-                            "mc"))
+    e.add_argument("quantity", type=oracle._canonical,
+                   choices=(*oracle._QUANTITIES, "mc"), help=aliases)
     e.add_argument("config")
     e.add_argument("--u", type=_parse_u_values, default="0",
                    help="point, comma list or start:stop:step")
@@ -241,9 +232,9 @@ def build_parser() -> argparse.ArgumentParser:
     e.add_argument("--k0", type=float, default=0.0, help="starting constant")
     e.add_argument("--samples", type=_positive_int, default=100_000)
     e.add_argument("--seed", type=_at_least(int, 0), default=None)
-    e.add_argument("--quantity", dest="mc_quantity", default="psi",
-                   choices=("psi", "psi_t", "k_tail", "deficit"),
-                   help="quantity for mc estimation")
+    e.add_argument("--quantity", dest="mc_quantity", default="ruin",
+                   type=oracle._canonical, choices=oracle._SAMPLED,
+                   help=f"quantity for mc estimation; {aliases}")
     e.set_defaults(func=cmd_eval)
     return p
 

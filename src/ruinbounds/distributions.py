@@ -121,15 +121,12 @@ def _de_quadrature(tails, points, rate, gamma):
     node where the weight overflows before the tails reach 0.0, the term
     is formed in log space, sign(f) exp(gamma log1p(t) + log|f|), and only
     those nodes are, so every finite integral keeps its bits.  An integral
-    past the float range is ``math.inf``, and tails that are not finite
-    (shapes above about 520) raise ``TruncationError``.
+    past the float range is ``math.inf``; tails that are not finite raise
+    (``_finite_tails``).
     """
     nodes, weights, starts = _de_nodes(points, rate)
     with np.errstate(over="ignore", invalid="ignore"):
-        f = tails(nodes)
-        if not np.isfinite(f).all():
-            raise TruncationError("claim tails overflow float far out "
-                                  "(an Erlang shape above about 520)")
+        f = _finite_tails(tails, nodes)
         weight = (1.0 + nodes) ** gamma
         terms = np.where(f == 0.0, 0.0, weight * f)
         far = np.isinf(weight) & (f != 0.0)
@@ -138,6 +135,17 @@ def _de_quadrature(tails, points, rate, gamma):
                 gamma * np.log1p(nodes[far]) + np.log(np.abs(f[far])))
         out = np.add.reduceat(terms * weights, starts)
     return np.where(np.isfinite(out), out, math.inf)
+
+
+def _finite_tails(tails, t):
+    """tails(t), refused with ``TruncationError`` unless all are finite: past
+    an Erlang shape of about 520, a tail far out is 0 * inf (_EXP_UNDERFLOW)."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        f = tails(t)
+    if not np.isfinite(f).all():
+        raise TruncationError("claim tails overflow float far out "
+                              "(an Erlang shape above about 520)")
+    return f
 
 
 def _claim_sizes(t):
@@ -439,7 +447,7 @@ class _Ladder:
         matrix-vector products give all n values.
         """
         if self.b0 is None:
-            return self.claims.tail(grid) / self.claims.mean()
+            return _finite_tails(self.claims.tail, grid) / self.claims.mean()
         pe, Te = self.fe.phase_type()
         d = len(pe)
         T = np.zeros((d + 1, d + 1))
@@ -463,7 +471,8 @@ class _Ladder:
         """Density and tail of the step law at the nodes grid = 0, h, ...:
         ``density`` and Fe-bar, to which b0 adds a(t) / b0, as
         A-bar(t) = Fe-bar(t) + a(t) / b0."""
-        a, tail = self.density(grid, h), self.fe.tail(grid)
+        tail = _finite_tails(self.fe.tail, grid)
+        a = self.density(grid, h)
         return a, tail if self.b0 is None else tail + a / self.b0
 
     def log_mgf(self, r: float) -> float:

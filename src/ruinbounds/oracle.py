@@ -1,4 +1,9 @@
-"""Monte Carlo verification by exact ladder sampling.
+"""Monte Carlo by exact ladder sampling, and the table of quantities.
+
+``_QUANTITIES``, which ``cli`` dispatches on, gives each quantity's model
+class, grid route and hit rule: ``ruin`` psi, ``deficit`` G-bar(., y),
+``ktail`` K-bar, ``psit`` psi_t and ``iterate`` (no hit rule), with
+``psi``, ``k_tail`` and ``psi_t`` aliases of ``ruin``, ``ktail``, ``psit``.
 
 No numerical integration is shared with the solvers: ruin events are
 sampled from the geometric number of record highs and exact draws of the
@@ -28,14 +33,15 @@ from __future__ import annotations
 
 import math
 import time
+from collections import namedtuple
 from dataclasses import dataclass, field
 from functools import partial
 
 import numpy as np
 
 from ._parallel import thread_map
-from .classical import RiskModel
-from .diffusion import PerturbedModel
+from .classical import RiskModel, deficit_tail, ruin_probability
+from .diffusion import PerturbedModel, k_iterates, k_tail, psi_total
 from .distributions import (_exponentials, _path_edges, _path_sums,
                             _running_sums)
 from .errors import PreconditionError
@@ -43,10 +49,6 @@ from .errors import PreconditionError
 __all__ = ["MCEstimate", "estimate", "estimates", "BLOCK_SIZE"]
 
 BLOCK_SIZE = 2**16
-
-# the model class each quantity is a quantity of
-_QUANTITIES = {"psi": RiskModel, "psi_t": PerturbedModel,
-               "k_tail": PerturbedModel, "deficit": RiskModel}
 
 
 @dataclass(frozen=True)
@@ -103,43 +105,65 @@ def _exceedances(totals: np.ndarray, us: np.ndarray) -> np.ndarray:
     return np.array([np.count_nonzero(totals > u) for u in us])
 
 
-def _block(ladder, us, y, quantity, rng, size) -> np.ndarray:
-    counts, ends, heights, oscillations = ladder.sample_paths(rng, size)
-    if quantity == "deficit":
-        return _deficit_hits(heights, counts, ends, us, y)
+def _sum_hits(ladder, us, y, rng, size, last=False):
+    """psi and K-bar: the ladder sum exceeds u; psi_t, given ``last``: the
+    ladder sum plus one last oscillation record high does."""
+    _, ends, heights, oscillations = ladder.sample_paths(rng, size)
     totals = _path_sums(heights, ends)
     if oscillations is not None:
         totals += oscillations
-    if quantity == "psi_t":
+    if last:
         totals += _exponentials(rng, 1.0 / ladder.b0, size)
     return _exceedances(totals, us)
 
 
-def _run_blocks(block_hits, seed: int, sizes: list):
-    """Sum of block_hits(rng of block b, sizes[b]) over the blocks b."""
-    return sum(thread_map(lambda b: block_hits(_rng_for_block(seed, b), sizes[b]),
-                          range(len(sizes))))
+def _deficit_rule(ladder, us, y, rng, size):
+    counts, ends, heights, _ = ladder.sample_paths(rng, size)
+    return _deficit_hits(heights, counts, ends, us, y)
+
+
+# a row of the table: the model class; the grid route, (model, options y,
+# k0 and n, step, grid end) -> GridFunction; the Monte Carlo hit rule,
+# (ladder, us, y, rng, size) -> a block's hit count at each u, or None
+_Quantity = namedtuple("_Quantity", "model grid hits")
+_QUANTITIES = {
+    "ruin": _Quantity(RiskModel, lambda m, o, h, end: ruin_probability(
+        m, h, end), _sum_hits),
+    "deficit": _Quantity(RiskModel, lambda m, o, h, end: deficit_tail(
+        m, o.y, h, end), _deficit_rule),
+    "ktail": _Quantity(PerturbedModel, lambda m, o, h, end: k_tail(
+        m, h, end), _sum_hits),
+    "psit": _Quantity(PerturbedModel, lambda m, o, h, end: psi_total(
+        m, h, end), partial(_sum_hits, last=True)),
+    "iterate": _Quantity(PerturbedModel, lambda m, o, h, end: k_iterates(
+        m, o.k0, o.n, h, end).iterates[-1], None),
+}
+_ALIASES = {"psi": "ruin", "k_tail": "ktail", "psi_t": "psit"}
+_SAMPLED = tuple(name for name, q in _QUANTITIES.items() if q.hits)
+
+
+def _canonical(name: str) -> str:
+    """The table's name of quantity ``name``, which may be an alias."""
+    return _ALIASES.get(name, name)
 
 
 def estimates(model, quantity: str, us, n_samples: int, seed: int,
               y: float | None = None) -> list[MCEstimate]:
     """Estimate one ruin-type probability at each initial surplus in us.
 
-    quantity:
-      psi      P(ruin)                       -- RiskModel
-      deficit  P(ruin and deficit > y)       -- RiskModel, needs y
-      k_tail   P(L_K > u)                    -- PerturbedModel
-      psi_t    P(ruin, perturbed surplus)    -- PerturbedModel
-
-    The paths are drawn once and counted at every u, so each estimate is
-    the one ``estimate`` gives at its u alone, and every one reports the
-    call's wall time.  Deterministic given (seed, n_samples); same seed
-    gives bit-identical results, and k_tail/psi_t estimates from one seed
-    are pathwise ordered.
+    quantity: ``ruin``, ``deficit`` (needs y), ``ktail`` or ``psit``, or an
+    alias, of a model of its class (see ``_QUANTITIES``).  The paths are
+    drawn once and counted at every u, so each estimate is the one
+    ``estimate`` gives at its u alone, and every one reports the call's
+    wall time.  Deterministic given (seed, n_samples); same seed gives
+    bit-identical results, and ktail/psit estimates from one seed are
+    pathwise ordered.
     """
-    if quantity not in _QUANTITIES:
-        raise ValueError(f"unknown quantity {quantity!r}; expected one of "
-                         f"{tuple(_QUANTITIES)}")
+    quantity = _canonical(quantity)
+    if quantity not in _SAMPLED:
+        raise ValueError(f"no Monte Carlo estimate of {quantity!r}; "
+                         f"expected one of {_SAMPLED}")
+    row = _QUANTITIES[quantity]
     if n_samples < 1:
         raise ValueError("need at least one sample")
     us = np.asarray(us, dtype=float)
@@ -147,34 +171,29 @@ def estimates(model, quantity: str, us, n_samples: int, seed: int,
         raise ValueError("need a 1-d sequence of at least one surplus u")
     if not np.all(us >= 0):                 # nan fails too
         raise ValueError("initial surplus must be a number >= 0")
-    if quantity == "deficit":
+    if row.hits is _deficit_rule:
         if y is None or math.isnan(y):
             raise ValueError("deficit estimation needs a number y")
         if y < 0:
             raise ValueError("y must be >= 0")
-    if not isinstance(model, _QUANTITIES[quantity]):
+    if not isinstance(model, row.model):
         raise PreconditionError(f"{quantity} is a quantity of a "
-                                f"{_QUANTITIES[quantity].__name__}")
+                                f"{row.model.__name__}")
 
     start = time.perf_counter()
-    block_hits = partial(_block, model.ladder, us, y, quantity)
+    block_hits = partial(row.hits, model.ladder, us, y)
     sizes = [min(BLOCK_SIZE, n_samples - done)
              for done in range(0, n_samples, BLOCK_SIZE)]
-    hits = _run_blocks(block_hits, seed, sizes)
+    hits = sum(thread_map(lambda b: block_hits(_rng_for_block(seed, b), sizes[b]),
+                          range(len(sizes))))
     seconds = time.perf_counter() - start
 
-    out = []
-    for h in hits:
-        p = int(h) / n_samples
-        out.append(MCEstimate(estimate=p,
-                              standard_error=math.sqrt(p * (1.0 - p) / n_samples),
-                              n_samples=n_samples, seed=seed, quantity=quantity,
-                              blocks=len(sizes), seconds=seconds))
-    return out
+    return [MCEstimate(p, math.sqrt(p * (1.0 - p) / n_samples), n_samples, seed,
+                       quantity, len(sizes), seconds)
+            for p in (int(h) / n_samples for h in hits)]
 
 
 def estimate(model, quantity: str, u: float, n_samples: int, seed: int,
              y: float | None = None) -> MCEstimate:
-    """Estimate one ruin-type probability at initial surplus u: the one
-    estimate of ``estimates`` at [u]."""
+    """The one estimate of ``estimates`` at [u]."""
     return estimates(model, quantity, [u], n_samples, seed, y=y)[0]

@@ -8,6 +8,7 @@ solvers approximate are then matrix exponentials (Asmussen & Albrecher,
 
     psi(u)   = a+ exp((T + t a+) u) 1,       a+ = phi pi_e,
     K-bar(u) = the same on the ladder pair,   a+ = phi e_1,
+    G-bar(u, y) = a+ exp((T + t a+) u) exp(T y) 1,   psi's a+ and T,
     psi_t(u) = an Exp(b0) stage, then the ladder-sum pair,
     psi_d(u) = e_1 exp((T_A + phi t_A e_1) u) e_1,
     K_n(u)   = phi - (1-k0) phi^n A^{*n}(u) - (1-phi) sum_{0<i<n} phi^i A^{*i}(u),
@@ -44,9 +45,9 @@ from ruinbounds.renewal import (RenewalProblem, _assemble, _fast_len, _halves,
                                 _integer_bound, _newton, _product, _scale,
                                 _system, nodes)
 
-__all__ = ["psi_exact", "psi_decay_rate", "k_bar_exact", "k_decay_rate",
+__all__ = ["psi_exact", "psi_decay_rate", "g_bar_exact", "k_bar_exact", "k_decay_rate",
            "psi_total_exact", "psi_d_exact", "k_iterate_exact",
-           "ladder_at", "reference_sample",
+           "ladder_at", "reconstruct", "reference_sample",
            "reference_geometric_record_counts", "reference_segment_sums",
            "reference_tail",
            "reference_product", "reference_residual", "reference_solve",
@@ -105,6 +106,14 @@ def psi_decay_rate(model):
     return -float(np.max(np.linalg.eigvals(_psi_generator(model)[1]).real))
 
 
+def g_bar_exact(model, u, y):
+    """Deficit tail G-bar(u, y) of a classical model with phase-type claims:
+    the claim phase in which the ladder sum first passes u, then y more of
+    that claim."""
+    T = model.claims.phase_type()[1]
+    return _at(*_psi_generator(model), u, _expm(T * y) @ np.ones(len(T)))
+
+
 def k_bar_exact(pm, u):
     """Compound geometric tail K-bar of a perturbed model."""
     return _at(*_compound_geometric_generator(*_ladder_pair(pm), pm.phi), u)
@@ -160,6 +169,20 @@ def k_iterate_exact(pm, k0, n, u):
     out = (phi - (1.0 - k0) * phi**n * cdf[..., n - 1]
            - (1.0 - phi) * (cdf[..., :n - 1] @ powers))
     return float(out[0]) if np.ndim(u) == 0 else out
+
+
+def reconstruct(report):
+    """A ``BoundReport``'s value reassembled from its components."""
+    c = report.components
+    if report.kind == "dk1":
+        return c["prefactor"] * (c["nu_gamma_plus_one_term"]
+                                 + c["nu_gamma_ml_term"]
+                                 + c["intensity_term"])
+    if report.kind == "dk2":
+        return c["prefactor"] * (c["q_y_term"] + c["intensity_term"])
+    inner = (c["h1_kantorovich_term"] + c["diffusion_ratio_term"]
+             + c["claims_kantorovich_term"] + c["mean_ratio_term"])
+    return c["prefactor"] * (c["claim_scale"] * inner + c["intensity_term"])
 
 
 # The former ``ClaimDistribution.sample``, verbatim but for ``law`` in place

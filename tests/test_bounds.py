@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from helpers import reconstruct
 from ruinbounds import (Erlang, Exponential, HyperExponential,
                         PerturbedModel, PreconditionError, RiskModel,
                         deficit_tail, dk1, dk2, dk3, kantorovich, q_y,
@@ -47,7 +48,7 @@ class TestDK1:
     def test_components_reconstruct(self):
         m, mt = pair_table1(c=5.0)
         rep = dk1(m, mt, 0.0)
-        assert rep.reconstruct() == pytest.approx(rep.value, abs=1e-12)
+        assert reconstruct(rep) == pytest.approx(rep.value, abs=1e-12)
 
     def test_requires_shared_premium_rate(self):
         m, _ = pair_table1(c=3.0)
@@ -102,7 +103,7 @@ class TestDK2:
     def test_components_reconstruct(self):
         m, mt = pair_table2(4.0)
         rep = dk2(m, mt, 0.25)
-        assert rep.reconstruct() == pytest.approx(rep.value, abs=1e-12)
+        assert reconstruct(rep) == pytest.approx(rep.value, abs=1e-12)
 
     def test_dominates_exact_distance(self):
         m, mt = pair_table2(1.0)
@@ -129,7 +130,7 @@ class TestDK3:
     def test_components_reconstruct(self):
         pm, pmt = pair_table3(D=2.0, Dt=0.1)
         rep = dk3(pm, pmt)
-        assert rep.reconstruct() == pytest.approx(rep.value, abs=1e-12)
+        assert reconstruct(rep) == pytest.approx(rep.value, abs=1e-12)
 
     def test_oscillation_distance_closed_form(self):
         pm, pmt = pair_table3(D=1.0, Dt=0.1)

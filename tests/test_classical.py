@@ -2,21 +2,24 @@
 
 import math
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from helpers import psi_decay_rate, psi_exact, reference_psi_problem
+from helpers import (g_bar_exact, psi_decay_rate, psi_exact,
+                     reference_psi_problem)
 from ruinbounds import (ClaimDistribution, Erlang, Exponential,
                         HyperExponential, PerturbedModel, PreconditionError,
                         RiskModel, adjustment_rate, deficit_tail,
                         deficit_tail_family, exact_ruin_exponential,
                         k_exact_exponential, mc_estimate, pk_truncated_series,
                         ruin_probability, solve, weighted_psi_moment)
-from ruinbounds import tables
+from ruinbounds import config, tables
 from ruinbounds.renewal import nodes
 
 MIX = HyperExponential((0.5, 0.5), (1.25, 5.0 / 6.0))
+DATA = Path(__file__).resolve().parent / "data"
 
 
 def model_exp2():
@@ -273,6 +276,19 @@ class TestDeficitTail:
         for y in ys:
             want = solve(reference_psi_problem(m, h, u_max, y)).values
             assert np.array_equal(fam[y].values, want)
+
+    # the largest error / ((r h)^2 / (1 - phi)) here is 0.0042, r the
+    # fastest claim rate, at every step from 2^-6 to 2^-10
+    @pytest.mark.parametrize("h", [2.0**-6, 2.0**-8])
+    @pytest.mark.parametrize("which", ["model", "model2"])
+    def test_phase_type_oracle_within_c_h2(self, which, h):
+        m = getattr(config.load(DATA / "dk_pair.cfg"), which)
+        us = np.array([0.0, 0.5, 1.0, 2.0, 5.0])
+        bound = 0.01 * (max(m.claims.rates) * h)**2 / (1.0 - m.phi)
+        for y in (0.0, 0.5, 2.0):
+            g = deficit_tail(m, y, h=h, u_max=6.0)
+            assert np.max(np.abs(g(us) - g_bar_exact(m, us, y))) <= bound
+        assert np.array_equal(g_bar_exact(m, us, 0.0), psi_exact(m, us))
 
     def test_monte_carlo_ladder_oracle(self):
         m = model_exp2()

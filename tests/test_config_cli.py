@@ -19,8 +19,8 @@ from helpers import k_bar_exact, k_iterate_exact, psi_total_exact
 import ruinbounds
 from ruinbounds import (Erlang, GridFunction, PerturbedModel, RiskModel,
                         _parallel, cli, config, deficit_tail, distributions,
-                        k_iterates, k_tail, metrics, psi_total, renewal,
-                        ruin_probability, tables)
+                        k_iterates, k_tail, metrics, oracle, psi_total,
+                        renewal, ruin_probability, tables)
 from ruinbounds.config import ConfigError
 from ruinbounds.errors import PreconditionError, TruncationError
 
@@ -300,6 +300,34 @@ class TestEvalCommand:
         assert out.encode() == (DATA / "mc_smoke.csv").read_bytes()
 
     @pytest.mark.parametrize("argv, pinned", [
+        (["mc_smoke.cfg", "--quantity", "psi"], "mc_smoke_psi.csv"),
+        (["mc_smoke.cfg", "--quantity", "ruin"], "mc_smoke_psi.csv"),
+        (["mc_erlang.cfg", "--quantity", "psi_t"], "mc_erlang_psit.csv"),
+        (["mc_erlang.cfg", "--quantity", "psit"], "mc_erlang_psit.csv"),
+        (["mc_erlang.cfg", "--quantity", "k_tail"], "mc_erlang_ktail.csv"),
+        (["mc_erlang.cfg", "--quantity", "ktail"], "mc_erlang_ktail.csv"),
+    ])
+    def test_mc_quantities_match_pinned_csv(self, capsys, argv, pinned):
+        # the commands listed in mc_smoke.cfg and mc_erlang.cfg, under the
+        # old spelling and the table's; psi_t(0) = 1 is an all-hit count
+        code, out, _ = run_cli(capsys, "eval", "mc", str(DATA / argv[0]),
+                               *argv[1:], "--u", "0,0.5,1,2",
+                               "--samples", "300000")
+        assert code == 0
+        assert out.encode() == (DATA / pinned).read_bytes()
+
+    def test_mc_zero_hits_print_an_upper_bound(self, capsys):
+        # psi(60) > 0, but none of 1e5 paths is ruined: 1 - 0.05^(1/n)
+        code, out, _ = run_cli(capsys, "eval", "mc", str(DATA / "mc_smoke.cfg"),
+                               "--quantity", "psi", "--u", "60,80",
+                               "--samples", "100000")
+        assert code == 0
+        assert out.splitlines() == [
+            f"# u = {u}: no hit in 100000 paths; one-sided 95% upper bound "
+            "2.995687e-05" for u in (60, 80)] + ["u,value,se", "60,0,0",
+                                                  "80,0,0"]
+
+    @pytest.mark.parametrize("argv, pinned", [
         (["ruin"], "dk_pair_eval_ruin.csv"),
         (["deficit", "--y", "0.5"], "dk_pair_eval_deficit_y05.csv"),
         (["ktail"], "dk_pair_eval_ktail.csv"),
@@ -466,10 +494,12 @@ class TestEvalWindow:
         for quantity, extra in WINDOW_ARGS.items():
             args = cli.build_parser().parse_args(
                 ["eval", quantity, "m.cfg", "--u", "0.3,2.7", *extra])
-            model = cli._eval_model(cfg, quantity)
+            row = oracle._QUANTITIES[quantity]
+            model = (cfg.model if row.model is RiskModel
+                     else PerturbedModel(cfg.model, cfg.D))
             end = cli._grid_end(args, cfg, model)
             assert end == (math.ceil(2.7 / h) + 1) * h
-            window = cli._grid_function(args, model, h, end).values
+            window = row.grid(model, args, h, end).values
             full = full_grid(quantity, cfg).values
             assert len(window) == math.ceil(2.7 / h) + 2
             # psi and G-bar keep the reciprocal's rounding; K-bar's kernel
@@ -529,6 +559,19 @@ class TestEvalWindow:
                                  "--u", "1,100", *WINDOW_ARGS[quantity])
         assert code == 2 and out == ""
         assert "lies past the grid end" in err and "umax" in err
+
+
+@pytest.mark.parametrize("quantity", sorted(WINDOW_ARGS))
+def test_erlang_past_shape_520_is_a_truncation_error(tmp_path, capsys,
+                                                      quantity):
+    # far out, Erlang(600) tails are 0 * inf; u <= 5 stays finite
+    path = tmp_path / "m.cfg"
+    path.write_text((DATA / "erlang_600.cfg").read_text()
+                    + "[numeric]\nh = 0.25\numax = 800\n")
+    code, out, err = run_cli(capsys, "eval", quantity, str(path),
+                             "--u", "1,790", *WINDOW_ARGS[quantity])
+    assert code == 4 and out == ""
+    assert "Erlang shape above about 520" in err
 
 
 EXP_MODEL = "[model]\nlambda = 0.5\nc = 0.5\nclaims = exp\nrate = 2.0\n"
