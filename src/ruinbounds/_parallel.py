@@ -2,7 +2,8 @@
 
 numpy releases the interpreter lock in its FFTs, draws and sums, so
 independent grid solves and Monte Carlo blocks run on several CPUs at once
-from plain threads.
+from plain threads.  Only a fan-out holds one working set per CPU at once,
+so ``cli.main`` gives the heap back after a command that ran one.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ import os
 import threading
 
 __all__ = ["cpu_count", "thread_map"]
+fan_outs = 0        # calls of thread_map in this process
 
 
 def cpu_count() -> int:
@@ -28,8 +30,11 @@ def thread_map(fn, items) -> list:
     next unclaimed item as soon as it is free, so a slow CPU holds back at
     most the item it is on, not a fixed share.  Results come back in input
     order.  Once an item has raised, no worker takes another, and the first
-    exception is raised here once every worker has stopped.
+    exception is raised here once every worker has stopped.  Each call,
+    whether it returns or raises, adds one to ``fan_outs``.
     """
+    global fan_outs
+    fan_outs += 1
     items = list(items)
     workers = min(cpu_count(), len(items))
     results = [None] * len(items)

@@ -24,7 +24,7 @@ import sys
 
 from . import bounds as bounds_mod
 from . import config as config_mod
-from . import oracle, tables
+from . import _parallel, oracle, tables
 from .diffusion import PerturbedModel
 from .errors import PreconditionError, TruncationError
 
@@ -34,11 +34,11 @@ EXIT_PRECONDITION = 3
 EXIT_NUMERICAL = 4
 
 # glibc's mallopt parameters (malloc.h) and the values a command runs under:
-# one arena, so that malloc_trim reaches the Monte Carlo threads' memory too,
-# and thresholds that keep freed pages mapped instead of handing them back
-# to the kernel and faulting them in again on the next solve.  32 MiB is the
-# mmap threshold's documented ceiling on 64-bit hosts, the most glibc's own
-# dynamic threshold reaches.
+# one arena, so that malloc_trim reaches the worker threads' memory too, and
+# thresholds that keep freed pages mapped instead of handing them back to
+# the kernel and faulting them in again on the next solve, or in the next
+# command of the same process.  32 MiB is the mmap threshold's documented
+# ceiling on 64-bit hosts, the most glibc's own dynamic threshold reaches.
 _MALLOC_OPTIONS = ((-8, 1),            # M_ARENA_MAX
                    (-1, 2**30),        # M_TRIM_THRESHOLD
                    (-3, 32 * 2**20))   # M_MMAP_THRESHOLD
@@ -240,22 +240,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    """Run one command; the heap it freed goes back to the system on return."""
-    libc = _LIBC
+    """Run one command.  The heap it freed stays mapped for the next command
+    in the same process, unless it fanned out over the CPUs: then the heap
+    goes back to the system on return, however the command returns."""
+    libc, fan_outs = _LIBC, _parallel.fan_outs
     if libc is not None:
         for param, value in _MALLOC_OPTIONS:
             libc.mallopt(param, value)
     try:
-        return _run(argv)
-    finally:
-        if libc is not None:
-            libc.malloc_trim(0)
-
-
-def _run(argv) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except config_mod.ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
@@ -269,6 +262,9 @@ def _run(argv) -> int:
     except TruncationError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
+    finally:
+        if libc is not None and _parallel.fan_outs != fan_outs:
+            libc.malloc_trim(0)
 
 
 if __name__ == "__main__":

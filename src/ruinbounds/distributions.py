@@ -504,19 +504,19 @@ class _Ladder:
 
         Draws the record counts, then, with b0, every path's Exp(b0)
         heights, then every path's claim ladder heights.  Returns the
-        counts, their running sums (where each path's draws end), the
-        claim heights path after path, and each path's sum of Exp(b0)
-        heights (None without b0), which a path's total adds to the sum of
-        its claim heights.
+        counts, their running sums (where each path's draws end) and the
+        ladder heights path after path, each record's Exp(b0) height added
+        to its claim height.
         """
         counts = _geometric_record_counts(rng, size, self.phi)
         ends = np.cumsum(counts)
-        total = int(counts.sum())
-        oscillations = None
-        if self.b0 is not None:
-            oscillations = _path_sums(_exponentials(rng, 1.0 / self.b0, total),
-                                      ends)
-        return counts, ends, self.fe.sample(rng, total), oscillations
+        total = int(ends[-1])
+        if self.b0 is None:
+            return counts, ends, self.fe.sample(rng, total)
+        oscillations = _exponentials(rng, 1.0 / self.b0, total)
+        heights = self.fe.sample(rng, total)
+        heights += oscillations
+        return counts, ends, heights
 
 
 @lru_cache(maxsize=256)

@@ -108,17 +108,15 @@ def _exceedances(totals: np.ndarray, us: np.ndarray) -> np.ndarray:
 def _sum_hits(ladder, us, y, rng, size, last=False):
     """psi and K-bar: the ladder sum exceeds u; psi_t, given ``last``: the
     ladder sum plus one last oscillation record high does."""
-    _, ends, heights, oscillations = ladder.sample_paths(rng, size)
+    _, ends, heights = ladder.sample_paths(rng, size)
     totals = _path_sums(heights, ends)
-    if oscillations is not None:
-        totals += oscillations
     if last:
         totals += _exponentials(rng, 1.0 / ladder.b0, size)
     return _exceedances(totals, us)
 
 
 def _deficit_rule(ladder, us, y, rng, size):
-    counts, ends, heights, _ = ladder.sample_paths(rng, size)
+    counts, ends, heights = ladder.sample_paths(rng, size)
     return _deficit_hits(heights, counts, ends, us, y)
 
 

@@ -708,6 +708,26 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 # glibc's M_ARENA_MAX, M_TRIM_THRESHOLD and M_MMAP_THRESHOLD, in that order
 MALLOC_OPTIONS = [("mallopt", -8, 1), ("mallopt", -1, 2**30),
                   ("mallopt", -3, 32 * 2**20)]
+_GLIBC_ONLY = pytest.mark.skipif(
+    cli._LIBC is None or platform.libc_ver()[0] != "glibc",
+    reason="the allocator options are glibc's")
+
+
+def _median_faults(code, modes, samples, *args):
+    """The median over ``samples`` runs of the count ``code`` prints, run
+    in a fresh interpreter with argv (src, mode, *args) for each mode in
+    turn; the environment loses glibc's own malloc variables, which would
+    set the options.  Returns the medians and the samples, by mode."""
+    env = {k: v for k, v in os.environ.items()
+           if not k.startswith(("MALLOC_", "GLIBC_TUNABLES"))}
+    runs = {mode: [] for mode in modes}
+    for _ in range(samples):
+        for mode in modes:
+            out = subprocess.run([sys.executable, "-c", code, str(SRC), mode,
+                                  *map(str, args)], capture_output=True,
+                                 text=True, check=True, env=env).stdout
+            runs[mode].append(int(out))
+    return {mode: statistics.median(r) for mode, r in runs.items()}, runs
 
 
 class TestAllocatorScope:
@@ -718,8 +738,8 @@ class TestAllocatorScope:
         (_raises(TruncationError("tail")), 4),
         (lambda args: cli.EXIT_NUMERICAL, 4),
     ])
-    def test_options_before_and_trim_after_command(self, monkeypatch, capsys,
-                                                   command, code):
+    def test_options_before_and_no_trim_after_command(self, monkeypatch, capsys,
+                                                      command, code):
         events = []
         monkeypatch.setattr(cli, "_LIBC", _MallocRecorder(events))
 
@@ -729,23 +749,62 @@ class TestAllocatorScope:
 
         monkeypatch.setattr(cli, "cmd_table", recorded)
         assert cli.main(["table", "4"]) == code
-        assert events == [*MALLOC_OPTIONS, "command", ("malloc_trim", 0)]
+        assert events == [*MALLOC_OPTIONS, "command"]
 
-    def test_trim_after_argparse_exit(self, monkeypatch, capsys):
+    def test_no_trim_after_argparse_exit(self, monkeypatch, capsys):
         events = []
         monkeypatch.setattr(cli, "_LIBC", _MallocRecorder(events))
         with pytest.raises(SystemExit) as stop:
             cli.main(["table", "no-such-table"])
         assert stop.value.code == 2
-        assert events == [*MALLOC_OPTIONS, ("malloc_trim", 0)]
+        assert events == MALLOC_OPTIONS
 
-    def test_trim_after_command_raises(self, monkeypatch):
+    @pytest.mark.parametrize("items, fan_outs, code", [
+        (range(-3, 3), 1, 0),
+        ([-1], 1, 0),
+        (range(4), 3, 0),
+        (range(4), 1, 4),
+    ], ids=["returns", "single_item", "three_fan_outs", "exit_4"])
+    def test_one_trim_after_a_command_that_fans_out(self, monkeypatch, capsys,
+                                                   items, fan_outs, code):
         events = []
         monkeypatch.setattr(cli, "_LIBC", _MallocRecorder(events))
-        monkeypatch.setattr(cli, "cmd_table", _raises(RuntimeError("bug")))
-        with pytest.raises(RuntimeError, match="bug"):
+
+        def command(args):
+            for _ in range(fan_outs):
+                _parallel.thread_map(abs, items)
+            events.append("command")
+            return code
+
+        monkeypatch.setattr(cli, "cmd_table", command)
+        assert cli.main(["table", "4"]) == code
+        assert events == [*MALLOC_OPTIONS, "command", ("malloc_trim", 0)]
+
+    def test_trim_after_an_item_raises(self, monkeypatch):
+        events = []
+        monkeypatch.setattr(cli, "_LIBC", _MallocRecorder(events))
+        monkeypatch.setattr(cli, "cmd_table", lambda args: _parallel.thread_map(
+            math.sqrt, [1.0, -1.0, 4.0]))
+        with pytest.raises(ValueError, match="math domain error"):
             cli.main(["table", "4"])
         assert events == [*MALLOC_OPTIONS, ("malloc_trim", 0)]
+
+    @pytest.mark.parametrize("argv, trims", [
+        (["bound", "dk2", str(DATA / "dk_pair.cfg"), "--y", "20"], 0),
+        (["eval", "ruin", str(DATA / "dk_pair.cfg"), "--u", "0,1"], 0),
+        (["table", "4"], 0),
+        (["table", "1a"], 1),
+        (["eval", "mc", str(DATA / "mc_smoke.cfg"), "--samples", "1000"], 1),
+        (["eval", "mc", str(DATA / "mc_erlang.cfg"), "--quantity", "psit",
+          "--samples", "200000"], 1),
+    ], ids=["bound", "eval", "table_4", "table_1a", "mc_one_block",
+            "mc_four_blocks"])
+    def test_only_a_fan_out_trims(self, monkeypatch, capsys, argv, trims):
+        events = []
+        monkeypatch.setattr(cli, "_LIBC", _MallocRecorder(events))
+        code, _, _ = run_cli(capsys, *argv)
+        assert code == 0
+        assert events == [*MALLOC_OPTIONS, *[("malloc_trim", 0)] * trims]
 
     @pytest.mark.parametrize("argv, pinned", [
         (["table", "1a"], GOLDEN / "table_1a.csv"),
@@ -760,14 +819,12 @@ class TestAllocatorScope:
         assert code == 0
         assert out.encode() == pinned.read_bytes()
 
-    @pytest.mark.skipif(cli._LIBC is None or platform.libc_ver()[0] != "glibc",
-                        reason="the allocator options are glibc's")
+    @_GLIBC_ONLY
     def test_command_keeps_freed_pages_mapped(self):
         # minor page faults of one `table 1a` in a fresh interpreter, with the
-        # options and with the handle patched out; the environment loses
-        # glibc's own malloc variables, which would set the same options.
-        # Each side is the median of five samples, taken in turn: one sample
-        # moves with how the two solver threads overlap
+        # options and with the handle patched out.  Each side is the median
+        # of five samples: one sample moves with how the two solver threads
+        # overlap
         code = ("import contextlib, io, resource, sys\n"
                 "sys.path.insert(0, sys.argv[1])\n"
                 "from ruinbounds import cli\n"
@@ -777,14 +834,34 @@ class TestAllocatorScope:
                 "with contextlib.redirect_stdout(io.StringIO()):\n"
                 "    assert cli.main(['table', '1a']) == 0\n"
                 "print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)")
-        env = {k: v for k, v in os.environ.items()
-               if not k.startswith(("MALLOC_", "GLIBC_TUNABLES"))}
-        samples = {"on": [], "off": []}
-        for _ in range(5):
-            for mode, runs in samples.items():
-                out = subprocess.run([sys.executable, "-c", code, str(SRC), mode],
-                                     capture_output=True, text=True,
-                                     check=True, env=env).stdout
-                runs.append(int(out))
-        faults = {mode: statistics.median(runs) for mode, runs in samples.items()}
+        faults, samples = _median_faults(code, ("on", "off"), 5)
         assert faults["on"] <= faults["off"] / 4, samples
+
+    @_GLIBC_ONLY
+    def test_next_command_reuses_freed_pages(self, tmp_path):
+        # minor page faults of 30 `bound dk2` commands, one y each, after a
+        # first one, in a fresh interpreter, against the same commands with
+        # malloc_trim(0) after each: freed pages stay mapped from one
+        # command to the next.  Median of three samples a side
+        path = tmp_path / "erlang_pair.cfg"
+        path.write_text("[model]\nlambda = 0.8\nc = 1.2\nclaims = erlang\n"
+                        "shape = 200\nrate = 200\n"
+                        "[model2]\nlambda = 0.8\nc = 1.2\nclaims = erlang\n"
+                        "shape = 150\nrate = 150\n")
+        code = ("import contextlib, ctypes, io, resource, sys\n"
+                "sys.path.insert(0, sys.argv[1])\n"
+                "from ruinbounds import cli\n"
+                "trim = ctypes.CDLL(None).malloc_trim\n"
+                "def command(y):\n"
+                "    with contextlib.redirect_stdout(io.StringIO()):\n"
+                "        assert cli.main(['bound', 'dk2', sys.argv[3],\n"
+                "                         '--y', str(y)]) == 0\n"
+                "    if sys.argv[2] == 'trim':\n"
+                "        trim(0)\n"
+                "command(0)\n"
+                "before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+                "for y in range(1, 31):\n"
+                "    command(y)\n"
+                "print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)")
+        faults, samples = _median_faults(code, ("keep", "trim"), 3, path)
+        assert faults["keep"] <= faults["trim"] / 4, samples
