@@ -26,7 +26,7 @@ for y in ys:
 # slack against the pointwise gap is expected.
 print("\nuniform gap vs its continuity bound:")
 for y in ys:
-    gap = sup_distance(g_erl[y], g_exp[y]).value
+    gap = sup_distance(g_erl[y], g_exp[y])
     rep = dk2(m_erl, m_exp, y)
     print(f"  y = {y:4.2f}:  sup gap {gap:.4f}  <=  bound {rep.value:.4f}")
 

@@ -13,7 +13,7 @@ from .distributions import (ClaimDistribution, Erlang, ErlangMixture,
                             Exponential, HyperExponential, partial_exp_sum)
 from .errors import (GridMismatchError, PreconditionError, RuinboundsError,
                      TruncationError)
-from .metrics import (GridFunction, SupDistance, kantorovich, nu_gamma, q_y,
+from .metrics import (GridFunction, kantorovich, nu_gamma, q_y,
                       sup_distance, tail_crossings)
 from .oracle import MCEstimate, estimate as mc_estimate
 from .renewal import (DEFAULT_H, IterationTrace, RenewalProblem, iterate,
@@ -32,7 +32,7 @@ __all__ = [
     "HyperExponential", "partial_exp_sum",
     "GridMismatchError", "PreconditionError", "RuinboundsError",
     "TruncationError",
-    "GridFunction", "SupDistance", "kantorovich", "nu_gamma", "q_y",
+    "GridFunction", "kantorovich", "nu_gamma", "q_y",
     "sup_distance", "tail_crossings",
     "MCEstimate", "mc_estimate",
     "DEFAULT_H", "IterationTrace", "RenewalProblem", "iterate", "residual",

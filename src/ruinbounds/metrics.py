@@ -15,7 +15,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import NamedTuple
 
 import numpy as np
 
@@ -25,7 +24,6 @@ from .errors import GridMismatchError, TruncationError
 
 __all__ = [
     "GridFunction",
-    "SupDistance",
     "nu_gamma",
     "kantorovich",
     "q_y",
@@ -94,30 +92,10 @@ def _common_grid(x: GridFunction, y: GridFunction):
     return x.h, x.values[:n], y.values[:n]
 
 
-class SupDistance(NamedTuple):
-    """Uniform distance plus a discretization/truncation uncertainty."""
-
-    value: float
-    uncertainty: float
-
-
-def sup_distance(x: GridFunction, y: GridFunction) -> SupDistance:
-    """Max over grid nodes of |x - y|.
-
-    The uncertainty combines the discretization estimate h * max|slope of
-    the difference| with, when one grid is longer, the largest magnitude
-    either function attains on the truncated stretch.
-    """
-    h, xv, yv = _common_grid(x, y)
-    d = xv - yv
-    value = float(np.max(np.abs(d)))
-    unc = float(np.max(np.abs(np.diff(d)))) if len(d) > 1 else 0.0
-    n = len(d)
-    if len(x) > n:
-        unc += float(np.max(np.abs(x.values[n:])))
-    if len(y) > n:
-        unc += float(np.max(np.abs(y.values[n:])))
-    return SupDistance(value, unc)
+def sup_distance(x: GridFunction, y: GridFunction) -> float:
+    """Max over the nodes of the shorter grid of |x - y|."""
+    _, xv, yv = _common_grid(x, y)
+    return float(np.max(np.abs(xv - yv)))
 
 
 # ---------------------------------------------------------------------------

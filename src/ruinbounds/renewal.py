@@ -14,9 +14,11 @@ for fast convolution in Volterra equations Hairer, Lubich & Schlichte,
 SIAM J. Sci. Stat. Comput. 6(3), 1985).  One refinement step, with a
 residual that integer-valued float64 FFT products make exact where it
 cancels, leaves every node within rounding of the exact solution of the
-grid system.  The map x -> z + phi*(x conv kappa) contracts with modulus
-phi, which yields a priori and a posteriori error certificates for the
-fixed-point iteration.
+grid system.  Each product of two series in half spectra, the solve's
+two, its residual's three and the iteration's, goes through ``_cross``.
+The map x -> z + phi*(x conv kappa) contracts with modulus phi, which
+yields a priori and a posteriori error certificates for the fixed-point
+iteration.
 
 A ``RenewalProblem`` is this equation sampled: z and kappa at the nodes
 0, h, ..., n h, checked once when the problem is built.
@@ -221,6 +223,21 @@ def _assemble(lo, cross, m, size):
     return out
 
 
+def _cross(a, x, out=(None, None)):
+    """The two products of the half-spectrum pairs a = (a_lo, a_hi) and
+    x = (x_lo, x_hi) that ``_assemble`` reads: a_lo x_lo, and the cross
+    term x_lo a_hi + a_lo x_hi.  numpy's complex product may fuse a
+    multiply-add, so a b and b a can differ in the last bit; this operand
+    order keeps the bytes of every table.  ``out`` names two spectra the
+    caller has spent, for the cross term: the first may be x_lo or a_hi,
+    the second a_lo or x_hi."""
+    (a_lo, a_hi), (x_lo, x_hi) = a, x
+    lo = a_lo * x_lo
+    cross = np.multiply(x_lo, a_hi, out=out[0])
+    cross += np.multiply(a_lo, x_hi, out=out[1])
+    return lo, cross
+
+
 def _product(a, x):
     """(a x) mod t^m for power series a and x of m terms, a given by its two
     half spectra ``_halves(a, _fast_len(m))``.  They are only read, never
@@ -228,15 +245,10 @@ def _product(a, x):
     """
     m = len(x)
     size = _fast_len(m)
-    a_lo, a_hi = a
-    x_lo, x_hi = _halves(x, size)
-    lo = a_lo * x_lo
-    # numpy's complex product may fuse a multiply-add, so a b and b a can
-    # differ in the last bit; this order keeps the bytes of every table
-    x_lo *= a_hi
-    x_lo += np.multiply(a_lo, x_hi, out=x_hi)
-    del x_hi
-    return _assemble(lo, x_lo, m, size)
+    xs = _halves(x, size)
+    lo, cross = _cross(a, xs, out=xs)
+    del xs
+    return _assemble(lo, cross, m, size)
 
 
 def _integer_bound(size):
@@ -294,45 +306,29 @@ def _residual(kernel, y, r):
     """
     m = len(y)
     size = _fast_len(m)
-    s, (C_lo, C_hi), (c_lo, c_hi) = kernel
+    s, C, c_low = kernel
     t, Y, y_low = _split(y)
-    Y_lo, Y_hi = _halves(Y, size)
-    del Y
-    d = Y_lo * C_hi
-    d += np.multiply(C_lo, Y_hi)
-    d = _assemble(C_lo * Y_lo, d, m, size)
+    Y = _halves(Y, size)
+    d = _assemble(*_cross(C, Y), m, size)
     np.rint(d, out=d)
     np.ldexp(d, -(s + t), out=d)
     d -= r
-    # low parts 2^-s C y' + c' y; the spectra of y = 2^-t Y + y' and of
-    # 2^-s C follow from those of Y and C by linearity.  Each product keeps
-    # its operand order (see ``_product``) and each sum its terms; results
-    # go into spent spectra, and spectra are dropped once spent, because
-    # peak memory binds before time does
-    w_lo, w_hi = _halves(y_low, size)
+    # low parts c' y + 2^-s C y'; the spectra of y = 2^-t Y + y' and of
+    # 2^-s C follow from those of Y and C by linearity.  Each product
+    # writes its cross term into spectra spent by then, because peak
+    # memory binds before time does
+    w = _halves(y_low, size)
     del y_low
-    Y_lo *= np.ldexp(1.0, -t)
-    Y_lo += w_lo
-    Y_hi *= np.ldexp(1.0, -t)
-    Y_hi += w_hi
-    # c' y: lo = c'_lo y_lo, cross = y_lo c'_hi + c'_lo y_hi
-    lo = c_lo * Y_lo
-    cross = np.multiply(Y_lo, c_hi, out=Y_lo)
-    cross += np.multiply(c_lo, Y_hi, out=Y_hi)
-    del Y_lo, Y_hi
-    # 2^-s C y', added to each: lo gains S_lo y'_lo and cross
-    # y'_lo S_hi + S_lo y'_hi, S = 2^-s C
-    S = C_lo * np.ldexp(1.0, -s)
-    np.multiply(S, w_hi, out=w_hi)
-    lo += np.multiply(S, w_lo, out=S)
-    del S
-    low = C_hi * np.ldexp(1.0, -s)
-    np.multiply(w_lo, low, out=low)
-    del w_lo
-    low += w_hi
-    del w_hi
-    cross += low
-    del low
+    for Y_half, w_half in zip(Y, w):
+        Y_half *= np.ldexp(1.0, -t)
+        Y_half += w_half
+    lo, cross = _cross(c_low, Y, out=Y)
+    del Y
+    S = tuple(half * np.ldexp(1.0, -s) for half in C)
+    lo_s, cross_s = _cross(S, w, out=w)
+    del S, w
+    lo += lo_s
+    cross += cross_s
     d += _assemble(lo, cross, m, size)
     return d
 
@@ -416,15 +412,12 @@ def _convolution(x, k, spectra, h):
     transform it once."""
     m = len(k)
     size = _fast_len(m)
-    k_lo, k_hi = spectra
     x_lo, x_hi = _halves(x, size)
-    lo = x_lo * k_lo
-    # the operand order of the products is that of ``_product`` with x's
-    # spectra as its a, which keeps the bytes of every iterate
-    np.multiply(k_lo, x_hi, out=x_hi)
-    x_hi += np.multiply(x_lo, k_hi, out=x_lo)
-    del x_lo
-    full = _assemble(lo, x_hi, m, size)
+    # x's spectra are ``_cross``'s a, the order that keeps the bytes of
+    # every iterate
+    lo, cross = _cross((x_lo, x_hi), spectra, out=(x_hi, x_lo))
+    del x_lo, x_hi
+    full = _assemble(lo, cross, m, size)
     return h * (full - 0.5 * x[0] * k - 0.5 * x * k[0])
 
 

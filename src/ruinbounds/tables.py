@@ -311,7 +311,7 @@ def _run_table_3():
         # analytic anchor for the exponential side
         exact_left = k_exact_exponential(pm, g_left.grid)
         anchor_gap = float(np.max(np.abs(exact_left - g_left.values)))
-        sup = sup_distance(g_left, k[pmt]).value
+        sup = sup_distance(g_left, k[pmt])
         rows.append(_row("3", inputs, "sup", sup, paper_sup, tol["sup"],
                          doc_key=(D, Dt),
                          note=f"closed-form anchor gap {anchor_gap:.1e}"))

@@ -272,7 +272,7 @@ class TestCriterion6:
             f1 = deficit_tail_family(m, tables._T2_YS, u_max=8.0)
             f2 = deficit_tail_family(mt, tables._T2_YS, u_max=8.0)
             for y in tables._T2_YS:
-                gap = sup_distance(f1[y], f2[y]).value
+                gap = sup_distance(f1[y], f2[y])
                 if gap > dk2(m, mt, y).value:
                     failures.append(f"theta={theta} y={y}: sup > DK2")
         _report("6i", "exact distance <= bound on every configured pair",

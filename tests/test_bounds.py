@@ -110,7 +110,7 @@ class TestDK2:
         for y in (0.25, 1.0):
             g1 = deficit_tail(m, y, u_max=8.0)
             g2 = deficit_tail(mt, y, u_max=8.0)
-            assert sup_distance(g1, g2).value <= dk2(m, mt, y).value
+            assert sup_distance(g1, g2) <= dk2(m, mt, y).value
 
 
 class TestDK3:

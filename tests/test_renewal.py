@@ -3,6 +3,7 @@ recursion and with exact phase-type values, convergence order, error
 certificates, contraction behaviour."""
 
 import math
+import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
 
@@ -19,8 +20,8 @@ from ruinbounds import (ClaimDistribution, Erlang, Exponential, GridFunction,
                         RenewalProblem, RiskModel, iterate, renewal,
                         residual, ruin_probability, solve)
 from ruinbounds.classical import _problem
-from ruinbounds.renewal import (_fast_len, _halves, _integer_bound, _newton,
-                                _product, _reciprocal, _residual, _system,
+from ruinbounds.renewal import (_cross, _fast_len, _halves, _integer_bound,
+                                _newton, _product, _reciprocal, _residual, _system,
                                 nodes, trapezoid_convolution)
 
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -316,6 +317,72 @@ class TestSolve:
         e = _residual(inverse.split, y, r)
         assert np.array_equal(e, reference_residual(c, y, r))
         assert np.array_equal(_product((lo, hi), e), reference_product(b, e))
+
+
+class TestCross:
+    """``_cross`` is the one product of half-spectrum pairs; a caller may
+    give it spent spectra for the cross term."""
+
+    @staticmethod
+    def spectra(seed, n=513):
+        rng = np.random.default_rng(seed)
+        parts = rng.standard_normal((4, 2, n))
+        return [part[0] + 1j * part[1] for part in parts]
+
+    # first out x_lo or a_hi, second a_lo or x_hi: ``_product`` and the
+    # residual pass (x_lo, x_hi), ``_convolution`` (a_hi, a_lo)
+    @pytest.mark.parametrize("first", ["x_lo", "a_hi"])
+    @pytest.mark.parametrize("second", ["a_lo", "x_hi"])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_out_is_bit_equal_to_fresh_arrays(self, seed, first, second):
+        a_lo, a_hi, x_lo, x_hi = self.spectra(seed)
+        want_lo, want_cross = _cross((a_lo, a_hi), (x_lo, x_hi))
+        named = dict(a_lo=a_lo.copy(), a_hi=a_hi.copy(), x_lo=x_lo.copy(),
+                     x_hi=x_hi.copy())
+        lo, cross = _cross((named["a_lo"], named["a_hi"]),
+                           (named["x_lo"], named["x_hi"]),
+                           out=(named[first], named[second]))
+        assert cross is named[first]
+        assert lo.tobytes() == want_lo.tobytes()
+        assert cross.tobytes() == want_cross.tobytes()
+
+
+def _peak_bytes(call):
+    """Bytes allocated at the peak of call() above what was allocated when
+    it began, as tracemalloc sees them; numpy reports its array data to it."""
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        call()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+
+
+class TestMemory:
+    """Peak memory of a solve on a kept kernel of 40 961 nodes, the grid
+    of table 1, in bytes per node: one spectrum or one grid array is about
+    8.  Peak memory binds before time does."""
+
+    def test_residual_and_solve_ceilings(self):
+        h = 2.0**-10
+        p = KERNELS["hyperexponential"](h, 40960 * h)
+        n = len(p.forcing)
+        assert n == 40961
+        solve(p)                                    # keeps the kernel
+        c, x = _system(p)
+        inverse = _reciprocal(c.tobytes())
+        del c
+        r = x[1:]
+        y = _product(inverse.b, r)
+        hits = _reciprocal.cache_info().hits
+        assert _peak_bytes(lambda: _residual(inverse.split, y, r)) <= 80 * n
+        assert _peak_bytes(lambda: solve(p)) <= 96 * n
+        assert _reciprocal.cache_info().hits == hits + 1
 
 
 class _FFTCount:
