@@ -9,15 +9,13 @@ from .classical import (RiskModel, adjustment_rate, deficit_tail,
                         weighted_psi_moment)
 from .diffusion import (PerturbedModel, decompose, k_exact_exponential,
                         k_iterate_erlang, k_iterates, k_tail, psi_total)
-from .distributions import (ClaimDistribution, Erlang, ErlangMixture,
-                            Exponential, HyperExponential, partial_exp_sum)
+from .distributions import (ClaimDistribution, Erlang, Exponential,
+                            HyperExponential, partial_exp_sum)
 from .errors import (GridMismatchError, PreconditionError, RuinboundsError,
                      TruncationError)
-from .metrics import (GridFunction, kantorovich, nu_gamma, q_y,
-                      sup_distance, tail_crossings)
+from .metrics import GridFunction, kantorovich, nu_gamma, q_y, sup_distance
 from .oracle import MCEstimate, estimate as mc_estimate
-from .renewal import (DEFAULT_H, IterationTrace, RenewalProblem, iterate,
-                      residual, solve)
+from .renewal import DEFAULT_H, IterationTrace, RenewalProblem, iterate, solve
 
 __version__ = "0.1.0"
 
@@ -28,13 +26,11 @@ __all__ = [
     "weighted_psi_moment",
     "PerturbedModel", "decompose", "k_exact_exponential", "k_iterate_erlang",
     "k_iterates", "k_tail", "psi_total",
-    "ClaimDistribution", "Erlang", "ErlangMixture", "Exponential",
-    "HyperExponential", "partial_exp_sum",
+    "ClaimDistribution", "Erlang", "Exponential", "HyperExponential",
+    "partial_exp_sum",
     "GridMismatchError", "PreconditionError", "RuinboundsError",
     "TruncationError",
-    "GridFunction", "kantorovich", "nu_gamma", "q_y",
-    "sup_distance", "tail_crossings",
+    "GridFunction", "kantorovich", "nu_gamma", "q_y", "sup_distance",
     "MCEstimate", "mc_estimate",
-    "DEFAULT_H", "IterationTrace", "RenewalProblem", "iterate", "residual",
-    "solve",
+    "DEFAULT_H", "IterationTrace", "RenewalProblem", "iterate", "solve",
 ]

@@ -37,8 +37,17 @@ def _check(preconditions):
             raise PreconditionError(f"hypothesis violated: {name}")
 
 
+def _ml(model, gamma, psi):
+    """ML_gamma of one model: E X^2 / (2 theta mu) exactly at gamma = 0,
+    else ``weighted_psi_moment``, solving for psi unless it is passed."""
+    if gamma == 0.0:
+        return model.claims.second_moment() / (2.0 * model.theta * model.mu)
+    return weighted_psi_moment(model, gamma, psi=psi)
+
+
 def dk1(m: RiskModel, mt: RiskModel, gamma: float = 0.0,
-        psi: GridFunction | None = None) -> BoundReport:
+        psi: GridFunction | None = None,
+        psi_tilde: GridFunction | None = None) -> BoundReport:
     """Weighted-L1 continuity bound for the ruin probability:
 
         nu_gamma(psi, psi~) <= c/(c - lam*M_gamma) * ( nu_{gamma+1}(F, F~)/(gamma+1)
@@ -46,15 +55,14 @@ def dk1(m: RiskModel, mt: RiskModel, gamma: float = 0.0,
                                + |lam - lam~|/c * M~_{gamma+1} * (1 + ML_gamma) )
 
     with M_gamma the weighted tail moment of the first claim law and
-    ML_gamma the weighted moment of the first model's ruin probability.
-    Requires a shared premium rate and lam*M_gamma/c < 1.
+    ML_gamma a weighted moment of a ruin probability.  Requires a shared
+    premium rate and lam*M_gamma/c < 1.
 
     Convention: the proof leaves open whose ruin probability enters
-    ML_gamma; the first (non-tilde) model is used.  At gamma = 0, where
-    ML_gamma is closed form, the value under the tilde-model convention is
-    recorded in the notes.  At gamma = 0,
-    ML_0 = E X^2 / (2 theta mu) exactly, and the report carries the reduced
-    Kantorovich form, which must coincide when the intensities agree.
+    ML_gamma.  The bound rises with ML_gamma, so the larger of the two
+    models' values is used, and the bound holds whichever is meant; the
+    notes name both.  At gamma = 0 both are closed form; at gamma > 0 each
+    model's psi is solved unless passed as ``psi`` or ``psi_tilde``.
     """
     if gamma < 0:
         raise ValueError("gamma must be >= 0")
@@ -67,10 +75,8 @@ def dk1(m: RiskModel, mt: RiskModel, gamma: float = 0.0,
            ("net profit (second model)", mt.phi < 1.0)]
     _check(pre)
 
-    if gamma == 0.0:
-        ml = m.claims.second_moment() / (2.0 * m.theta * m.mu)
-    else:
-        ml = weighted_psi_moment(m, gamma, psi=psi)
+    ml_first, ml_tilde = _ml(m, gamma, psi), _ml(mt, gamma, psi_tilde)
+    ml = max(ml_first, ml_tilde)
 
     nu_g = nu_gamma(m.claims, mt.claims, gamma)
     nu_g1 = nu_gamma(m.claims, mt.claims, gamma + 1.0)
@@ -82,16 +88,8 @@ def dk1(m: RiskModel, mt: RiskModel, gamma: float = 0.0,
     term3 = abs(m.lam - mt.lam) / m.c * mt_g1 * (1.0 + ml)
     value = prefactor * (term1 + term2 + term3)
 
-    notes = [f"ML convention: first model ML_gamma={ml:.10g}"]
-    if gamma == 0.0:
-        ml_tilde = mt.claims.second_moment() / (2.0 * mt.theta * mt.mu)
-        alt = prefactor * (term1 + nu_g * ml_tilde
-                           + abs(m.lam - mt.lam) / m.c * mt_g1 * (1.0 + ml_tilde))
-        notes[0] += (f"; tilde-model convention would give bound {alt:.10g} "
-                     f"(ML~={ml_tilde:.10g})")
-        remark = prefactor * (nu_g1 + nu_g * ml
-                              + abs(m.lam - mt.lam) * mt.mu / m.c * (1.0 + ml))
-        notes.append(f"gamma=0 Kantorovich form: {remark:.10g}")
+    notes = [f"ML convention: larger of first model ML_gamma={ml_first:.10g} "
+             f"and second model ML~_gamma={ml_tilde:.10g}"]
 
     return BoundReport(kind="dk1", value=value,
                        components={"prefactor": prefactor,

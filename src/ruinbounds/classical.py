@@ -24,8 +24,8 @@ from .distributions import (ClaimDistribution, _de_quadrature,
                             _finite_tails, _Ladder)
 from .errors import PreconditionError
 from .metrics import GridFunction
-from .renewal import (DEFAULT_H, RenewalProblem, _as_tail, nodes, solve,
-                      trapezoid_convolution)
+from .renewal import (DEFAULT_H, RenewalProblem, _as_tail, _convolution,
+                      _spectra, nodes, solve)
 
 __all__ = [
     "RiskModel",
@@ -187,10 +187,11 @@ def pk_truncated_series(model: RiskModel, n_terms: int, h: float = DEFAULT_H,
     p = _problem(model, h, u_max)
     fe_tail = model.claims.equilibrium().tail(p.grid)
     phi = model.phi
+    spectra = _spectra(p.kernel)     # every term reads them
     tail_k = fe_tail.copy()          # tail of the 1-fold sum
     acc = (1.0 - phi) * phi * tail_k
     for k in range(2, n_terms + 1):
         # survival of the k-fold sum from the (k-1)-fold one
-        tail_k = fe_tail + trapezoid_convolution(tail_k, p.kernel, h)
+        tail_k = fe_tail + _convolution(tail_k, p.kernel, spectra, h)
         acc += (1.0 - phi) * phi**k * tail_k
     return GridFunction(h, acc, is_tail=True)

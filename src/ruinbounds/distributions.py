@@ -3,10 +3,9 @@
 Every claim law is a mixture of Erlang laws, and so phase-type: one class,
 ``ClaimDistribution``, is built from its components (weights, shapes,
 rates), component i being Erlang(k_i, r_i).  ``Exponential``,
-``HyperExponential``, ``Erlang`` and ``ErlangMixture`` (common rate) are
-functions that return one; construction drops components of weight 0 and
-sorts and merges the rest, so two spellings of one law compare and hash
-equal.  The class gives the survival function, density, moments and log
+``HyperExponential`` and ``Erlang`` are functions that return one;
+construction drops components of weight 0 and sorts and merges the rest,
+so two spellings of one law compare and hash equal.  The class gives the survival function, density, moments and log
 mgf in closed form, the equilibrium transform as another Erlang mixture, an
 exact sampler, and the phase-type pair (alpha, T).
 
@@ -33,7 +32,6 @@ __all__ = [
     "Exponential",
     "HyperExponential",
     "Erlang",
-    "ErlangMixture",
     "partial_exp_sum",
 ]
 
@@ -538,12 +536,6 @@ def HyperExponential(weights, rates):
     """Mixture of exponentials: tail(t) = sum_i p_i exp(-beta_i t)."""
     return ClaimDistribution(weights, np.ones(np.shape(weights), dtype=int),
                              rates)
-
-
-def ErlangMixture(weights, shapes, beta):
-    """Mixture of Erlang laws sharing one rate; the equilibrium transform
-    of such a mixture is another."""
-    return ClaimDistribution(weights, shapes, [beta] * len(weights))
 
 
 def Erlang(shape, beta):

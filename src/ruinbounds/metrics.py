@@ -28,7 +28,6 @@ __all__ = [
     "kantorovich",
     "q_y",
     "sup_distance",
-    "tail_crossings",
 ]
 
 _BISECT_TOL = 1e-12
@@ -127,23 +126,17 @@ def _bisect(f, lo, hi):
     return 0.5 * (lo + hi)
 
 
-def tail_crossings(F: ClaimDistribution, G: ClaimDistribution,
-                   lower: float = 0.0) -> list:
-    """Interior sign changes of F.tail - G.tail on [lower, inf).
+@lru_cache(maxsize=256)
+def _crossings(F, G, lower):
+    """Interior sign changes of F.tail - G.tail on [lower, inf), a tuple.
 
     Scanned on the nodes of the double-exponential rule that integrates the
     metrics (``distributions._de_nodes``), which sit dense near lower and
     near every Erlang mean and sparse far out, then bisected to 1e-12.
     Nodes where the tails agree to rounding carry no sign and are skipped.
+    Memoised like ``_nu_gamma_distributions``: the crossings do not depend
+    on gamma, so nu_gamma and nu_{gamma+1} of one pair scan once.
     """
-    return list(_crossings(F, G, float(lower)))
-
-
-@lru_cache(maxsize=256)
-def _crossings(F, G, lower):
-    """``tail_crossings`` as a tuple, memoised like ``_nu_gamma_distributions``:
-    the crossings do not depend on gamma, so nu_gamma and nu_{gamma+1} of
-    one pair scan once."""
     t = _de_nodes(_breaks([lower], (F, G)),
                   min(F.slowest_rate, G.slowest_rate))[0]
     with np.errstate(over="ignore", invalid="ignore"):

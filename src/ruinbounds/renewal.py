@@ -38,7 +38,7 @@ from numpy.fft import irfft, rfft
 from .errors import PreconditionError
 from .metrics import GridFunction
 
-__all__ = ["RenewalProblem", "IterationTrace", "solve", "iterate", "residual"]
+__all__ = ["RenewalProblem", "IterationTrace", "solve", "iterate"]
 
 DEFAULT_H = 2.0**-10
 
@@ -391,24 +391,17 @@ def _reciprocal(coeffs: bytes) -> _Inverse:
     return _Inverse((lo, hi), (s, C, low))
 
 
-def trapezoid_convolution(x: np.ndarray, k: np.ndarray, h: float) -> np.ndarray:
-    """Trapezoid discretization of int_0^{u_i} x(u_i - t) k(t) dt for all i.
-
-    x and k are sampled on the same grid; only the first len(x) terms of
-    their convolution are needed, which is the truncated product that
-    ``solve`` uses, with every FFT about len(x) long.
-    """
-    return _convolution(x, k, _spectra(k), h)
-
-
 def _spectra(k):
     """The two half spectra ``_halves`` of k at length ``_fast_len(len(k))``."""
     return _halves(k, _fast_len(len(k)))
 
 
 def _convolution(x, k, spectra, h):
-    """``trapezoid_convolution`` of x and k, k also given by its
-    ``_spectra``.  They are only read, so several convolutions with one k
+    """Trapezoid discretization of int_0^{u_i} x(u_i - t) k(t) dt for all
+    i, x and k sampled on one grid and k also given by its ``_spectra``.
+    Only the first len(x) terms of the convolution are needed, the
+    truncated product of ``solve``, so every FFT is about len(x) long.
+    The spectra are only read, so several convolutions with one k
     transform it once."""
     m = len(k)
     size = _fast_len(m)
@@ -425,18 +418,6 @@ def _apply(problem, xv, spectra):
     """T xv = z + phi (xv conv kappa), ``spectra`` being the kernel's."""
     return problem.forcing + problem.phi * _convolution(
         xv, problem.kernel, spectra, problem.h)
-
-
-def _check_grid(problem, x, name):
-    if len(x) != len(problem.forcing) or abs(x.h - problem.h) > 1e-12 * problem.h:
-        raise PreconditionError(f"grid of {name} does not match the problem grid")
-
-
-def residual(problem: RenewalProblem, x: GridFunction) -> float:
-    """Sup-norm defect of x as a solution of the equation."""
-    _check_grid(problem, x, "x")
-    tx = _apply(problem, x.values, _spectra(problem.kernel))
-    return float(np.max(np.abs(x.values - tx)))
 
 
 @dataclass(frozen=True)
@@ -476,7 +457,8 @@ def iterate(problem: RenewalProblem, x0, n: int) -> IterationTrace:
         raise ValueError("need at least one iteration")
     if not isinstance(x0, GridFunction):
         x0 = GridFunction(problem.h, np.full(len(problem.forcing), float(x0)))
-    _check_grid(problem, x0, "x0")
+    if len(x0) != len(problem.forcing) or abs(x0.h - problem.h) > 1e-12 * problem.h:
+        raise PreconditionError("grid of x0 does not match the problem grid")
     phi = problem.phi
     # every application reads the kernel's spectra, transformed once
     spectra = _spectra(problem.kernel)

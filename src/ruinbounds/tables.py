@@ -247,7 +247,7 @@ def _run_table_1(table_id):
         exact = nu_gamma(psi_m, psi_t, gamma)
         rows.append(_row(table_id, inputs, "exact", exact, paper_exact,
                          tol["exact"], doc_key=c))
-        rep = bounds_mod.dk1(m, mt, gamma, psi=psi_m)
+        rep = bounds_mod.dk1(m, mt, gamma, psi=psi_m, psi_tilde=psi_t)
         rows.append(_row(table_id, inputs, "dk1", rep.value, paper_dk1,
                          tol["dk1"], doc_key=c))
     comments = [f"table {table_id}: claims mixture(1/2,1/2; 5/4, 5/6) vs "

@@ -33,7 +33,8 @@ solve, whose two products each transformed the reciprocal anew and whose
 residual split and transformed the kernel's column anew; the trapezoid
 convolution, which transformed the kernel on every call; and the two
 renewal problems of psi and K-bar, built by separate functions before one
-ladder law built both.
+ladder law built both.  ``sup_defect`` is the sup-norm defect of a grid
+solution, the one check of a solve that needs no exact value.
 """
 
 import math
@@ -41,9 +42,9 @@ import math
 import numpy as np
 
 from ruinbounds.distributions import _expm, _running_sums, partial_exp_sum
-from ruinbounds.renewal import (RenewalProblem, _assemble, _fast_len, _halves,
-                                _integer_bound, _newton, _product, _scale,
-                                _system, nodes)
+from ruinbounds.renewal import (RenewalProblem, _apply, _assemble, _fast_len,
+                                _halves, _integer_bound, _newton, _product,
+                                _scale, _spectra, _system, nodes)
 
 __all__ = ["psi_exact", "psi_decay_rate", "g_bar_exact", "k_bar_exact", "k_decay_rate",
            "psi_total_exact", "psi_d_exact", "k_iterate_exact",
@@ -52,7 +53,7 @@ __all__ = ["psi_exact", "psi_decay_rate", "g_bar_exact", "k_bar_exact", "k_decay
            "reference_tail",
            "reference_product", "reference_residual", "reference_solve",
            "reference_trapezoid_convolution", "reference_psi_problem",
-           "reference_k_problem"]
+           "reference_k_problem", "sup_defect"]
 
 
 def _at(start, M, u, right=None):
@@ -286,6 +287,13 @@ def reference_solve(problem):
 def reference_trapezoid_convolution(x, k, h):
     full = _product(_halves(x, _fast_len(len(x))), k)
     return h * (full - 0.5 * x[0] * k - 0.5 * x * k[0])
+
+
+def sup_defect(problem, x):
+    """sup|x - T x| for a GridFunction x on the grid of ``problem``, T the
+    problem's renewal operator: the defect of x as a solution."""
+    tx = _apply(problem, x.values, _spectra(problem.kernel))
+    return float(np.max(np.abs(x.values - tx)))
 
 
 # The former ``classical._psi_problem`` and ``diffusion._k_problem``,

@@ -14,12 +14,12 @@ import time
 import numpy as np
 import pytest
 
-from helpers import k_bar_exact
+from helpers import k_bar_exact, sup_defect
 from ruinbounds import (Exponential, HyperExponential, PerturbedModel,
                         RiskModel, deficit_tail_family, dk2,
                         exact_ruin_exponential, k_exact_exponential,
                         k_iterates, k_tail, mc_estimate, pk_truncated_series,
-                        psi_total, residual, ruin_probability, sup_distance)
+                        psi_total, ruin_probability, sup_distance)
 from ruinbounds import tables
 from ruinbounds.classical import _problem
 
@@ -284,11 +284,11 @@ class TestCriterion6:
         pm = PerturbedModel(RiskModel(0.5, 0.5, Exponential(2.0)), 0.25)
         for h in (2.0**-9, 2.0**-10):
             p = _problem(m, h, 12.0)
-            r = residual(p, ruin_probability(m, h=h, u_max=12.0))
+            r = sup_defect(p, ruin_probability(m, h=h, u_max=12.0))
             if r > 5.0 * h * h:
                 failures.append(f"psi residual {r:.2e} > 5h^2 at h={h}")
             pk = _problem(pm, h, 6.0)
-            r = residual(pk, k_tail(pm, h=h, u_max=6.0))
+            r = sup_defect(pk, k_tail(pm, h=h, u_max=6.0))
             if r > 5.0 * h * h:
                 failures.append(f"K residual {r:.2e} > 5h^2 at h={h}")
         _report("6ii", "fixed-point residuals bounded by C h^2", failures)

@@ -6,8 +6,9 @@ import pytest
 from helpers import reconstruct
 from ruinbounds import (Erlang, Exponential, HyperExponential,
                         PerturbedModel, PreconditionError, RiskModel,
-                        deficit_tail, dk1, dk2, dk3, kantorovich, q_y,
-                        ruin_probability, sup_distance)
+                        deficit_tail, dk1, dk2, dk3, kantorovich, nu_gamma,
+                        q_y, ruin_probability, sup_distance)
+from ruinbounds import bounds, tables
 
 MIX54 = HyperExponential((0.5, 0.5), (1.25, 5.0 / 6.0))
 MIX26 = HyperExponential((0.5, 0.5), (2.0, 6.0))
@@ -64,14 +65,41 @@ class TestDK1:
             dk1(m, mt, 1.0)
 
     def test_convention_notes_present(self):
+        # the note names both models' ML_0; the larger enters the bound
         m, mt = pair_table1()
         rep = dk1(m, mt, 0.0)
-        assert any("ML convention" in n for n in rep.convention_notes)
-        assert any("Kantorovich form" in n for n in rep.convention_notes)
+        ml, ml_t = (x.claims.second_moment() / (2.0 * x.theta * x.mu)
+                    for x in (m, mt))
+        (note,) = [n for n in rep.convention_notes if "ML convention" in n]
+        assert f"{ml:.10g}" in note and f"{ml_t:.10g}" in note
+        assert rep.components["ml_gamma"] == max(ml, ml_t)
+
+    def test_bound_holds_when_second_model_has_larger_ml(self):
+        # ML_0 is 0.2045 for the first model and 3.0116 for the second; with
+        # the first's alone the bound would be 2.1488, below nu_0(psi, psi~)
+        c = 1.1492131257273843
+        m = RiskModel(0.46348756472285413, c, Exponential(1.6203648694702626))
+        mt = RiskModel(1.7173545352248438, c, HyperExponential(
+            (0.272546704117453, 0.727453295882547),
+            (0.8742042565155529, 3.3459190713758904)))
+        h, u_max = 2.0**-8, 200.0
+        exact = nu_gamma(ruin_probability(m, h=h, u_max=u_max),
+                         ruin_probability(mt, h=h, u_max=u_max), 0.0)
+        assert exact == pytest.approx(2.8071, abs=1e-4)
+        rep = dk1(m, mt, 0.0)
+        assert rep.value >= exact
+        assert rep.value == pytest.approx(6.5937, abs=1e-4)
+
+    def test_gamma1_solves_second_psi_unless_passed(self):
+        m, mt = pair_table1(c=5.0)
+        psi = ruin_probability(m)
+        solved = dk1(m, mt, 1.0, psi=psi)
+        passed = dk1(m, mt, 1.0, psi=psi, psi_tilde=ruin_probability(mt))
+        assert solved.value == passed.value
+        assert solved.components == passed.components
 
     def test_gamma0_matches_closed_form_assembly(self):
         # with shared lam the reduced Kantorovich form is the bound itself
-        from ruinbounds import kantorovich, nu_gamma
         m, mt = pair_table1(c=7.0)
         rep = dk1(m, mt, 0.0)
         ml = 2.08 / (2.0 * m.theta)
@@ -79,6 +107,24 @@ class TestDK1:
             nu_gamma(MIX54, Exponential(1.0), 1.0)
             + kantorovich(MIX54, Exponential(1.0)) * ml)
         assert rep.value == pytest.approx(expect, rel=1e-9)
+
+
+TABLE_1_CELLS = [(tid, c) for tid in ("1a", "1b", "1c", "1d")
+                 for c in tables.PAPER_TABLE_1[tid][2]]
+
+
+@pytest.mark.parametrize("tid,c", TABLE_1_CELLS)
+def test_table_1_first_model_ml_is_larger(tid, c):
+    # so max(ML, ML~) is the first model's ML in every cell, and tables
+    # 1a-1d print what they printed under the first-model convention
+    lam, gamma, _ = tables.PAPER_TABLE_1[tid]
+    m, mt = (RiskModel(lam, c, law) for law in (tables.MIX_54_56, tables.EXP_1))
+    psi_m, psi_t = (tables._psi_cached(x, h=tables.H, u_max=40.0)
+                    for x in (m, mt))
+    ml = bounds._ml(m, gamma, psi_m)
+    assert ml >= bounds._ml(mt, gamma, psi_t)
+    rep = dk1(m, mt, gamma, psi=psi_m, psi_tilde=psi_t)
+    assert rep.components["ml_gamma"] == ml
 
 
 class TestDK2:

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from scipy import integrate
 
 from helpers import reference_sample, reference_tail
-from ruinbounds import (ClaimDistribution, Erlang, ErlangMixture, Exponential,
+from ruinbounds import (ClaimDistribution, Erlang, Exponential,
                         HyperExponential, PreconditionError, TruncationError,
                         partial_exp_sum)
 
@@ -22,7 +22,7 @@ ALL_PARAMETRIC = [
     MIX,
     Erlang(3, 3.0),
     Erlang(2, 0.7),
-    ErlangMixture((0.25, 0.75), (1, 3), 2.0),
+    ClaimDistribution((0.25, 0.75), (1, 3), [2.0] * 2),
 ]
 
 
@@ -308,10 +308,10 @@ class TestConstruction:
             Erlang(0, 1.0)
 
     def test_from_components(self):
-        # the core class is a law in its own right; a family builds the same
-        # components, so the two are one law and compare equal
+        # the core class is a law in its own right; another spelling of the
+        # same components, in another order, is one law and compares equal
         law = ClaimDistribution((0.5, 0.5), (1, 3), (2.0, 2.0))
-        mix = ErlangMixture((0.5, 0.5), (1, 3), 2.0)
+        mix = ClaimDistribution((0.5, 0.5), (3, 1), [2.0] * 2)
         assert law.tail(1.3) == mix.tail(1.3)
         assert law.mean() == pytest.approx(1.0, rel=1e-14)
         assert type(law.equilibrium()) is ClaimDistribution
@@ -428,7 +428,7 @@ class TestSampling:
 
         exp, erl = Exponential(1.7), Erlang(3, 2.5)
         hyp = HyperExponential((0.3, 0.7), (0.8, 3.0))
-        mix = ErlangMixture((0.2, 0.5, 0.3), (1, 2, 3), 2.5)
+        mix = ClaimDistribution((0.2, 0.5, 0.3), (1, 2, 3), [2.5] * 3)
         expect = {
             exp: rng().exponential(1.0 / 1.7, 1000),
             erl: rng().gamma(3, 1.0 / 2.5, 1000),
@@ -454,7 +454,7 @@ class TestSampling:
         HyperExponential((0.3, 0.7), (0.8, 3.0)),
         ClaimDistribution((0.1, 0.2, 0.3, 0.4), (1, 4, 2, 30), (0.5, 1.5, 2.5, 3.5)),
         ClaimDistribution((0.7, 0.2, 0.1), (2, 2, 2), (1.0, 2.0, 3.0)),
-        ErlangMixture((1 / 3, 1 / 3, 1 / 3), (1, 2, 3), 3.0),
+        ClaimDistribution((1 / 3, 1 / 3, 1 / 3), (1, 2, 3), [3.0] * 3),
     ])
     def test_uniform_on_a_cumulative_weight(self, law):
         # uniforms exactly on each cumulative weight and on its neighbours

@@ -10,7 +10,7 @@ from ruinbounds import metrics
 from ruinbounds import (ClaimDistribution, Erlang, Exponential, GridFunction,
                         GridMismatchError, HyperExponential, TruncationError,
                         kantorovich, nu_gamma, partial_exp_sum, q_y,
-                        sup_distance, tail_crossings)
+                        sup_distance)
 
 ERL = Erlang(3, 3.0)
 EXP1 = Exponential(1.0)
@@ -188,7 +188,7 @@ class TestFarTails:
 
 class TestCrossings:
     def test_known_crossing(self):
-        pts = tail_crossings(ERL, EXP1)
+        pts = metrics._crossings(ERL, EXP1, 0.0)
         assert len(pts) == 1
         assert pts[0] == pytest.approx(CROSS_ERL_EXP, abs=1e-9)
 
@@ -196,7 +196,7 @@ class TestCrossings:
                                       (MIX54, EXP1), (ERL, MIX54)])
     def test_crossings_bracket_sign_changes(self, pair):
         f, g = pair
-        pts = tail_crossings(f, g)
+        pts = metrics._crossings(f, g, 0.0)
         ts = np.linspace(0.0, 12.0, 10_000)
         d = np.asarray(f.tail(ts)) - np.asarray(g.tail(ts))
         flips = np.nonzero(np.sign(d[:-1]) * np.sign(d[1:]) < 0)[0]
@@ -209,7 +209,7 @@ class TestCrossings:
         # cell of an even 10 001-point scan out to the slow rate's scale
         f = HyperExponential((0.386, 0.614), (1.6758, 0.0196))
         g = Erlang(2, 3.8183)
-        pts = tail_crossings(f, g)
+        pts = metrics._crossings(f, g, 0.0)
         assert len(pts) == 1
         assert pts[0] == pytest.approx(0.10861100326, abs=1e-9)
         # scipy's quad, split at the crossing
@@ -221,7 +221,8 @@ class TestCrossings:
         # of the origin while the slow part spreads the laws to 1e4
         f = ClaimDistribution((0.1, 0.4, 0.5), (1, 3, 1), (0.5, 5.0, 1e-3))
         g = ClaimDistribution((0.5, 0.5), (1, 1), (1.0, 1e-3))
-        assert tail_crossings(f, g) == pytest.approx([0.4688, 3.2183], abs=1e-4)
+        assert metrics._crossings(f, g, 0.0) == pytest.approx([0.4688, 3.2183],
+                                                              abs=1e-4)
         assert kantorovich(f, g) == pytest.approx(0.5 * kantorovich(TWICE, EXP1),
                                                   rel=1e-12)
         assert kantorovich(f, g) == pytest.approx(0.12914811571986, rel=1e-12)
@@ -232,12 +233,11 @@ class TestCrossings:
         # on other nodes reads false crossings near 0.88 and 1.65
         f = Erlang(20, 0.4923)
         g = ClaimDistribution((0.661, 0.339), (28, 24), (0.04082, 0.03836))
-        assert tail_crossings(f, g) == []
+        assert metrics._crossings(f, g, 0.0) == ()
 
     def test_scanned_once_per_pair_and_lower_end(self, monkeypatch):
         # the crossings do not depend on gamma: nu_gamma at gamma = 0 and 1
-        # scans once; another lower end scans anew; every call of
-        # tail_crossings gets a list of its own
+        # scans once; another lower end scans anew
         scans = []
         de_nodes = metrics._de_nodes
 
@@ -252,10 +252,6 @@ class TestCrossings:
         nu_gamma(MIX54, EXP1, 1.0)
         assert len(scans) == 1
         q_y(MIX54, EXP1, 0.5)
-        assert len(scans) == 2
-        first = tail_crossings(MIX54, EXP1)
-        first.append(99.0)
-        assert tail_crossings(MIX54, EXP1) == first[:-1]
         assert len(scans) == 2
 
     @pytest.mark.parametrize("pair,count", [((EXP1, Exponential(2.0)), 0),

@@ -21,8 +21,8 @@ from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from helpers import k_iterate_exact, ladder_at
-from ruinbounds import (ClaimDistribution, Erlang, ErlangMixture, PerturbedModel,
-                        RiskModel, k_iterates)
+from ruinbounds import (ClaimDistribution, Erlang, PerturbedModel, RiskModel,
+                        k_iterates)
 from ruinbounds.renewal import nodes
 
 # a few shared rates make equal (shape, rate) pairs, which the equilibrium merges
@@ -92,11 +92,11 @@ def stage_count(law):
 
 @st.composite
 def erlang_mixtures(draw):
-    """ErlangMixture laws: up to four shapes, 1-40, at one rate."""
+    """Erlang mixtures: up to four shapes, 1-40, at one rate."""
     shapes = draw(st.lists(st.integers(1, 40), min_size=1, max_size=4))
     w = np.array(draw(st.lists(st.floats(0.05, 1.0), min_size=len(shapes),
                                max_size=len(shapes))))
-    return ErlangMixture(w / w.sum(), shapes, draw(RATES))
+    return ClaimDistribution(w / w.sum(), shapes, [draw(RATES)] * len(shapes))
 
 
 @settings(max_examples=60, deadline=None)
