@@ -120,7 +120,6 @@ def adjustment_rate(model) -> float:
 
 
 def weighted_psi_moment(model: RiskModel, gamma: float,
-                        h: float = DEFAULT_H, u_max: float | None = None,
                         psi: GridFunction | None = None) -> float:
     """Integral of (1+z)^gamma * psi(z) dz over [0, inf).
 
@@ -132,7 +131,7 @@ def weighted_psi_moment(model: RiskModel, gamma: float,
     if gamma < 0:
         raise ValueError("gamma must be >= 0")
     if psi is None:
-        psi = ruin_probability(model, h=h, u_max=u_max)
+        psi = ruin_probability(model)
     z = psi.grid
     with np.errstate(over="ignore", invalid="ignore"):
         core = float(np.trapezoid((1.0 + z) ** gamma * psi.values, dx=psi.h))

@@ -25,6 +25,7 @@ import sys
 from . import bounds as bounds_mod
 from . import config as config_mod
 from . import _parallel, oracle, tables
+from .classical import ruin_probability
 from .diffusion import PerturbedModel
 from .errors import PreconditionError, TruncationError
 
@@ -64,8 +65,6 @@ _LIBC = _glibc_malloc()
 
 
 def _fmt(v) -> str:
-    if v is None:
-        return ""
     return f"{v:.7g}"
 
 
@@ -131,7 +130,12 @@ def cmd_bound(args) -> int:
     if cfg.model2 is None:
         raise config_mod.ConfigError("bound evaluation needs a [model2] section")
     if args.kind == "dk1":
-        rep = bounds_mod.dk1(cfg.model, cfg.model2, gamma=args.gamma)
+        psi = psi_tilde = None      # ML_0 is closed form: nothing to solve
+        if args.gamma > 0:      # on the config's grid, refused if one node
+            psi, psi_tilde = (
+                ruin_probability(m, cfg.numeric.h, _grid_end(cfg, m))
+                for m in (cfg.model, cfg.model2))
+        rep = bounds_mod.dk1(cfg.model, cfg.model2, args.gamma, psi, psi_tilde)
     elif args.kind == "dk2":
         rep = bounds_mod.dk2(cfg.model, cfg.model2, y=args.y)
     else:
@@ -148,15 +152,15 @@ def cmd_bound(args) -> int:
     return EXIT_OK
 
 
-def _grid_end(args, cfg, model) -> float:
-    """End of the grid ``eval`` solves on, after refusing a config grid of
-    fewer than two nodes and a u past the end of the config's grid
-    (``umax``, or the default end of the model's ladder).
+def _grid_end(cfg, model, u=None) -> float:
+    """End of the config's grid (``umax``, or the default end of the
+    model's ladder), after refusing a grid of fewer than two nodes.
 
-    The renewal equation is causal, its value at u depending only on the
-    kernel and forcing on [0, u], so the grid stops one node past the first
-    node at or past the largest u: the values up to there are those of the
-    full grid.
+    Given the largest ``u`` that ``eval`` asks for, a u past that end is
+    refused too, and the grid stops one node past the first node at or past
+    u.  The renewal equation is causal, its value at u depending only on
+    the kernel and forcing on [0, u], so the values up to there are those
+    of the full grid.
     """
     h, end = cfg.numeric.h, cfg.numeric.umax
     if end is None:
@@ -166,7 +170,8 @@ def _grid_end(args, cfg, model) -> float:
         raise config_mod.ConfigError(f"umax = {end:g} at h = {h:g} gives a "
                                      f"grid of one node, not two; raise "
                                      f"umax or lower h in [numeric]")
-    u = max(args.u)
+    if u is None:
+        return n * h
     if u > n * h + 1e-12:
         raise config_mod.ConfigError(f"u = {u:g} lies past the grid end "
                                      f"{n * h:g}; raise umax in [numeric]")
@@ -184,7 +189,7 @@ def cmd_eval(args) -> int:
         model = PerturbedModel(model, cfg.D)
     if not mc:
         g = quantity.grid(model, args, cfg.numeric.h,
-                          _grid_end(args, cfg, model))
+                          _grid_end(cfg, model, max(args.u)))
         rows = zip(map(_fmt, args.u), map(_fmt, g(args.u)))
         sys.stdout.write(_write_csv(rows, ("u", "value")))
         return EXIT_OK

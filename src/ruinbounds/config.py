@@ -1,9 +1,12 @@
 """Flat config-file format for the command line tool.
 
 Sections ``[model]``, ``[model2]``, ``[diffusion]``, ``[numeric]``; one
-``key = value`` per line; ``#`` starts a comment.  Claim laws are selected
-by ``claims = exp | hyperexp | erlang`` with ``rate``, ``rates`` +
-``weights`` (comma separated) or ``shape`` + ``rate``.
+``key = value`` per line; ``#`` starts a comment.  ``_KEYS`` lists the keys
+of each section with the reader that parses and checks a value on the line
+it is read from, so a malformed value is reported at its own line.  Claim
+laws are selected by ``claims = exp | hyperexp | erlang``; each family
+needs exactly its keys of ``_FAMILIES`` (``rate``; comma separated
+``weights`` and ``rates``; ``shape`` and ``rate``) and refuses the others.
 """
 
 from __future__ import annotations
@@ -11,17 +14,17 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
+from functools import partial
 
 from .classical import RiskModel
-from .distributions import Erlang, Exponential, HyperExponential
+from .distributions import ClaimDistribution
 from .renewal import DEFAULT_H
 
 __all__ = ["NumericSpec", "ModelConfig", "ConfigError", "loads", "load"]
 
-_SECTIONS = ("model", "model2", "diffusion", "numeric")
-_MODEL_KEYS = {"lambda", "c", "claims", "rate", "rates", "weights", "shape"}
-_DIFFUSION_KEYS = {"d", "d2"}
-_NUMERIC_KEYS = {"h", "umax", "seed"}
+# the claim keys each family reads: it needs all of them and takes no other
+_FAMILIES = {"exp": ("rate",), "hyperexp": ("weights", "rates"),
+             "erlang": ("shape", "rate")}
 
 
 class ConfigError(ValueError):
@@ -61,72 +64,73 @@ def _number(text, line, cast=float, positive=True):
     return value
 
 
-def _build_claims(keys, line_of):
-    kind = keys.get("claims")
-    if kind is None:
-        raise ConfigError("missing 'claims' key", line_of.get("claims"))
-    if kind == "exp":
-        if "rate" not in keys:
-            raise ConfigError("exp claims need 'rate'", line_of.get("claims"))
-        return Exponential(_number(keys["rate"], line_of["rate"]))
-    if kind == "hyperexp":
-        for need in ("weights", "rates"):
-            if need not in keys:
-                raise ConfigError(f"hyperexp claims need '{need}'",
-                                  line_of.get("claims"))
-        weights = [_number(x, line_of["weights"], positive=False)
-                   for x in keys["weights"].split(",")]
-        rates = [_number(x, line_of["rates"]) for x in keys["rates"].split(",")]
-        if len(weights) != len(rates):
-            raise ConfigError(f"{len(weights)} weights for {len(rates)} rates",
-                              line_of["weights"])
-        s = sum(weights)
-        if abs(s - 1.0) > 1e-9:
-            raise ConfigError(f"weights sum to {s!r}, not 1",
-                              line_of["weights"])
-        if abs(s - 1.0) > 1e-12:
-            warnings.warn(f"hyperexp weights sum to {s!r}; renormalizing")
-        return HyperExponential(weights, rates)
-    if kind == "erlang":
-        for need in ("shape", "rate"):
-            if need not in keys:
-                raise ConfigError(f"erlang claims need '{need}'",
-                                  line_of.get("claims"))
-        return Erlang(_number(keys["shape"], line_of["shape"], int),
-                      _number(keys["rate"], line_of["rate"]))
-    raise ConfigError(f"unknown claims kind {kind!r} (exp|hyperexp|erlang)",
-                      line_of.get("claims"))
+def _family(text, line):
+    if text not in _FAMILIES:
+        raise ConfigError(f"unknown claims kind {text!r} ({'|'.join(_FAMILIES)})",
+                          line)
+    return text
+
+
+def _rates(text, line):
+    return [_number(x, line) for x in text.split(",")]
+
+
+def _weights(text, line):
+    weights = [_number(x, line, positive=False) for x in text.split(",")]
+    s = sum(weights)
+    if abs(s - 1.0) > 1e-9:
+        raise ConfigError(f"weights sum to {s!r}, not 1", line)
+    if abs(s - 1.0) > 1e-12:
+        warnings.warn(f"hyperexp weights sum to {s!r}; renormalizing")
+    return weights
+
+
+_KEYS = {section: {"lambda": _number, "c": _number, "claims": _family,
+                   "rate": _number, "rates": _rates, "weights": _weights,
+                   "shape": partial(_number, cast=int)}
+         for section in ("model", "model2")} | {
+    "diffusion": {"d": _number, "d2": _number},
+    "numeric": {"h": _number, "umax": _number,
+                "seed": partial(_number, cast=int, positive=False)}}
 
 
 def _build_model(keys, line_of):
-    for need in ("lambda", "c"):
+    for need in ("lambda", "c", "claims"):
         if need not in keys:
             raise ConfigError(f"model section needs '{need}'",
-                              min(line_of.values()) if line_of else None)
-    return RiskModel(lam=_number(keys["lambda"], line_of["lambda"]),
-                     c=_number(keys["c"], line_of["c"]),
-                     claims=_build_claims(keys, line_of))
+                              min(line_of.values(), default=None))
+    kind = keys["claims"]
+    for key in keys:
+        if key not in ("lambda", "c", "claims", *_FAMILIES[kind]):
+            raise ConfigError(f"{kind} claims take no '{key}'", line_of[key])
+    for need in _FAMILIES[kind]:
+        if need not in keys:
+            raise ConfigError(f"{kind} claims need '{need}'", line_of["claims"])
+    weights, rates = keys.get("weights"), keys.get("rates") or [keys["rate"]]
+    if weights is not None and len(weights) != len(rates):
+        raise ConfigError(f"{len(weights)} weights for {len(rates)} rates",
+                          line_of["weights"])
+    claims = ClaimDistribution(weights or [1.0],
+                               [keys.get("shape", 1)] * len(rates), rates)
+    return RiskModel(lam=keys["lambda"], c=keys["c"], claims=claims)
 
 
 def loads(text: str) -> ModelConfig:
     """Parse a config document; raises ConfigError with a line number on
-    syntax problems, PreconditionError on model-level violations."""
-    sections = {}
-    lines_of = {}
-    current = None
+    syntax problems and malformed values, PreconditionError on model-level
+    violations."""
+    sections, lines_of, current = {}, {}, None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         if line.startswith("[") and line.endswith("]"):
-            name = line[1:-1].strip().lower()
-            if name not in _SECTIONS:
-                raise ConfigError(f"unknown section [{name}]", lineno)
-            if name in sections:
-                raise ConfigError(f"duplicate section [{name}]", lineno)
-            current = name
-            sections[name] = {}
-            lines_of[name] = {}
+            current = line[1:-1].strip().lower()
+            if current not in _KEYS:
+                raise ConfigError(f"unknown section [{current}]", lineno)
+            if current in sections:
+                raise ConfigError(f"duplicate section [{current}]", lineno)
+            sections[current], lines_of[current] = {}, {}
             continue
         if "=" not in line:
             raise ConfigError("expected 'key = value'", lineno)
@@ -134,46 +138,21 @@ def loads(text: str) -> ModelConfig:
             raise ConfigError("key outside any section", lineno)
         key, _, value = line.partition("=")
         key = key.strip().lower()
-        value = value.strip()
-        allowed = (_MODEL_KEYS if current in ("model", "model2")
-                   else _DIFFUSION_KEYS if current == "diffusion"
-                   else _NUMERIC_KEYS)
-        if key not in allowed:
+        if key not in _KEYS[current]:
             raise ConfigError(f"unknown key {key!r} in [{current}]", lineno)
         if key in sections[current]:
             raise ConfigError(f"duplicate key {key!r}", lineno)
-        sections[current][key] = value
+        sections[current][key] = _KEYS[current][key](value.strip(), lineno)
         lines_of[current][key] = lineno
 
     if "model" not in sections:
         raise ConfigError("missing required section [model]")
-    model = _build_model(sections["model"], lines_of["model"])
-    model2 = None
-    if "model2" in sections:
-        model2 = _build_model(sections["model2"], lines_of["model2"])
-
-    D = D2 = None
-    if "diffusion" in sections:
-        diff, line_of = sections["diffusion"], lines_of["diffusion"]
-        if "d" in diff:
-            D = _number(diff["d"], line_of["d"])
-        if "d2" in diff:
-            D2 = _number(diff["d2"], line_of["d2"])
-
-    numeric = NumericSpec()
-    if "numeric" in sections:
-        num, line_of = sections["numeric"], lines_of["numeric"]
-        kwargs = {}
-        if "h" in num:
-            kwargs["h"] = _number(num["h"], line_of["h"])
-        if "umax" in num:
-            kwargs["umax"] = _number(num["umax"], line_of["umax"])
-        if "seed" in num:
-            kwargs["seed"] = _number(num["seed"], line_of["seed"], int,
-                                     positive=False)
-        numeric = NumericSpec(**kwargs)
-
-    return ModelConfig(model=model, model2=model2, D=D, D2=D2, numeric=numeric)
+    model, model2 = (_build_model(sections[s], lines_of[s]) if s in sections
+                     else None for s in ("model", "model2"))
+    diffusion = sections.get("diffusion", {})
+    return ModelConfig(model=model, model2=model2, D=diffusion.get("d"),
+                       D2=diffusion.get("d2"),
+                       numeric=NumericSpec(**sections.get("numeric", {})))
 
 
 def load(path) -> ModelConfig:

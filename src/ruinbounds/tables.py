@@ -188,8 +188,8 @@ class TableRow:
     inputs: str
     quantity: str
     computed: float
-    paper: float | None
-    deviation: float | None
+    paper: float
+    deviation: float
     flag: str
     note: str = ""
 

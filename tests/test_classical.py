@@ -170,12 +170,14 @@ class TestWeightedPsiMoment:
     def test_el_closed_form_exponential(self):
         # E L = E X^2/(2 theta mu): Exp(1) claims, theta = 2.6
         m = RiskModel(5.0 / 6.0, 3.0, Exponential(1.0))
-        got = weighted_psi_moment(m, 0.0, u_max=30.0)
+        got = weighted_psi_moment(
+            m, 0.0, psi=ruin_probability(m, u_max=30.0))
         assert got == pytest.approx(2.0 / 5.2, rel=1e-4)
 
     def test_el_closed_form_mixture(self):
         m = model_mix()
-        got = weighted_psi_moment(m, 0.0, u_max=35.0)
+        got = weighted_psi_moment(
+            m, 0.0, psi=ruin_probability(m, u_max=35.0))
         assert got == pytest.approx(2.08 / 5.2, rel=1e-4)
 
     def test_gamma_one_moment_formula(self):
@@ -189,7 +191,8 @@ class TestWeightedPsiMoment:
         ey2 = eq.second_moment()
         el = en * ey
         el2 = en * ey2 + enn1 * ey**2
-        got = weighted_psi_moment(m, 1.0, u_max=35.0)
+        got = weighted_psi_moment(
+            m, 1.0, psi=ruin_probability(m, u_max=35.0))
         assert got == pytest.approx(el + el2 / 2.0, rel=1e-4)
 
     def test_weight_overflow_is_inf(self):
@@ -197,7 +200,8 @@ class TestWeightedPsiMoment:
         m = model_exp2()
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert weighted_psi_moment(m, 300.0, h=2.0**-6, u_max=10.0) == math.inf
+            psi = ruin_probability(m, h=2.0**-6, u_max=10.0)
+            assert weighted_psi_moment(m, 300.0, psi=psi) == math.inf
 
 
 class TestDeficitTail:

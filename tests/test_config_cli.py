@@ -13,14 +13,17 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from helpers import k_bar_exact, k_iterate_exact, psi_total_exact
 import ruinbounds
-from ruinbounds import (Erlang, GridFunction, PerturbedModel, RiskModel,
-                        _parallel, cli, config, deficit_tail, distributions,
-                        k_iterates, k_tail, metrics, oracle, psi_total,
-                        renewal, ruin_probability, tables)
+from ruinbounds import (Erlang, Exponential, GridFunction, HyperExponential,
+                        PerturbedModel, RiskModel, _parallel, bounds, cli,
+                        config, deficit_tail, distributions, k_iterates,
+                        k_tail, metrics, oracle, psi_total, renewal,
+                        ruin_probability, tables)
 from ruinbounds.config import ConfigError
 from ruinbounds.errors import PreconditionError, TruncationError
 
@@ -86,6 +89,94 @@ class TestConfigParsing:
                            "rate = 2.0\n[numeric]\nseed = 3\n")
         assert cfg.numeric.h == renewal.DEFAULT_H
         assert config.NumericSpec().h == renewal.DEFAULT_H
+
+    @settings(max_examples=60, deadline=None)
+    @given(rates=st.lists(st.floats(0.01, 100.0), min_size=1, max_size=4),
+           raw=st.lists(st.floats(0.01, 1.0), min_size=4, max_size=4),
+           shape=st.integers(1, 40))
+    def test_each_family_loads_its_public_law(self, rates, raw, shape):
+        weights = [w / math.fsum(raw[:len(rates)]) for w in raw[:len(rates)]]
+        laws = {"exp": (f"rate = {rates[0]!r}", Exponential(rates[0])),
+                "hyperexp": (f"weights = {', '.join(map(repr, weights))}\n"
+                             f"rates = {', '.join(map(repr, rates))}",
+                             HyperExponential(weights, rates)),
+                "erlang": (f"shape = {shape}\nrate = {rates[0]!r}",
+                           Erlang(shape, rates[0]))}
+        for family, (lines, law) in laws.items():
+            cfg = config.loads(f"[model]\nlambda = 0.5\nc = 1e4\n"
+                               f"claims = {family}\n{lines}\n")
+            assert cfg.model.claims == law, family
+            assert hash(cfg.model.claims) == hash(law), family
+
+    @pytest.mark.parametrize("section, key", [
+        (section, key) for section, keys in config._KEYS.items()
+        for key in keys])
+    def test_malformed_value_reported_at_its_line(self, section, key):
+        # values are checked as they are read, before any section is built
+        family = next((f for f, need in config._FAMILIES.items()
+                       if key in need), "exp")
+        lines = every_key_config(family).splitlines()
+        config.loads("\n".join(lines))
+        at = lines.index(f"[{section}]")
+        at += next(i for i, l in enumerate(lines[at:]) if l.startswith(key + " ="))
+        lines[at] = f"{key} = {MALFORMED[key]}"
+        with pytest.raises(ConfigError) as err:
+            config.loads("\n".join(lines))
+        assert err.value.line == at + 1
+
+    @pytest.mark.parametrize("section, family, stray, message", [
+        ("model", "exp", "shape = 2", "exp claims take no 'shape'"),
+        ("model2", "erlang", "weights = 0.5, 0.5",
+         "erlang claims take no 'weights'"),
+        ("model", "hyperexp", "rate = 1.0", "hyperexp claims take no 'rate'"),
+        # a malformed value is reported first, at the same line
+        ("model2", "exp", "rates = 1.5, x", "positive number, got 'x'"),
+    ])
+    def test_claim_key_of_another_family_refused_at_its_line(
+            self, section, family, stray, message):
+        lines = every_key_config(family).splitlines()
+        at = lines.index(f"[{section}]") + 1
+        lines.insert(at, stray)                  # before the claims key
+        with pytest.raises(ConfigError, match=message) as err:
+            config.loads("\n".join(lines))
+        assert err.value.line == at + 1
+
+    def test_bound_dk1_solves_psi_on_the_numeric_grid(self, capsys):
+        path = DATA / "dk_pair_grid.cfg"
+        cfg = config.load(path)
+        h, umax = cfg.numeric.h, cfg.numeric.umax
+        assert (h, umax) == (0.015625, 30.0)
+        rep = bounds.dk1(cfg.model, cfg.model2, 0.5,
+                         psi=ruin_probability(cfg.model, h, umax),
+                         psi_tilde=ruin_probability(cfg.model2, h, umax))
+        code, out, _ = run_cli(capsys, "bound", "dk1", str(path),
+                               "--gamma", "0.5")
+        assert code == 0
+        values = [rep.value, rep.contraction_modulus,
+                  *(rep.components[k] for k in sorted(rep.components))]
+        row = out.splitlines()[-1]
+        assert row == ",".join(["dk1", *map(cli._fmt, values)])
+        assert out.encode() == (DATA / "dk_pair_grid_dk1_g05.csv").read_bytes()
+        # on the default grid the bound reads 20.33485, not 20.33521
+        default = (DATA / "dk_pair_dk1_g05.csv").read_text().splitlines()[-1]
+        assert row != default and row.startswith("dk1,20.33521,")
+
+
+def every_key_config(family):
+    """A valid document whose two model sections hold ``family`` claims,
+    with every key of [diffusion] and [numeric]."""
+    claims = {"exp": "rate = 2.0\n",
+              "hyperexp": "weights = 0.25, 0.75\nrates = 1.5, 3.0\n",
+              "erlang": "shape = 3\nrate = 6.0\n"}[family]
+    model = f"lambda = 0.5\nc = 1.0\nclaims = {family}\n{claims}"
+    return (f"[model]\n{model}[model2]\n{model}[diffusion]\nd = 0.25\n"
+            "d2 = 0.1\n[numeric]\nh = 0.01\numax = 20.0\nseed = 3\n")
+
+
+# one malformed value for every key of config._KEYS
+MALFORMED = {"lambda": "-0.5", "c": "0", "claims": "pareto", "rate": "nan",
+             "rates": "1.5, x", "weights": "0.5, -0.5", "shape": "2.5",
+             "d": "-1", "d2": "inf", "h": "0", "umax": "abc", "seed": "1.5"}
 
 
 def clear_package_caches():
@@ -497,7 +588,7 @@ class TestEvalWindow:
             row = oracle._QUANTITIES[quantity]
             model = (cfg.model if row.model is RiskModel
                      else PerturbedModel(cfg.model, cfg.D))
-            end = cli._grid_end(args, cfg, model)
+            end = cli._grid_end(cfg, model, max(args.u))
             assert end == (math.ceil(2.7 / h) + 1) * h
             window = row.grid(model, args, h, end).values
             full = full_grid(quantity, cfg).values
@@ -622,6 +713,9 @@ COARSE = ("[model]\nlambda = 9.9\nc = 1\nclaims = exp\nrate = 10\n"
                    "--samples", "10"], 2) for q in ("k_tail", "psi_t")],
     (EXP_MODEL, ["eval", "deficit", "{cfg}", "--y", "-1"], 2),
     (PAIR, ["bound", "dk1", "{cfg}", "--gamma", "-1"], 2),
+    # above gamma = 0 dk1 solves psi on the [numeric] grid: one node is refused
+    (PAIR + "[numeric]\nh = 0.5\numax = 0.2\n",
+     ["bound", "dk1", "{cfg}", "--gamma", "0.5"], 2),
     (EXP_MODEL + "[diffusion]\nD = 0.25\n",
      ["eval", "iterate", "{cfg}", "--n", "0"], 2),
     (EXP_MODEL, ["eval", "mc", "{cfg}", "--samples", "0", "--u", "1"], 2),
