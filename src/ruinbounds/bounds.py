@@ -8,7 +8,7 @@ every hypothesis, so a caller can see exactly what the number is made of.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .classical import RiskModel, weighted_psi_moment
 from .diffusion import PerturbedModel
@@ -18,8 +18,7 @@ from .metrics import GridFunction, kantorovich, nu_gamma, q_y
 __all__ = ["BoundReport", "dk1", "dk2", "dk3"]
 
 
-@dataclass(frozen=True)
-class BoundReport:
+class BoundReport(NamedTuple):
     """A bound value with its build: named components, the contraction
     modulus, hypothesis flags and any convention notes."""
 
@@ -27,8 +26,8 @@ class BoundReport:
     value: float
     components: dict
     contraction_modulus: float
-    preconditions: list = field(default_factory=list)
-    convention_notes: list = field(default_factory=list)
+    preconditions: list = ()
+    convention_notes: list = ()
 
 
 def _check(preconditions):

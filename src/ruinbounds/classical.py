@@ -16,12 +16,11 @@ renewal solver.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .distributions import (ClaimDistribution, _de_quadrature,
-                            _finite_tails, _Ladder)
+                            _finite_tails, _Ladder, _Value)
 from .errors import PreconditionError
 from .metrics import GridFunction
 from .renewal import (DEFAULT_H, RenewalProblem, _as_tail, _convolution,
@@ -39,18 +38,16 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class RiskModel:
+class RiskModel(_Value):
     """Compound Poisson surplus: intensity lam, premium rate c, claim law.
 
     Construction enforces the net profit condition phi = lam * mu / c < 1.
     """
 
-    lam: float
-    c: float
-    claims: ClaimDistribution
+    __slots__ = _fields = ("lam", "c", "claims")
 
-    def __post_init__(self):
+    def __init__(self, lam: float, c: float, claims: ClaimDistribution):
+        super().__init__(lam, c, claims)
         if not all(0 < x < math.inf for x in (self.lam, self.c)):  # nan fails too
             raise ValueError("intensity and premium rate must be positive and finite")
         if self.phi >= 1.0:

@@ -13,8 +13,8 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
 from functools import partial
+from typing import NamedTuple
 
 from .classical import RiskModel
 from .distributions import ClaimDistribution
@@ -35,32 +35,33 @@ class ConfigError(ValueError):
         super().__init__(f"line {line}: {message}" if line else message)
 
 
-@dataclass(frozen=True)
-class NumericSpec:
+class NumericSpec(NamedTuple):
     h: float = DEFAULT_H
     umax: float | None = None
     seed: int = 1
 
 
-@dataclass(frozen=True)
-class ModelConfig:
+class ModelConfig(NamedTuple):
     model: RiskModel
     model2: RiskModel | None = None
     D: float | None = None
     D2: float | None = None
-    numeric: NumericSpec = field(default_factory=NumericSpec)
+    numeric: NumericSpec = NumericSpec()
 
 
-def _number(text, line, cast=float, positive=True):
-    """``text`` as a finite positive (or, if not ``positive``, nonnegative)
-    number; a ConfigError at ``line`` if it is not."""
+def _number(text, line, cast=float, positive=True, below=math.inf):
+    """``text`` as a positive (or, if not ``positive``, nonnegative) number
+    less than ``below``; a ConfigError at ``line`` if it is not.  An int is
+    compared as it is, never converted to float, so it may have any size."""
     try:
         value = cast(text)
     except ValueError:
         value = math.nan
-    if not (math.isfinite(value) and (value > 0 or (not positive and value == 0))):
+    if not (value < below and (value > 0 or (not positive and value == 0))):
         sign = "positive" if positive else "nonnegative"
-        raise ConfigError(f"expected a {sign} number, got {text.strip()!r}", line)
+        bound = f" below {below:.4g}" if below < math.inf else ""
+        raise ConfigError(f"expected a {sign} number{bound}, got {text.strip()!r}",
+                          line)
     return value
 
 
@@ -87,7 +88,7 @@ def _weights(text, line):
 
 _KEYS = {section: {"lambda": _number, "c": _number, "claims": _family,
                    "rate": _number, "rates": _rates, "weights": _weights,
-                   "shape": partial(_number, cast=int)}
+                   "shape": partial(_number, cast=int, below=2**63)}
          for section in ("model", "model2")} | {
     "diffusion": {"d": _number, "d2": _number},
     "numeric": {"h": _number, "umax": _number,

@@ -17,15 +17,15 @@ cached inverse carry all three.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .classical import RiskModel, _problem
-from .distributions import _Ladder, partial_exp_sum
+from .distributions import _Ladder, _Value, partial_exp_sum
 from .errors import PreconditionError
 from .metrics import GridFunction
-from .renewal import DEFAULT_H, IterationTrace, _as_tail, iterate, solve
+from .renewal import (DEFAULT_H, IterationTrace, RenewalProblem, _as_tail,
+                      iterate, solve)
 
 __all__ = [
     "PerturbedModel",
@@ -40,18 +40,17 @@ __all__ = [
 _RATE_MATCH = 1e-9  # relative threshold for "b0 equals a claim rate"
 
 
-@dataclass(frozen=True)
-class PerturbedModel:
+class PerturbedModel(_Value):
     """Classical model plus an independent Brownian perturbation.
 
     D = sigma^2 / 2 is the diffusion coefficient; b0 = c/D the rate of the
     oscillation record-high law.
     """
 
-    base: RiskModel
-    D: float
+    __slots__ = _fields = ("base", "D")
 
-    def __post_init__(self):
+    def __init__(self, base: RiskModel, D: float):
+        super().__init__(base, D)
         if not 0 < self.D < math.inf:       # nan fails too
             raise ValueError("diffusion coefficient must be positive and finite")
 
@@ -168,7 +167,7 @@ def psi_total(pm: PerturbedModel, h: float = DEFAULT_H,
     """
     p = _problem(pm, h, u_max)
     forcing = p.forcing + (1.0 - pm.phi) * np.exp(-pm.b0 * p.grid)
-    return _as_tail(solve(replace(p, forcing=forcing)))
+    return _as_tail(solve(RenewalProblem(p.phi, forcing, p.kernel, p.h)))
 
 
 def decompose(pm: PerturbedModel, h: float = DEFAULT_H,
@@ -189,6 +188,7 @@ def decompose(pm: PerturbedModel, h: float = DEFAULT_H,
     is monotone in general, so both come back as plain grid functions.
     """
     p = _problem(pm, h, u_max)
-    psi_d = solve(replace(p, forcing=np.exp(-pm.b0 * p.grid))).values
+    psi_d = solve(RenewalProblem(p.phi, np.exp(-pm.b0 * p.grid), p.kernel,
+                                 p.h)).values
     psi_s = solve(p).values - pm.phi * psi_d
     return GridFunction(p.h, psi_d), GridFunction(p.h, psi_s)

@@ -19,7 +19,6 @@ renewal kernel and forcing, default grid end, decay rate and paths.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import groupby
 
@@ -203,8 +202,41 @@ def _path_sums(values: np.ndarray, ends: np.ndarray) -> np.ndarray:
     return np.diff(_path_edges(_running_sums(values), ends))
 
 
-@dataclass(frozen=True, init=False)
-class ClaimDistribution:
+class _Value:
+    """Base of the validated value types: ``__init__`` checks its arguments
+    and stores ``_fields`` in slots, which nothing may assign afterwards;
+    equality, hashing and repr go by the fields, within one type."""
+
+    __slots__ = _fields = ()
+
+    def __init__(self, *values):
+        for name, value in zip(self._fields, values):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"cannot set or delete field {name!r}")
+
+    __delattr__ = __setattr__
+
+    def _key(self):
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other):
+        return (self._key() == other._key() if type(other) is type(self)
+                else NotImplemented)
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __reduce__(self):   # copy and pickle rebuild through __init__
+        return type(self), self._key()
+
+    def __repr__(self):
+        args = ", ".join(map("{}={!r}".format, self._fields, self._key()))
+        return f"{type(self).__name__}({args})"
+
+
+class ClaimDistribution(_Value):
     """Claim-size law: a mixture of Erlang laws, component i being
     Erlang(shapes[i], rates[i]) with probability weights[i].
 
@@ -218,9 +250,8 @@ class ClaimDistribution:
     laws, whatever constructor or order of components built them.
     """
 
-    weights: tuple
-    shapes: tuple
-    rates: tuple
+    _fields = ("weights", "shapes", "rates")
+    __slots__ = (*_fields, "_parts")
 
     def __init__(self, weights, shapes, rates):
         w = np.asarray(weights, dtype=float)
@@ -249,9 +280,8 @@ class ClaimDistribution:
             else:
                 groups.append(([wi], ki, ri))
         wm, km, rm = zip(*((math.fsum(ws), kj, rj) for ws, kj, rj in groups))
-        object.__setattr__(self, "weights", tuple(float(x) for x in wm))
-        object.__setattr__(self, "shapes", tuple(int(x) for x in km))
-        object.__setattr__(self, "rates", tuple(float(x) for x in rm))
+        super().__init__(tuple(float(x) for x in wm), tuple(int(x) for x in km),
+                         tuple(float(x) for x in rm))
         object.__setattr__(self, "_parts",
                            tuple(zip(self.weights, self.shapes, self.rates)))
 

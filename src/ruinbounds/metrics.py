@@ -13,13 +13,12 @@ more, where its tail drops.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 from .distributions import (ClaimDistribution, _breaks, _de_nodes,
-                            _de_quadrature)
+                            _de_quadrature, _Value)
 from .errors import GridMismatchError, TruncationError
 
 __all__ = [
@@ -35,17 +34,14 @@ _ROUNDING = 4 * np.finfo(float).eps  # tails this close, relatively, have no sig
 _HALVINGS = 8   # bisection steps per evaluation of the tails
 
 
-@dataclass(frozen=True)
-class GridFunction:
+class GridFunction(_Value):
     """A function sampled on the uniform grid {0, h, 2h, ...}.
 
     ``is_tail`` marks survival-type functions, which must take values in
     [0, 1] and be nonincreasing (up to solver noise).
     """
 
-    h: float
-    values: np.ndarray
-    is_tail: bool = False
+    __slots__ = _fields = ("h", "values", "is_tail")
 
     def __init__(self, h, values, is_tail=False):
         v = np.asarray(values, dtype=float)
@@ -60,9 +56,7 @@ class GridFunction:
                 raise ValueError("tail-type grid values must lie in [0, 1]")
             if np.any(np.diff(v) > 1e-9):
                 raise ValueError("tail-type grid values must be nonincreasing")
-        object.__setattr__(self, "h", float(h))
-        object.__setattr__(self, "values", v.copy())
-        object.__setattr__(self, "is_tail", bool(is_tail))
+        super().__init__(float(h), v.copy(), bool(is_tail))
         self.values.setflags(write=False)
 
     def __len__(self):

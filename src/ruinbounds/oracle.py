@@ -34,8 +34,8 @@ from __future__ import annotations
 import math
 import time
 from collections import namedtuple
-from dataclasses import dataclass, field
 from functools import partial
+from typing import NamedTuple
 
 import numpy as np
 
@@ -51,8 +51,7 @@ __all__ = ["MCEstimate", "estimate", "estimates", "BLOCK_SIZE"]
 BLOCK_SIZE = 2**16
 
 
-@dataclass(frozen=True)
-class MCEstimate:
+class MCEstimate(NamedTuple):
     """A Monte Carlo probability estimate with its binomial standard error,
     the number of blocks it was drawn in and its wall time in seconds
     (which equality ignores)."""
@@ -63,7 +62,17 @@ class MCEstimate:
     seed: int
     quantity: str
     blocks: int
-    seconds: float = field(compare=False)
+    seconds: float
+
+    def __eq__(self, other):
+        return (self[:-1] == other[:-1] if type(other) is type(self)
+                else NotImplemented)
+
+    def __ne__(self, other):    # tuple's own != would compare seconds too
+        return not self == other
+
+    def __hash__(self):
+        return hash(self[:-1])
 
     def within(self, true_value: float, n_se: float = 3.0) -> bool:
         return abs(self.estimate - true_value) <= n_se * self.standard_error

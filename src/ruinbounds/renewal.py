@@ -28,13 +28,13 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
 from numpy.fft import irfft, rfft
 
+from .distributions import _Value
 from .errors import PreconditionError
 from .metrics import GridFunction
 
@@ -61,8 +61,7 @@ def nodes(h: float, u_max: float) -> np.ndarray:
     return np.arange(count) * h
 
 
-@dataclass(frozen=True)
-class RenewalProblem:
+class RenewalProblem(_Value):
     """One defective renewal equation: z and kappa sampled at the nodes
     0, h, ..., n h, checked when the problem is built and kept read-only.
 
@@ -72,34 +71,30 @@ class RenewalProblem:
     and the forcing on [0, u].
     """
 
-    phi: float
-    forcing: np.ndarray
-    kernel: np.ndarray
-    h: float = DEFAULT_H
+    __slots__ = _fields = ("phi", "forcing", "kernel", "h")
 
-    def __post_init__(self):
-        if not 0.0 <= self.phi < 1.0:
+    def __init__(self, phi: float, forcing, kernel, h: float = DEFAULT_H):
+        if not 0.0 <= phi < 1.0:
             raise PreconditionError(
-                f"contraction requires modulus phi in [0, 1); got {self.phi}")
-        if not self.h > 0:
-            raise PreconditionError(f"need a step h > 0; got {self.h}")
-        z = np.array(self.forcing, dtype=float)
-        k = np.array(self.kernel, dtype=float)
+                f"contraction requires modulus phi in [0, 1); got {phi}")
+        if not h > 0:
+            raise PreconditionError(f"need a step h > 0; got {h}")
+        z = np.array(forcing, dtype=float)
+        k = np.array(kernel, dtype=float)
         if z.ndim != 1 or len(z) < 2 or k.shape != z.shape:
             raise ValueError("forcing and kernel must be sampled on one grid "
                              "of at least two nodes")
         if np.any(k < -1e-12):
             raise PreconditionError("kernel density must be nonnegative")
-        mass = np.trapezoid(k, dx=self.h)
+        mass = np.trapezoid(k, dx=h)
         # trapezoid overshoots a density by h^2 |kappa'(0)| / 12 to leading
         # order; allow six times that, with the secant (k_0 - k_1)/h for
         # -kappa'(0), which covers an exponential density at any step
-        if mass > 1.0 + max(1e-6, 0.5 * self.h * (k[0] - k[1])):
+        if mass > 1.0 + max(1e-6, 0.5 * h * (k[0] - k[1])):
             raise PreconditionError(
                 f"kernel mass {mass:.6f} exceeds 1; not a probability density")
         z.flags.writeable = k.flags.writeable = False
-        object.__setattr__(self, "forcing", z)
-        object.__setattr__(self, "kernel", k)
+        super().__init__(phi, z, k, h)
 
     @property
     def u_max(self) -> float:
@@ -420,8 +415,7 @@ def _apply(problem, xv, spectra):
         xv, problem.kernel, spectra, problem.h)
 
 
-@dataclass(frozen=True)
-class IterationTrace:
+class IterationTrace(NamedTuple):
     """Record of a fixed-point iteration x_{j+1} = T x_j.
 
     For iterate j (1-based), ``a_priori[j-1]`` is the Banach bound
@@ -433,7 +427,7 @@ class IterationTrace:
 
     phi: float
     x0: GridFunction
-    iterates: list = field(default_factory=list)
+    iterates: list = ()
     a_priori: np.ndarray = None
     residuals: np.ndarray = None
 

@@ -10,8 +10,8 @@ within the per-table tolerance or the run fails.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
 from functools import lru_cache, partial
+from typing import NamedTuple
 
 import numpy as np
 
@@ -183,8 +183,7 @@ TOLERANCES = {
 }
 
 
-@dataclass(frozen=True)
-class TableRow:
+class TableRow(NamedTuple):
     inputs: str
     quantity: str
     computed: float
@@ -194,11 +193,10 @@ class TableRow:
     note: str = ""
 
 
-@dataclass(frozen=True)
-class TableResult:
+class TableResult(NamedTuple):
     table_id: str
-    comments: list = field(default_factory=list)
-    rows: list = field(default_factory=list)
+    comments: list = ()
+    rows: list = ()
 
     @property
     def all_match(self) -> bool:
@@ -295,8 +293,8 @@ def _run_table_3():
     m = RiskModel(0.6, 1.0, EXP_3)
     mt = RiskModel(0.6, 1.0, MIX_2_6)
     # theta=1 reading of the source text: lam*mu/c = 1/2, i.e. lam = c/(2 mu)
-    m1 = replace(m, lam=m.c / (2.0 * m.mu))
-    mt1 = replace(mt, lam=mt.c / (2.0 * mt.mu))
+    m1 = RiskModel(m.c / (2.0 * m.mu), m.c, m.claims)
+    mt1 = RiskModel(mt.c / (2.0 * mt.mu), mt.c, mt.claims)
     pairs = [(PerturbedModel(m, D), PerturbedModel(mt, Dt))
              for D, Dt, _, _ in PAPER_TABLE_3]
     # rows share their D values: one solve per distinct perturbed model,

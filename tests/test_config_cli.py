@@ -737,6 +737,14 @@ COARSE = ("[model]\nlambda = 9.9\nc = 1\nclaims = exp\nrate = 10\n"
     # but its 1.024e10 nodes are more than the solver's longest FFT
     (EXP_MODEL + "[diffusion]\nD = 1e300\n", ["eval", "psit", "{cfg}", "--u", "1e7"],
      3),
+    # integers are checked without a float conversion: a seed of any size is
+    # taken, as --seed takes it; a shape must fit numpy's int64
+    (EXP_MODEL + "[numeric]\nseed = " + "9" * 400 + "\n",
+     ["eval", "mc", "{cfg}", "--samples", "10", "--u", "1"], 0),
+    (EXP_MODEL.replace("exp\n", "erlang\nshape = " + "9" * 400 + "\n"),
+     ["eval", "ruin", "{cfg}"], 2),
+    (EXP_MODEL.replace("exp\nrate = 2.0", "erlang\nshape = " + str(10**22)
+                       + "\nrate = 1e22"), ["eval", "ruin", "{cfg}"], 2),
 ])
 def test_exit_codes(tmp_path, capsys, text, argv, code):
     path = tmp_path / "m.cfg"

@@ -4,7 +4,6 @@ certificates, contraction behaviour."""
 
 import math
 import tracemalloc
-from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -183,7 +182,7 @@ class TestResidual:
     @pytest.mark.parametrize("k", [-900, -60, 60, 900])
     def test_solve_homogeneous_under_power_of_two_scaling(self, name, k):
         p = KERNELS[name](2.0**-10, 8.0)
-        scaled = replace(p, forcing=np.ldexp(p.forcing, k))
+        scaled = RenewalProblem(p.phi, np.ldexp(p.forcing, k), p.kernel, p.h)
         assert np.array_equal(solve(scaled).values,
                               np.ldexp(solve(p).values, k))
 
@@ -191,7 +190,7 @@ class TestResidual:
         p = KERNELS["exponential"](2.0**-6, 4.0)
         z = p.forcing.copy()
         z[10] = np.nan
-        bad = replace(p, forcing=z)
+        bad = RenewalProblem(p.phi, z, p.kernel, p.h)
         with pytest.raises(ValueError, match="grid values must be finite"):
             solve(bad)
 
@@ -487,7 +486,7 @@ class TestProblem:
     def test_replace_checks_again(self):
         p = exp_psi_problem(h=2.0**-6, u_max=6.0)
         with pytest.raises(PreconditionError, match="kernel mass"):
-            replace(p, kernel=5.0 * p.kernel)
+            RenewalProblem(p.phi, p.forcing, 5.0 * p.kernel, p.h)
 
     @pytest.mark.parametrize("forcing,kernel", [
         (np.ones(5), np.ones(6)),          # lengths differ
