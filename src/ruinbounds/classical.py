@@ -190,4 +190,4 @@ def pk_truncated_series(model: RiskModel, n_terms: int, h: float = DEFAULT_H,
         # survival of the k-fold sum from the (k-1)-fold one
         tail_k = fe_tail + _convolution(tail_k, p.kernel, spectra, h)
         acc += (1.0 - phi) * phi**k * tail_k
-    return GridFunction(h, acc, is_tail=True)
+    return _as_tail(GridFunction(h, acc))

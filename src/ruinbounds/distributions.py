@@ -5,9 +5,10 @@ Every claim law is a mixture of Erlang laws, and so phase-type: one class,
 rates), component i being Erlang(k_i, r_i).  ``Exponential``,
 ``HyperExponential`` and ``Erlang`` are functions that return one;
 construction drops components of weight 0 and sorts and merges the rest,
-so two spellings of one law compare and hash equal.  The class gives the survival function, density, moments and log
-mgf in closed form, the equilibrium transform as another Erlang mixture, an
-exact sampler, and the phase-type pair (alpha, T).
+so two spellings of one law compare and hash equal.  The class gives the
+survival function, moments and log mgf in closed form, the equilibrium
+transform as another Erlang mixture, an exact sampler, and the phase-type
+pair (alpha, T).
 
 ``_Ladder`` is the law of one ladder step of either risk model: P(N >= n)
 = phi^n record highs, each a claim ladder height from the equilibrium law,
@@ -285,12 +286,6 @@ class ClaimDistribution(_Value):
         object.__setattr__(self, "_parts",
                            tuple(zip(self.weights, self.shapes, self.rates)))
 
-    def _erlang_sum(self, t, term):
-        """sum_i term(w_i, k_i, r_i, z_i), z_i = r_i t."""
-        x = _claim_sizes(t)
-        out = sum(term(w, k, r, r * x) for w, k, r in self._parts)
-        return float(out) if x.ndim == 0 else out
-
     def tail(self, t):
         """Survival function F-bar(t) = 1 - F(t); a float for a scalar t.
 
@@ -322,15 +317,6 @@ class ClaimDistribution(_Value):
                     total = total + term
                 out = out + w * e * total
         return float(out) if x.ndim == 0 else out
-
-    def density(self, t):
-        # Erlang(k, r) density r z^{k-1} e^{-z} / (k-1)!, formed in log space
-        # so that neither z^{k-1} nor (k-1)! leaves the float range
-        def term(w, k, r, z):
-            with np.errstate(divide="ignore"):
-                power = (k - 1) * np.log(z) if k > 1 else 0.0
-            return w * r * np.exp(power - z - math.lgamma(k))
-        return self._erlang_sum(t, term)
 
     def mean(self):
         return float(sum(w * k / r for w, k, r in self._parts))

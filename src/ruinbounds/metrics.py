@@ -35,15 +35,11 @@ _HALVINGS = 8   # bisection steps per evaluation of the tails
 
 
 class GridFunction(_Value):
-    """A function sampled on the uniform grid {0, h, 2h, ...}.
+    """A function sampled on the uniform grid {0, h, 2h, ...}."""
 
-    ``is_tail`` marks survival-type functions, which must take values in
-    [0, 1] and be nonincreasing (up to solver noise).
-    """
+    __slots__ = _fields = ("h", "values")
 
-    __slots__ = _fields = ("h", "values", "is_tail")
-
-    def __init__(self, h, values, is_tail=False):
+    def __init__(self, h, values):
         v = np.asarray(values, dtype=float)
         if h <= 0:
             raise ValueError("grid step must be positive")
@@ -51,12 +47,7 @@ class GridFunction(_Value):
             raise ValueError("need at least two grid values")
         if not np.all(np.isfinite(v)):
             raise ValueError("grid values must be finite")
-        if is_tail:
-            if v.min() < -1e-9 or v.max() > 1.0 + 1e-9:
-                raise ValueError("tail-type grid values must lie in [0, 1]")
-            if np.any(np.diff(v) > 1e-9):
-                raise ValueError("tail-type grid values must be nonincreasing")
-        super().__init__(float(h), v.copy(), bool(is_tail))
+        super().__init__(float(h), v.copy())
         self.values.setflags(write=False)
 
     def __len__(self):

@@ -143,17 +143,22 @@ def solve(problem: RenewalProblem) -> GridFunction:
 
 
 def _as_tail(x: GridFunction) -> GridFunction:
-    """The solution x of a problem whose solution is a tail, marked as one.
+    """x itself, once checked as a tail: values in [0, 1], none rising
+    (each up to 1e-9 of solver noise).
 
     Grid values that leave [0, 1] or rise come from a step too coarse for
     the kernel, which the margin c(1) of a grid ending inside the kernel's
     support can miss; they raise ``PreconditionError``.
     """
-    try:
-        return GridFunction(x.h, x.values, is_tail=True)
-    except ValueError as exc:
-        raise PreconditionError(f"{exc} at step h = {x.h:g}; a smaller step "
-                                f"is needed") from None
+    v = x.values
+    if v.min() < -1e-9 or v.max() > 1.0 + 1e-9:
+        fault = "lie in [0, 1]"
+    elif np.any(np.diff(v) > 1e-9):
+        fault = "be nonincreasing"
+    else:
+        return x
+    raise PreconditionError(f"tail-type grid values must {fault} at step "
+                            f"h = {x.h:g}; a smaller step is needed")
 
 
 def _system(problem):

@@ -203,11 +203,9 @@ class TableResult(NamedTuple):
         return all(r.flag != "MISMATCH" for r in self.rows)
 
 
-def _row(table_id, inputs, quantity, computed, paper, tol, doc_key=None,
-         note=""):
+def _row(table_id, inputs, quantity, computed, paper, tol, doc_key, note=""):
     dev = abs(computed - paper)
-    doc = DOCUMENTED.get((table_id, quantity, doc_key) if doc_key is not None
-                         else None)
+    doc = DOCUMENTED.get((table_id, quantity, doc_key))
     if doc is not None:
         flag = "DISCREPANCY-DOCUMENTED"
         note = (note + "; " if note else "") + doc
@@ -234,13 +232,10 @@ def _run_table_1(table_id):
     tol = TOLERANCES["1"]
     # six independent solves, on every CPU
     models = [RiskModel(lam, c, law) for c in cells for law in (MIX_54_56, EXP_1)]
-    psi = dict(zip(models, thread_map(partial(_psi_cached, h=H, u_max=40.0),
-                                      models)))
+    psi = thread_map(partial(_psi_cached, h=H, u_max=40.0), models)
     rows = []
-    for c, (paper_exact, paper_dk1) in cells.items():
-        m = RiskModel(lam, c, MIX_54_56)
-        mt = RiskModel(lam, c, EXP_1)
-        psi_m, psi_t = psi[m], psi[mt]
+    for (c, (paper_exact, paper_dk1)), m, mt, psi_m, psi_t in zip(
+            cells.items(), models[::2], models[1::2], psi[::2], psi[1::2]):
         inputs = f"gamma={gamma:g} lambda={lam:.6g} c={c:g}"
         exact = nu_gamma(psi_m, psi_t, gamma)
         rows.append(_row(table_id, inputs, "exact", exact, paper_exact,

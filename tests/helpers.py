@@ -41,7 +41,8 @@ import math
 
 import numpy as np
 
-from ruinbounds.distributions import _expm, _running_sums, partial_exp_sum
+from ruinbounds.distributions import (_claim_sizes, _expm, _running_sums,
+                                      partial_exp_sum)
 from ruinbounds.renewal import (RenewalProblem, _apply, _assemble, _fast_len,
                                 _halves, _integer_bound, _newton, _product,
                                 _scale, _spectra, _system, nodes)
@@ -214,12 +215,15 @@ def reference_segment_sums(values: np.ndarray, ends: np.ndarray, starts: np.ndar
 
 
 # The former ``ClaimDistribution.tail``, verbatim but for ``law`` in place of
-# ``self``: an exponential component too goes through S_0.
+# ``self`` and the former ``_erlang_sum`` written out: an exponential
+# component too goes through S_0.
 def reference_tail(law, t):
     def term(w, k, r, z):
         capped = np.minimum(z, 746.0)
         return w * np.exp(-z) * partial_exp_sum(k - 1, capped)
-    return law._erlang_sum(t, term)
+    x = _claim_sizes(t)
+    out = sum(term(w, k, r, r * x) for w, k, r in law._parts)
+    return float(out) if x.ndim == 0 else out
 
 
 # The former ``renewal._product``, verbatim: it transforms a itself and

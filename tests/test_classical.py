@@ -16,7 +16,7 @@ from ruinbounds import (ClaimDistribution, Erlang, Exponential,
                         k_exact_exponential, mc_estimate, pk_truncated_series,
                         ruin_probability, solve, weighted_psi_moment)
 from ruinbounds import config, tables
-from ruinbounds.renewal import nodes
+from ruinbounds.renewal import _as_tail, nodes
 
 MIX = HyperExponential((0.5, 0.5), (1.25, 5.0 / 6.0))
 DATA = Path(__file__).resolve().parent / "data"
@@ -96,11 +96,18 @@ class TestRuinProbability:
 
     def test_coarse_step_leaving_the_unit_interval_is_refused(self):
         # phi = 0.99 and kappa(0) = 10: on two nodes the margin c(1) is
-        # positive, but psi(h) comes out as 1.08
+        # positive, but psi(h) comes out as 1.08; the PK series on six
+        # nodes rises at this step
         m = RiskModel(9.9, 1.0, Exponential(10.0))
-        with pytest.raises(PreconditionError,
-                           match="step h = 0.1; a smaller step is needed"):
-            ruin_probability(m, h=0.1, u_max=0.1)
+        for solve in (lambda: ruin_probability(m, h=0.1, u_max=0.1),
+                      lambda: pk_truncated_series(m, 50, h=0.1, u_max=0.5)):
+            with pytest.raises(PreconditionError,
+                               match="step h = 0.1; a smaller step is needed"):
+                solve()
+
+    def test_a_valid_tail_is_handed_back_uncopied(self):
+        psi = ruin_probability(model_exp2(), u_max=4.0)
+        assert _as_tail(psi) is psi
 
     def test_exponential_matches_closed_form(self):
         m = RiskModel(5.0 / 6.0, 3.0, Exponential(1.0))

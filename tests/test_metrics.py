@@ -288,7 +288,7 @@ def scalar_bisect(f, lo, hi):
 def _tail_grid(dist, h=2.0**-9, u_max=30.0):
     n = int(round(u_max / h))
     t = np.arange(n + 1) * h
-    return GridFunction(h, dist.tail(t), is_tail=True)
+    return GridFunction(h, dist.tail(t))
 
 
 class TestGridMetrics:
