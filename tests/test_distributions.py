@@ -57,6 +57,27 @@ class TestTail:
         assert np.all(np.diff(tails) <= 1e-12)
         assert tails[-1] < 1e-6
 
+    def test_erlang_two(self):
+        # (1 + beta t) e^{-beta t}
+        beta = 0.7
+        t = np.array([0.3, 1.0, 2.5])
+        expect = (1.0 + beta * t) * np.exp(-beta * t)
+        assert Erlang(2, beta).tail(t) == pytest.approx(expect, rel=1e-12)
+
+    def test_mixture_of_exponentials(self):
+        t = np.array([0.0, 0.4, 3.0])
+        expect = 0.5 * np.exp(-2.0 * t) + 0.5 * np.exp(-6.0 * t)
+        assert HyperExponential((0.5, 0.5), (2.0, 6.0)).tail(t) == pytest.approx(
+            expect, rel=1e-12)
+
+    @pytest.mark.parametrize("dist", ALL_PARAMETRIC)
+    def test_matches_gamma_survival(self, dist):
+        # scipy's gamma survival function, component by component
+        t = np.linspace(0.0, 40.0, 401)
+        expect = sum(w * stats.gamma.sf(t, k, scale=1.0 / r)
+                     for w, k, r in zip(dist.weights, dist.shapes, dist.rates))
+        assert dist.tail(t) == pytest.approx(expect, rel=1e-12)
+
     def test_scalar_argument_gives_float(self):
         for t in (0.0, 1, np.float64(2.5), np.array(3.0)):
             assert type(Erlang(3, 3.0).tail(t)) is float

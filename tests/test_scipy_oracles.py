@@ -3,11 +3,12 @@
 Each kernel stands in for a scipy routine: the FFT length search for
 ``scipy.fft.next_fast_len``, the Taylor matrix exponential for
 ``scipy.linalg.expm``, the double-exponential rule for
-``scipy.integrate.quad`` and the Lundberg bisection for
-``scipy.optimize.brentq``.  The quadrature references find the tail
-crossings on a dense scan of their own, solve them with ``brentq``, and
-integrate between them with ``quad``, the last stretch to infinity, so they
-share no node, crossing, truncation point or remainder with the package.
+``scipy.integrate.quad``, the Lundberg bisection for
+``scipy.optimize.brentq`` and the Erlang tail for ``scipy.stats.gamma.sf``.
+The quadrature references find the tail crossings on a dense scan of their
+own, solve them with ``brentq``, and integrate between them with ``quad``,
+the last stretch to infinity, so they share no node, crossing, truncation
+point or remainder with the package.
 """
 
 import math
@@ -17,11 +18,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import integrate, optimize
+from scipy import integrate, optimize, stats
 from scipy.fft import next_fast_len
 from scipy.linalg import expm
 
-from ruinbounds import (ClaimDistribution, RiskModel, adjustment_rate,
+from ruinbounds import (ClaimDistribution, Erlang, RiskModel, adjustment_rate,
                         nu_gamma, q_y, ruin_probability, weighted_psi_moment)
 from ruinbounds.distributions import _expm
 from ruinbounds.renewal import _fast_len
@@ -162,6 +163,25 @@ def test_metrics_across_rate_scales_match_quad(F, G, gamma, y):
     assert nu_gamma(F, G, gamma) == pytest.approx(quad_nu_gamma(F, G, gamma),
                                                   rel=1e-12)
     assert q_y(F, G, y) == pytest.approx(quad_nu_gamma(F, G, 0.0, y), rel=1e-12)
+
+
+@settings(max_examples=50, deadline=None)
+@given(WIDE_LAWS)
+def test_tail_matches_gamma_sf(F):
+    # out to where each component's tail is below 4e-23
+    t = np.linspace(0.0, _reach(F, F), 257)
+    expect = sum(w * stats.gamma.sf(t, k, scale=1.0 / r)
+                 for w, k, r in zip(F.weights, F.shapes, F.rates))
+    assert F.tail(t) == pytest.approx(expect, rel=1e-12)
+
+
+def test_high_shape_tail_matches_gamma_sf():
+    # z^{k-1} and (k-1)! leave the float range at these points
+    assert Erlang(120, 1.0).tail(500.0) == pytest.approx(
+        stats.gamma.sf(500.0, 120), rel=1e-11)
+    t = np.array([100.0, 200.0, 250.0])
+    assert Erlang(200, 1.0).tail(t) == pytest.approx(stats.gamma.sf(t, 200),
+                                                     rel=1e-11)
 
 
 @settings(max_examples=25, deadline=None)
