@@ -2,8 +2,10 @@
 tail, and the perturbed compound geometric tail.
 
 Each bound is returned as a ``BoundReport`` carrying its additive pieces,
-the contraction modulus behind its prefactor, and the pass/fail status of
-every hypothesis, so a caller can see exactly what the number is made of.
+the contraction modulus behind its prefactor, and the hypotheses it
+checked, so a caller can see exactly what the number is made of.  A
+hypothesis that fails raises ``PreconditionError``; net profit is
+``RiskModel``'s to check, at construction.
 """
 
 from __future__ import annotations
@@ -20,7 +22,8 @@ __all__ = ["BoundReport", "dk1", "dk2", "dk3"]
 
 class BoundReport(NamedTuple):
     """A bound value with its build: named components, the contraction
-    modulus, hypothesis flags and any convention notes."""
+    modulus, the ``(name, ok)`` hypotheses checked, all of which held (a
+    failed one raises), and any convention notes."""
 
     kind: str
     value: float
@@ -30,10 +33,15 @@ class BoundReport(NamedTuple):
     convention_notes: list = ()
 
 
-def _check(preconditions):
-    for name, ok in preconditions:
+def _check(m, mt, *hypotheses):
+    """The shared premium rate c, then each ``(name, ok)`` hypothesis:
+    raise on the first that fails, else return them all."""
+    pre = [("shared premium rate c",
+            abs(m.c - mt.c) <= 1e-12 * max(m.c, mt.c)), *hypotheses]
+    for name, ok in pre:
         if not ok:
             raise PreconditionError(f"hypothesis violated: {name}")
+    return pre
 
 
 def _ml(model, gamma, psi):
@@ -63,16 +71,9 @@ def dk1(m: RiskModel, mt: RiskModel, gamma: float = 0.0,
     notes name both.  At gamma = 0 both are closed form; at gamma > 0 each
     model's psi is solved unless passed as ``psi`` or ``psi_tilde``.
     """
-    if gamma < 0:
-        raise ValueError("gamma must be >= 0")
-    same_c = abs(m.c - mt.c) <= 1e-12 * max(m.c, mt.c)
     mx = m.claims.weighted_tail_moment(gamma)
     contraction = m.lam * mx / m.c
-    pre = [("shared premium rate c", same_c),
-           ("contraction lam*M_gamma/c < 1", contraction < 1.0),
-           ("net profit (first model)", m.phi < 1.0),
-           ("net profit (second model)", mt.phi < 1.0)]
-    _check(pre)
+    pre = _check(m, mt, ("contraction lam*M_gamma/c < 1", contraction < 1.0))
 
     ml_first, ml_tilde = _ml(m, gamma, psi), _ml(mt, gamma, psi_tilde)
     ml = max(ml_first, ml_tilde)
@@ -112,14 +113,8 @@ def dk2(m: RiskModel, mt: RiskModel, y: float) -> BoundReport:
     When the models share lam and mu (so c = lam (1+theta) mu), the bound
     reduces to Q_y / (theta mu), noted on the report.
     """
-    if y < 0:
-        raise ValueError("y must be >= 0")
-    same_c = abs(m.c - mt.c) <= 1e-12 * max(m.c, mt.c)
-    pre = [("shared premium rate c", same_c),
-           ("net profit (first model)", m.phi < 1.0)]
-    _check(pre)
-
     qy = q_y(m.claims, mt.claims, y)
+    pre = _check(m, mt)
     prefactor = 1.0 / (m.c - m.lam * m.mu)
     term_q = m.lam * qy
     term_i = abs(m.lam - mt.lam) * mt.mu
@@ -151,13 +146,9 @@ def dk3(pm: PerturbedModel, pmt: PerturbedModel) -> BoundReport:
     K(H1, H1~) = |D - D~|/c in closed form.
     """
     m, mt = pm.base, pmt.base
-    same_c = abs(m.c - mt.c) <= 1e-12 * max(m.c, mt.c)
-    pre = [("shared premium rate c", same_c),
-           ("D >= D~ (swap the arguments otherwise)", pm.D >= pmt.D),
-           ("mu >= mu~ (swap the arguments otherwise)", m.mu >= mt.mu),
-           ("net profit (first model)", m.phi < 1.0),
-           ("net profit (second model)", mt.phi < 1.0)]
-    _check(pre)
+    pre = _check(m, mt,
+                 ("D >= D~ (swap the arguments otherwise)", pm.D >= pmt.D),
+                 ("mu >= mu~ (swap the arguments otherwise)", m.mu >= mt.mu))
 
     k_h1 = abs(pm.D - pmt.D) / m.c
     k_ff = kantorovich(m.claims, mt.claims)

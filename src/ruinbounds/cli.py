@@ -102,7 +102,7 @@ def _parse_u_values(spec: str):
     """
     if ":" in spec:
         parts = [_nonnegative(x) for x in spec.split(":")]
-        if len(parts) != 3 or parts[2] <= 0:
+        if len(parts) != 3 or not 0 < parts[2] < math.inf:
             raise argparse.ArgumentTypeError("u range must be start:stop:step")
         start, stop, step = parts
         count = (stop - start + 1e-12) // step + 1

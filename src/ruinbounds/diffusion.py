@@ -50,6 +50,8 @@ class PerturbedModel(_Value):
     __slots__ = _fields = ("base", "D")
 
     def __init__(self, base: RiskModel, D: float):
+        if not isinstance(base, RiskModel):
+            raise TypeError("base must be a RiskModel")
         super().__init__(base, D)
         if not 0 < self.D < math.inf:       # nan fails too
             raise ValueError("diffusion coefficient must be positive and finite")

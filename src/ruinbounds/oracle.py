@@ -74,9 +74,6 @@ class MCEstimate(NamedTuple):
     def __hash__(self):
         return hash(self[:-1])
 
-    def within(self, true_value: float, n_se: float = 3.0) -> bool:
-        return abs(self.estimate - true_value) <= n_se * self.standard_error
-
 
 def _rng_for_block(seed: int, block: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, block))))

@@ -34,7 +34,8 @@ residual split and transformed the kernel's column anew; the trapezoid
 convolution, which transformed the kernel on every call; and the two
 renewal problems of psi and K-bar, built by separate functions before one
 ladder law built both.  ``sup_defect`` is the sup-norm defect of a grid
-solution, the one check of a solve that needs no exact value.
+solution, the one check of a solve that needs no exact value, and
+``within`` the check of a Monte Carlo estimate against a true value.
 """
 
 import math
@@ -49,7 +50,7 @@ from ruinbounds.renewal import (RenewalProblem, _apply, _assemble, _fast_len,
 
 __all__ = ["psi_exact", "psi_decay_rate", "g_bar_exact", "k_bar_exact", "k_decay_rate",
            "psi_total_exact", "psi_d_exact", "k_iterate_exact",
-           "ladder_at", "reconstruct", "reference_sample",
+           "ladder_at", "within", "reconstruct", "reference_sample",
            "reference_geometric_record_counts", "reference_segment_sums",
            "reference_tail",
            "reference_product", "reference_residual", "reference_solve",
@@ -171,6 +172,12 @@ def k_iterate_exact(pm, k0, n, u):
     out = (phi - (1.0 - k0) * phi**n * cdf[..., n - 1]
            - (1.0 - phi) * (cdf[..., :n - 1] @ powers))
     return float(out[0]) if np.ndim(u) == 0 else out
+
+
+def within(est, true_value, n_se=3.0):
+    """Whether a Monte Carlo estimate lies within ``n_se`` standard errors
+    of ``true_value``."""
+    return abs(est.estimate - true_value) <= n_se * est.standard_error
 
 
 def reconstruct(report):

@@ -14,7 +14,7 @@ import time
 import numpy as np
 import pytest
 
-from helpers import k_bar_exact, sup_defect
+from helpers import k_bar_exact, sup_defect, within
 from ruinbounds import (Exponential, HyperExponential, PerturbedModel,
                         RiskModel, deficit_tail_family, dk2,
                         exact_ruin_exponential, k_exact_exponential,
@@ -347,7 +347,7 @@ class TestCriterion6:
             ]
             for quantity, model, true, kw in cases:
                 est = mc_estimate(model, quantity, u, n, seed, **kw)
-                if not est.within(true, 3.0):
+                if not within(est, true, 3.0):
                     failures.append(
                         f"{quantity} at u={u}: {est.estimate:.5f} vs {true:.5f}"
                         f" ({abs(est.estimate-true)/max(est.standard_error,1e-12):.1f} se)")

@@ -57,6 +57,11 @@ class TestDK1:
         with pytest.raises(PreconditionError, match="premium"):
             dk1(m, mt, 0.0)
 
+    def test_negative_gamma_refused(self):
+        m, mt = pair_table1()
+        with pytest.raises(ValueError, match="gamma must be >= 0"):
+            dk1(m, mt, -0.5)
+
     def test_contraction_hypothesis(self):
         # lam M_1 / c = 0.9 * 2 / 1 >= 1 while net profit still holds
         m = RiskModel(0.9, 1.0, Exponential(1.0))
@@ -132,6 +137,11 @@ class TestDK2:
         m, _ = pair_table2()
         assert dk2(m, m, 0.5).value == pytest.approx(0.0, abs=1e-9)
 
+    def test_negative_y_refused(self):
+        m, mt = pair_table2()
+        with pytest.raises(ValueError, match="y must be >= 0"):
+            dk2(m, mt, -0.1)
+
     @pytest.mark.parametrize("theta,y,expect", [(1.0, 1.0, 0.1547),
                                                 (4.0, 0.5, 0.0555)])
     def test_published_values(self, theta, y, expect):
@@ -173,6 +183,13 @@ class TestDK3:
         with pytest.raises(PreconditionError, match="swap"):
             dk3(pmt, pm)
 
+    def test_hypothesis_mean_ordering(self):
+        # D >= D~ holds, but mu = 1/3 < mu~ = 1/2
+        pm, _ = pair_table3()
+        pmt = PerturbedModel(RiskModel(0.6, 1.0, Exponential(2.0)), 1.0 / 3.0)
+        with pytest.raises(PreconditionError, match="mu >= mu~"):
+            dk3(pm, pmt)
+
     def test_components_reconstruct(self):
         pm, pmt = pair_table3(D=2.0, Dt=0.1)
         rep = dk3(pm, pmt)
@@ -192,3 +209,19 @@ class TestDK3:
         other = PerturbedModel(RiskModel(0.6, 2.0, MIX26), 0.1)
         with pytest.raises(PreconditionError, match="premium"):
             dk3(pm, other)
+
+
+SHARED_C = "shared premium rate c"
+
+
+@pytest.mark.parametrize("bound,args,names", [
+    (dk1, pair_table1(), [SHARED_C, "contraction lam*M_gamma/c < 1"]),
+    (dk2, (*pair_table2(), 0.5), [SHARED_C]),
+    (dk3, pair_table3(), [SHARED_C, "D >= D~ (swap the arguments otherwise)",
+                          "mu >= mu~ (swap the arguments otherwise)"]),
+])
+def test_report_lists_the_hypotheses_checked(bound, args, names):
+    # net profit is RiskModel's, so no bound reports it
+    rep = bound(*args)
+    assert [n for n, _ in rep.preconditions] == names
+    assert all(ok for _, ok in rep.preconditions)

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from helpers import (g_bar_exact, psi_decay_rate, psi_exact,
-                     reference_psi_problem)
+                     reference_psi_problem, within)
 from ruinbounds import (ClaimDistribution, Erlang, Exponential,
                         HyperExponential, PerturbedModel, PreconditionError,
                         RiskModel, adjustment_rate, deficit_tail,
@@ -139,7 +139,7 @@ class TestRuinProbability:
         m = model_exp2()
         for u in (0.0, 1.0, 2.0):
             est = mc_estimate(m, "psi", u, 200_000, seed=2024)
-            assert est.within(exact_ruin_exponential(m, u), 3.0)
+            assert within(est, exact_ruin_exponential(m, u), 3.0)
 
 
 class TestAdjustmentRate:
@@ -306,7 +306,7 @@ class TestDeficitTail:
         for u, y in ((0.5, 0.5), (1.0, 1.0)):
             est = mc_estimate(m, "deficit", u, 300_000, seed=7, y=y)
             true = exact_ruin_exponential(m, u) * np.exp(-2.0 * y)
-            assert est.within(true, 3.0)
+            assert within(est, true, 3.0)
 
 
 class TestPKSeries:

@@ -745,6 +745,9 @@ COARSE = ("[model]\nlambda = 9.9\nc = 1\nclaims = exp\nrate = 10\n"
      ["eval", "ruin", "{cfg}"], 2),
     (EXP_MODEL.replace("exp\nrate = 2.0", "erlang\nshape = " + str(10**22)
                        + "\nrate = 1e22"), ["eval", "ruin", "{cfg}"], 2),
+    # an infinite step would make the one point 0 * inf = nan
+    *[(EXP_MODEL, ["eval", q, "{cfg}", "--u", "0:1:inf"], 2)
+      for q in ("ruin", "mc")],
 ])
 def test_exit_codes(tmp_path, capsys, text, argv, code):
     path = tmp_path / "m.cfg"

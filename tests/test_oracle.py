@@ -10,7 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import reference_geometric_record_counts, reference_segment_sums
+from helpers import (reference_geometric_record_counts, reference_segment_sums,
+                     within)
 from ruinbounds import (Erlang, Exponential, HyperExponential, PerturbedModel,
                         PreconditionError, RiskModel, _parallel, distributions,
                         exact_ruin_exponential, k_exact_exponential,
@@ -68,26 +69,26 @@ class TestDeterminism:
 class TestAgainstClosedForms:
     def test_psi_at_origin(self):
         est = mc_estimate(MODEL, "psi", 0.0, 100_000, seed=3)
-        assert est.within(MODEL.phi, 3.0)
+        assert within(est, MODEL.phi, 3.0)
 
     def test_psi_exponential(self):
         est = mc_estimate(MODEL, "psi", 1.0, 1_000_000, seed=42)
-        assert est.within(exact_ruin_exponential(MODEL, 1.0), 3.0)
+        assert within(est, exact_ruin_exponential(MODEL, 1.0), 3.0)
 
     def test_k_tail_published_parameters(self):
         est = mc_estimate(PM, "k_tail", 1.0, 1_000_000, seed=42)
-        assert est.within(k_exact_exponential(PM, 1.0), 3.0)
+        assert within(est, k_exact_exponential(PM, 1.0), 3.0)
 
     def test_deficit_memoryless(self):
         est = mc_estimate(MODEL, "deficit", 1.0, 300_000, seed=9, y=0.5)
         true = exact_ruin_exponential(MODEL, 1.0) * np.exp(-1.0)
-        assert est.within(true, 3.0)
+        assert within(est, true, 3.0)
 
     def test_hyperexp_equilibrium_sampling(self):
         mix = HyperExponential((0.5, 0.5), (1.25, 5.0 / 6.0))
         m = RiskModel(5.0 / 6.0, 3.0, mix)
         est = mc_estimate(m, "psi", 0.0, 200_000, seed=17)
-        assert est.within(m.phi, 3.0)
+        assert within(est, m.phi, 3.0)
 
 
 class TestStreamStructure:
