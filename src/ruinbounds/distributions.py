@@ -270,16 +270,18 @@ class ClaimDistribution(_Value):
             raise ValueError("rates must be positive and finite")
         # drop the components of weight 0, then, in (rate, shape) order,
         # merge those whose shapes agree and whose rates coincide to machine
-        # accuracy, each group weighing the fsum of its weights
+        # accuracy, each group weighing the fsum of its weights; each shape
+        # scans only its own groups, in the order they were made
         kept = [part for part in zip(w / total, k.astype(int), r) if part[0] > 0]
-        groups = []
+        groups, by_shape = [], {}
         for wi, ki, ri in sorted(kept, key=lambda part: (part[2], part[1])):
-            for ws, kj, rj in groups:
-                if kj == ki and abs(ri - rj) <= 1e-12 * ri:
+            for ws, _, rj in by_shape.setdefault(ki, []):
+                if abs(ri - rj) <= 1e-12 * ri:
                     ws.append(wi)
                     break
             else:
                 groups.append(([wi], ki, ri))
+                by_shape[ki].append(groups[-1])
         wm, km, rm = zip(*((math.fsum(ws), kj, rj) for ws, kj, rj in groups))
         super().__init__(tuple(float(x) for x in wm), tuple(int(x) for x in km),
                          tuple(float(x) for x in rm))

@@ -39,6 +39,9 @@ EXP_3 = Exponential(3.0)
 # printed values
 # ---------------------------------------------------------------------------
 
+_T1_CS = (3.0, 5.0, 7.0)
+_T1_GAMMAS = (0.0, 1.0)
+
 # per panel: lambda, gamma, then (c -> (exact nu_gamma, DK1))
 PAPER_TABLE_1 = {
     "1a": (5.0 / 6.0, 0.0, {3.0: (0.0154, 0.1211), 5.0: (0.0080, 0.0999),
@@ -221,27 +224,34 @@ def _row(table_id, inputs, quantity, computed, paper, tol, doc_key, note=""):
 # runners
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=64)
-def _psi_cached(model, h, u_max):
-    # the four table-1 panels revisit the same (lambda, c) pairs
-    return ruin_probability(model, h=h, u_max=u_max)
+@lru_cache(maxsize=2)
+def _table_1_cells(lam):
+    """(nu_gamma(psi, psi~), DK1) at table 1's two gamma (columns) for each
+    of its three c (rows), read-only: panels 1c/1d revisit the (lambda, c)
+    pairs of 1a/1b, so each lambda's six psi are solved once, on every CPU.
+    Only the printed values are kept, not the grids."""
+    models = [RiskModel(lam, c, law) for c in _T1_CS
+              for law in (MIX_54_56, EXP_1)]
+    psi = thread_map(partial(ruin_probability, h=H, u_max=40.0), models)
+    return tuple(
+        tuple((nu_gamma(psi_m, psi_t, gamma),
+               bounds_mod.dk1(m, mt, gamma, psi=psi_m, psi_tilde=psi_t).value)
+              for gamma in _T1_GAMMAS)
+        for m, mt, psi_m, psi_t in zip(models[::2], models[1::2],
+                                       psi[::2], psi[1::2]))
 
 
 def _run_table_1(table_id):
     lam, gamma, cells = PAPER_TABLE_1[table_id]
     tol = TOLERANCES["1"]
-    # six independent solves, on every CPU
-    models = [RiskModel(lam, c, law) for c in cells for law in (MIX_54_56, EXP_1)]
-    psi = thread_map(partial(_psi_cached, h=H, u_max=40.0), models)
     rows = []
-    for (c, (paper_exact, paper_dk1)), m, mt, psi_m, psi_t in zip(
-            cells.items(), models[::2], models[1::2], psi[::2], psi[1::2]):
+    for c, by_gamma in zip(_T1_CS, _table_1_cells(lam)):
+        paper_exact, paper_dk1 = cells[c]
+        exact, dk1 = by_gamma[_T1_GAMMAS.index(gamma)]
         inputs = f"gamma={gamma:g} lambda={lam:.6g} c={c:g}"
-        exact = nu_gamma(psi_m, psi_t, gamma)
         rows.append(_row(table_id, inputs, "exact", exact, paper_exact,
                          tol["exact"], doc_key=c))
-        rep = bounds_mod.dk1(m, mt, gamma, psi=psi_m, psi_tilde=psi_t)
-        rows.append(_row(table_id, inputs, "dk1", rep.value, paper_dk1,
+        rows.append(_row(table_id, inputs, "dk1", dk1, paper_dk1,
                          tol["dk1"], doc_key=c))
     comments = [f"table {table_id}: claims mixture(1/2,1/2; 5/4, 5/6) vs "
                 f"Exp(1); gamma={gamma:g}, lambda={lam:.6g}; "

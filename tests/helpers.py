@@ -26,14 +26,15 @@ accuracy on triangular matrices with nearly equal diagonal entries.
 
 The module also keeps former code paths as references that the current
 ones must match bit for bit: the claim sampler and record-count sampler,
-written with ``searchsorted`` and ``rng.gamma``; the path sums of a Monte
-Carlo block, formed from each path's start and end; the claim tail, which
-formed every component through the partial exponential sum; the renewal
-solve, whose two products each transformed the reciprocal anew and whose
-residual split and transformed the kernel's column anew; the trapezoid
-convolution, which transformed the kernel on every call; and the two
-renewal problems of psi and K-bar, built by separate functions before one
-ladder law built both.  ``sup_defect`` is the sup-norm defect of a grid
+written with ``searchsorted`` and ``rng.gamma``; the canonical form of a
+claim law, which compared each component with every group; the path sums
+of a Monte Carlo block, formed from each path's start and end; the claim
+tail, which formed every component through the partial exponential sum;
+the renewal solve, whose two products each transformed the reciprocal
+anew and whose residual split and transformed the kernel's column anew;
+the trapezoid convolution, which transformed the kernel on every call;
+and the two renewal problems of psi and K-bar, built by separate
+functions before one ladder law built both.  ``sup_defect`` is the sup-norm defect of a grid
 solution, the one check of a solve that needs no exact value, and
 ``within`` the check of a Monte Carlo estimate against a true value.
 """
@@ -50,7 +51,8 @@ from ruinbounds.renewal import (RenewalProblem, _apply, _assemble, _fast_len,
 
 __all__ = ["psi_exact", "psi_decay_rate", "g_bar_exact", "k_bar_exact", "k_decay_rate",
            "psi_total_exact", "psi_d_exact", "k_iterate_exact",
-           "ladder_at", "within", "reconstruct", "reference_sample",
+           "ladder_at", "within", "reconstruct", "reference_canonical",
+           "reference_sample",
            "reference_geometric_record_counts", "reference_segment_sums",
            "reference_tail",
            "reference_product", "reference_residual", "reference_solve",
@@ -192,6 +194,28 @@ def reconstruct(report):
     inner = (c["h1_kantorovich_term"] + c["diffusion_ratio_term"]
              + c["claims_kantorovich_term"] + c["mean_ratio_term"])
     return c["prefactor"] * (c["claim_scale"] * inner + c["intensity_term"])
+
+
+# The former canonical form of ``ClaimDistribution.__init__``, verbatim but
+# for its arguments and return: every component scans every group made so
+# far, O(k^2) for k components.  Returns (weights, shapes, rates).
+def reference_canonical(weights, shapes, rates):
+    w = np.asarray(weights, dtype=float)
+    k = np.asarray(shapes)
+    r = np.asarray(rates, dtype=float)
+    total = math.fsum(w)
+    kept = [part for part in zip(w / total, k.astype(int), r) if part[0] > 0]
+    groups = []
+    for wi, ki, ri in sorted(kept, key=lambda part: (part[2], part[1])):
+        for ws, kj, rj in groups:
+            if kj == ki and abs(ri - rj) <= 1e-12 * ri:
+                ws.append(wi)
+                break
+        else:
+            groups.append(([wi], ki, ri))
+    wm, km, rm = zip(*((math.fsum(ws), kj, rj) for ws, kj, rj in groups))
+    return (tuple(float(x) for x in wm), tuple(int(x) for x in km),
+            tuple(float(x) for x in rm))
 
 
 # The former ``ClaimDistribution.sample``, verbatim but for ``law`` in place

@@ -124,7 +124,7 @@ def test_table_1_first_model_ml_is_larger(tid, c):
     # 1a-1d print what they printed under the first-model convention
     lam, gamma, _ = tables.PAPER_TABLE_1[tid]
     m, mt = (RiskModel(lam, c, law) for law in (tables.MIX_54_56, tables.EXP_1))
-    psi_m, psi_t = (tables._psi_cached(x, h=tables.H, u_max=40.0)
+    psi_m, psi_t = (ruin_probability(x, h=tables.H, u_max=40.0)
                     for x in (m, mt))
     ml = bounds._ml(m, gamma, psi_m)
     assert ml >= bounds._ml(mt, gamma, psi_t)

@@ -52,14 +52,14 @@ class TestRiskModel:
         a = RiskModel(0.5, 0.5, Exponential(2.0))
         b = RiskModel(0.5, 0.5, Erlang(1, 2.0))
         assert a == b and hash(a) == hash(b)
-        tables._psi_cached.cache_clear()
+        tables._deficit_cells.cache_clear()
         try:
-            first = tables._psi_cached(a, 2.0**-6, 5.0)
-            assert tables._psi_cached(b, 2.0**-6, 5.0) is first
-            info = tables._psi_cached.cache_info()
+            first = tables._deficit_cells(a)
+            assert tables._deficit_cells(b) is first
+            info = tables._deficit_cells.cache_info()
             assert (info.misses, info.hits) == (1, 1)
         finally:
-            tables._psi_cached.cache_clear()
+            tables._deficit_cells.cache_clear()
 
 
 class TestExactExponential:

@@ -1,5 +1,6 @@
 """Config parsing, CLI behaviour, exit codes, output determinism."""
 
+import gc
 import importlib
 import math
 import os
@@ -9,6 +10,7 @@ import statistics
 import subprocess
 import sys
 import threading
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -233,8 +235,9 @@ class TestTableCommand:
 
     def test_claim_metrics_once_per_pair_and_gamma(self, monkeypatch):
         # the bounds ask for one claim pair's metrics in every row: table 1a
-        # computes nu_gamma(F, F~) once at each of gamma = 0 and 1, and the
-        # moments M_0 and M~_1 once, over its three rows; table 3 computes
+        # forms the DK1 of 1c too, computing nu_gamma(F, F~) once at each of
+        # gamma = 0, 1 and 2, and the moments M_0, M_1, M~_1 and M~_2 once,
+        # over its three rows, and 1c computes none; table 3 computes
         # K(F, F~) once over its fourteen dk3 calls
         gammas = {"nu": [], "moment": []}
 
@@ -250,19 +253,21 @@ class TestTableCommand:
         spy(distributions, "moment")
         clear_package_caches()
         tables.run_table("1a")
-        assert sorted(gammas["nu"]) == [0.0, 1.0]
-        assert sorted(gammas["moment"]) == [0.0, 1.0]
+        tables.run_table("1c")
+        assert sorted(gammas["nu"]) == [0.0, 1.0, 2.0]
+        assert sorted(gammas["moment"]) == [0.0, 1.0, 1.0, 2.0]
         gammas["nu"].clear()
         tables.run_table("3")
         assert gammas["nu"] == [0.0]
 
     @pytest.mark.parametrize("cpus", [1, 2, 5])
-    @pytest.mark.parametrize("tid", ["1a", "3"])
+    @pytest.mark.parametrize("tid", ["1a", "1c", "3"])
     def test_golden_bytes_on_any_cpu_count(self, capsys, monkeypatch, cpus,
                                            tid):
-        # tables 1a and 3 map their independent solves over the CPUs
+        # tables 1a and 3 map their independent solves over the CPUs; 1c
+        # run first solves 1a's models and keeps both gamma's values
         monkeypatch.setattr(_parallel, "cpu_count", lambda: cpus)
-        tables._psi_cached.cache_clear()
+        tables._table_1_cells.cache_clear()
         code, out, _ = run_cli(capsys, "table", tid)
         assert code == 0
         assert out.encode() == (GOLDEN / f"table_{tid}.csv").read_bytes()
@@ -279,9 +284,9 @@ class TestTableCommand:
             return solve(*args, **kwargs)
 
         monkeypatch.setattr(tables, "ruin_probability", spy)
-        tables._psi_cached.cache_clear()
+        tables._table_1_cells.cache_clear()
         run_cli(capsys, "table", "1a")
-        tables._psi_cached.cache_clear()
+        tables._table_1_cells.cache_clear()
         assert len(threads) == 6
         assert len(set(threads)) == min(cpus, 6)
 
@@ -325,6 +330,40 @@ class TestTableCommand:
         assert tables._deficit_cells(m) is cells
         g = deficit_tail(m, 0.5, h=tables.H, u_max=2.0)
         assert cells[2, 3] == g(1.0)
+
+    def test_table_1_cells_read_only(self):
+        # one entry per lambda serves both of its panels: 1a and 1c read
+        # the gamma = 0 and gamma = 1 columns of one tuple of floats
+        clear_package_caches()
+        rows = {tid: tables.run_table(tid).rows for tid in ("1a", "1c")}
+        lam = tables.PAPER_TABLE_1["1a"][0]
+        cells = tables._table_1_cells(lam)
+        assert tables._table_1_cells.cache_info().misses == 1
+        assert all(type(x) is float for by_gamma in cells
+                   for pair in by_gamma for x in pair)
+        with pytest.raises(TypeError):
+            cells[0][0] = (0.0, 0.0)
+        for g, tid in enumerate(("1a", "1c")):
+            assert [r.computed for r in rows[tid]] == [
+                x for by_gamma in cells for x in by_gamma[g]]
+
+    def test_table_1_keeps_no_grid(self):
+        # once tables 1a-1d have run and the solver's kept reciprocal is
+        # dropped, the package holds their printed values alone: far less
+        # than one 40 961-node grid (328 kB); it used to keep twelve
+        clear_package_caches()
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for tid in ("1a", "1b", "1c", "1d"):
+                tables.run_table(tid)
+            renewal._reciprocal.cache_clear()
+            gc.collect()
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert held < 0.3e6
 
     def test_unknown_id_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -905,8 +944,11 @@ class TestAllocatorScope:
     ], ids=["bound", "eval", "table_4", "table_1a", "mc_one_block",
             "mc_four_blocks"])
     def test_only_a_fan_out_trims(self, monkeypatch, capsys, argv, trims):
+        # from empty caches, as a fresh process runs it: table 1a fans out
+        # only when it solves, not when an earlier 1a or 1c left its values
         events = []
         monkeypatch.setattr(cli, "_LIBC", _MallocRecorder(events))
+        clear_package_caches()
         code, _, _ = run_cli(capsys, *argv)
         assert code == 0
         assert events == [*MALLOC_OPTIONS, *[("malloc_trim", 0)] * trims]

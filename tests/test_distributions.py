@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import integrate, stats
 
-from helpers import reference_sample, reference_tail
+from helpers import reference_canonical, reference_sample, reference_tail
 from ruinbounds import (ClaimDistribution, Erlang, Exponential,
                         HyperExponential, PreconditionError, TruncationError,
                         partial_exp_sum)
@@ -361,6 +361,31 @@ class TestConstruction:
         law = ClaimDistribution(w, *zip(*(p[1:] for p in parts)))
         other = ClaimDistribution(w[order], *zip(*(parts[i][1:] for i in order)))
         assert law == other and hash(law) == hash(other)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.floats(0.1, 20.0), min_size=1, max_size=3),
+           st.lists(st.tuples(st.floats(0.0, 1.0), st.integers(1, 4),
+                              st.integers(0, 2), st.integers(0, 2)),
+                    min_size=1, max_size=12))
+    @example([2.0], [(0.25, 2, 0, 0), (0.25, 1, 0, 1), (0.25, 2, 0, 1),
+                     (0.25, 2, 0, 2)])
+    def test_canonical_form_is_the_former_one(self, bases, parts):
+        # component i is Erlang(k, r (1 + 0.9e-12 j)), r one of the drawn
+        # rates: links r, r(1 + 0.9e-12), r(1 + 1.8e-12) lie within 1e-12
+        # of the next but not of the first, with other shapes among them,
+        # so the scan of each shape's groups must pick the former group
+        raw = [w for w, *_ in parts]
+        raw[0] += 0.01
+        w = [x / math.fsum(raw) for x in raw]
+        shapes = [k for _, k, _, _ in parts]
+        rates = [bases[i % len(bases)] * (1.0 + 0.9e-12 * j)
+                 for _, _, i, j in parts]
+        law = ClaimDistribution(w, shapes, rates)
+        expect = reference_canonical(w, shapes, rates)
+        assert (law.weights, law.shapes, law.rates) == expect
+        assert hash(law) == hash(expect)
+        assert all(type(x) is float for x in law.weights + law.rates)
+        assert all(type(x) is int for x in law.shapes)
 
     def test_drops_components_of_weight_zero(self):
         law = HyperExponential((0.0, 1.0), (0.5, 2.0))
