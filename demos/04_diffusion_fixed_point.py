@@ -16,12 +16,14 @@ print(f"b0 = c/D = {pm.b0:g}, phi = {pm.phi:g}")
 exact = k_exact_exponential(pm, 1.0)
 print(f"\nexact K-bar(1) = {exact:.7f}")
 
+# a trace keeps its last iterate K_n with the certificates of K_1, ..., K_n;
+# iterate n is the last of a trace of n steps
 print("\nfixed-point iterates from K_0 = 0.4 (value at u = 1):")
-trace = k_iterates(pm, 0.4, 5, u_max=6.0)
 for n in range(1, 6):
-    op = trace.iterates[n - 1](1.0)
+    trace = k_iterates(pm, 0.4, n, u_max=6.0)
+    op = trace.last(1.0)
     closed = k_iterate_erlang(pm, 0.4, n, 1.0)
-    cert = trace.a_priori[n - 1]
+    cert = trace.a_priori[-1]
     print(f"  n = {n}: operator {op:.7f}  closed form {closed:.7f}  "
           f"true err {abs(closed - exact):.1e}  a priori bound {cert:.1e}")
 print(f"  a posteriori bound on K_5: {trace.a_posteriori_error_bound(5):.1e}")

@@ -105,12 +105,13 @@ def k_exact_exponential(pm: PerturbedModel, u):
 
 def k_iterates(pm: PerturbedModel, k0: float, n: int, h: float = DEFAULT_H,
                u_max: float | None = None) -> IterationTrace:
-    """n fixed-point iterates of K-bar from the constant start K_0 = k0.
+    """The n-th fixed-point iterate K_n of K-bar from the constant start
+    K_0 = k0.
 
     k0 must lie in [0, 1] (the interior is the textbook case; the endpoints
     are admitted as limits).  The renewal operator contracts with modulus
     phi, so the trace carries the a priori and a posteriori error bound of
-    every iterate.
+    every iterate K_1, ..., K_n, but only K_n itself.
     """
     if not 0.0 <= k0 <= 1.0:
         raise PreconditionError("starting constant must lie in [0, 1]")

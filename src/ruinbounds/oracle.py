@@ -140,7 +140,7 @@ _QUANTITIES = {
     "psit": _Quantity(PerturbedModel, lambda m, o, h, end: psi_total(
         m, h, end), partial(_sum_hits, last=True)),
     "iterate": _Quantity(PerturbedModel, lambda m, o, h, end: k_iterates(
-        m, o.k0, o.n, h, end).iterates[-1], None),
+        m, o.k0, o.n, h, end).last, None),
 }
 _ALIASES = {"psi": "ruin", "k_tail": "ktail", "psi_t": "psit"}
 _SAMPLED = tuple(name for name, q in _QUANTITIES.items() if q.hits)

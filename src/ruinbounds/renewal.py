@@ -421,9 +421,10 @@ def _apply(problem, xv, spectra):
 
 
 class IterationTrace(NamedTuple):
-    """Record of a fixed-point iteration x_{j+1} = T x_j.
+    """Record of a fixed-point iteration x_{j+1} = T x_j, j < n.
 
-    For iterate j (1-based), ``a_priori[j-1]`` is the Banach bound
+    Only the last iterate x_n is kept; the certificates of every iterate
+    are.  For iterate j (1-based), ``a_priori[j-1]`` is the Banach bound
     phi^j/(1-phi) * sup|x_1 - x_0| on its true error, and
     ``residuals[j-1]`` is the computable defect sup|T x_j - x_j|.  The
     defect itself is at most phi/(1-phi) * sup|x_j - x_{j-1}| and bounds
@@ -431,14 +432,13 @@ class IterationTrace(NamedTuple):
     """
 
     phi: float
-    x0: GridFunction
-    iterates: list = ()
-    a_priori: np.ndarray = None
-    residuals: np.ndarray = None
+    last: GridFunction
+    a_priori: np.ndarray
+    residuals: np.ndarray
 
     @property
     def n(self) -> int:
-        return len(self.iterates)
+        return len(self.a_priori)
 
     def a_posteriori_error_bound(self, j: int) -> float:
         """Error bound for iterate j (1-based) from its residual."""
@@ -449,8 +449,10 @@ def iterate(problem: RenewalProblem, x0, n: int) -> IterationTrace:
     """Apply the renewal operator n times starting from x0.
 
     x0 may be a constant or a GridFunction on the problem grid, of the
-    same step and length.  Returns the iterates with their error
-    certificates.
+    same step and length.  Returns x_n with the error certificates of
+    x_1, ..., x_n; only the current and the previous iterate are held
+    while it runs.  Iterate j is the ``last`` of a call with n = j, and
+    of j chained calls ``iterate(problem, x, 1)``, bit for bit.
     """
     if n < 1:
         raise ValueError("need at least one iteration")
@@ -461,17 +463,12 @@ def iterate(problem: RenewalProblem, x0, n: int) -> IterationTrace:
     phi = problem.phi
     # every application reads the kernel's spectra, transformed once
     spectra = _spectra(problem.kernel)
-    iterates, sups = [], []
-    prev = x0.values
-    for _ in range(n):
-        cur = _apply(problem, prev, spectra)
-        iterates.append(GridFunction(problem.h, cur))
-        sups.append(float(np.max(np.abs(cur - prev))))
-        prev = cur
-    # one extra application prices the final a posteriori residual
-    nxt = _apply(problem, prev, spectra)
-    residuals = np.array(sups[1:] + [float(np.max(np.abs(nxt - prev)))])
-    first_step = sups[0]
-    a_priori = np.array([phi**j / (1.0 - phi) * first_step for j in range(1, n + 1)])
-    return IterationTrace(phi=phi, x0=x0, iterates=iterates,
-                          a_priori=a_priori, residuals=residuals)
+    x, steps = x0.values, []
+    # n applications reach x_n, and one more prices its a posteriori residual
+    for _ in range(n + 1):
+        prev = x
+        x = _apply(problem, prev, spectra)
+        steps.append(float(np.max(np.abs(x - prev))))
+    a_priori = np.array([phi**j / (1.0 - phi) * steps[0] for j in range(1, n + 1)])
+    return IterationTrace(phi, GridFunction(problem.h, prev), a_priori,
+                          np.array(steps[1:]))

@@ -35,8 +35,10 @@ anew and whose residual split and transformed the kernel's column anew;
 the trapezoid convolution, which transformed the kernel on every call;
 and the two renewal problems of psi and K-bar, built by separate
 functions before one ladder law built both.  ``sup_defect`` is the sup-norm defect of a grid
-solution, the one check of a solve that needs no exact value, and
-``within`` the check of a Monte Carlo estimate against a true value.
+solution, the one check of a solve that needs no exact value,
+``within`` the check of a Monte Carlo estimate against a true value, and
+``chain`` the iterates of a fixed-point iteration, which ``iterate`` does
+not keep.
 """
 
 import math
@@ -47,7 +49,7 @@ from ruinbounds.distributions import (_claim_sizes, _expm, _running_sums,
                                       partial_exp_sum)
 from ruinbounds.renewal import (RenewalProblem, _apply, _assemble, _fast_len,
                                 _halves, _integer_bound, _newton, _product,
-                                _scale, _spectra, _system, nodes)
+                                _scale, _spectra, _system, iterate, nodes)
 
 __all__ = ["psi_exact", "psi_decay_rate", "g_bar_exact", "k_bar_exact", "k_decay_rate",
            "psi_total_exact", "psi_d_exact", "k_iterate_exact",
@@ -57,7 +59,7 @@ __all__ = ["psi_exact", "psi_decay_rate", "g_bar_exact", "k_bar_exact", "k_decay
            "reference_tail",
            "reference_product", "reference_residual", "reference_solve",
            "reference_trapezoid_convolution", "reference_psi_problem",
-           "reference_k_problem", "sup_defect"]
+           "reference_k_problem", "chain", "sup_defect"]
 
 
 def _at(start, M, u, right=None):
@@ -322,6 +324,16 @@ def reference_solve(problem):
 def reference_trapezoid_convolution(x, k, h):
     full = _product(_halves(x, _fast_len(len(x))), k)
     return h * (full - 0.5 * x[0] * k - 0.5 * x * k[0])
+
+
+def chain(problem, x0, n):
+    """The fixed-point iterates x_1, ..., x_n of ``problem`` from x0, each
+    the ``last`` of one step of ``iterate`` from the one before."""
+    out = []
+    for _ in range(n):
+        x0 = iterate(problem, x0, 1).last
+        out.append(x0)
+    return out
 
 
 def sup_defect(problem, x):

@@ -14,9 +14,9 @@ import time
 import numpy as np
 import pytest
 
-from helpers import k_bar_exact, sup_defect, within
-from ruinbounds import (Exponential, HyperExponential, PerturbedModel,
-                        RiskModel, deficit_tail_family, dk2,
+from helpers import chain, k_bar_exact, sup_defect, within
+from ruinbounds import (DEFAULT_H, Exponential, HyperExponential,
+                        PerturbedModel, RiskModel, deficit_tail_family, dk2,
                         exact_ruin_exponential, k_exact_exponential,
                         k_iterates, k_tail, mc_estimate, pk_truncated_series,
                         psi_total, ruin_probability, sup_distance)
@@ -304,10 +304,11 @@ class TestCriterion6:
                     "mixture, theta = 4")]
         for pm, label in configs:
             trace = k_iterates(pm, 0.3, 10, u_max=6.0)
-            us = trace.x0.grid[::16]
+            us = trace.last.grid[::16]
             exact = k_bar_exact(pm, us)
-            for j in range(1, 11):
-                true_err = np.max(np.abs(trace.iterates[j - 1](us) - exact))
+            steps = chain(_problem(pm, DEFAULT_H, 6.0), 0.3, 10)
+            for j, x in enumerate(steps, start=1):
+                true_err = np.max(np.abs(x(us) - exact))
                 if true_err > trace.a_priori[j - 1]:
                     failures.append(f"{label} n={j}: error {true_err:.2e} > "
                                     f"a priori {trace.a_priori[j-1]:.2e}")

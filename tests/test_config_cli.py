@@ -463,6 +463,8 @@ class TestEvalCommand:
         (["ktail"], "dk_pair_eval_ktail.csv"),
         (["psit"], "dk_pair_eval_psit.csv"),
         (["iterate", "--k0", "0.4", "--n", "5"], "dk_pair_eval_iterate.csv"),
+        (["iterate", "--k0", "0.4", "--n", "2000"],
+         "dk_pair_eval_iterate_n2000.csv"),
     ])
     def test_grid_quantities_match_pinned_csv(self, capsys, argv, pinned):
         # the commands listed in tests/data/dk_pair.cfg, which CI also runs;
@@ -610,7 +612,7 @@ def full_grid(quantity, cfg):
         return k_tail(pm, **grid)
     if quantity == "psit":
         return psi_total(pm, **grid)
-    return k_iterates(pm, 0.3, 5, **grid).iterates[-1]
+    return k_iterates(pm, 0.3, 5, **grid).last
 
 
 class TestEvalWindow:

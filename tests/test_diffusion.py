@@ -8,9 +8,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 
-from helpers import (k_bar_exact, k_decay_rate, k_iterate_exact, ladder_at,
-                     psi_d_exact, psi_total_exact, reference_k_problem,
-                     reference_psi_problem, within)
+from helpers import (chain, k_bar_exact, k_decay_rate, k_iterate_exact,
+                     ladder_at, psi_d_exact, psi_total_exact,
+                     reference_k_problem, reference_psi_problem, within)
 from ruinbounds import (ClaimDistribution, Erlang, Exponential, HyperExponential,
                         PerturbedModel, PreconditionError, RiskModel,
                         adjustment_rate, decompose, exact_ruin_exponential,
@@ -18,7 +18,7 @@ from ruinbounds import (ClaimDistribution, Erlang, Exponential, HyperExponential
                         k_iterates, k_tail, mc_estimate, psi_total,
                         ruin_probability, sup_distance)
 from ruinbounds.classical import _problem
-from ruinbounds.renewal import nodes
+from ruinbounds.renewal import DEFAULT_H, nodes
 
 MIX26 = HyperExponential((0.5, 0.5), (2.0, 6.0))
 
@@ -168,7 +168,7 @@ class TestKIterates:
     def test_first_iterate_closed_form(self):
         # K_1 = phi - (1-k) phi A(u)
         pm = pm_table4()
-        g = k_iterates(pm, 0.3, 1, u_max=5.0).iterates[0]
+        g = k_iterates(pm, 0.3, 1, u_max=5.0).last
         a_cdf = 1.0 - np.exp(-2.0 * g.grid) * (1.0 + 2.0 * g.grid)
         expect = pm.phi - 0.7 * pm.phi * a_cdf
         assert np.max(np.abs(g.values - expect)) <= 1e-7
@@ -176,17 +176,20 @@ class TestKIterates:
     def test_paths_agree(self):
         # operator iterates on the grid against the exact phase-type K_n
         for pm in (pm_table4(), pm_mix()):
-            trace = k_iterates(pm, 0.5, 5, u_max=6.0)
-            us = trace.x0.grid[::32]
-            for n, g in enumerate(trace.iterates, start=1):
+            steps = chain(_problem(pm, DEFAULT_H, 6.0), 0.5, 5)
+            us = steps[0].grid[::32]
+            for n, g in enumerate(steps, start=1):
                 exact = k_iterate_exact(pm, 0.5, n, us)
                 assert np.max(np.abs(g(us) - exact)) <= 1e-6
+            # the trace of five steps ends where the chain of single steps does
+            last = k_iterates(pm, 0.5, 5, u_max=6.0).last
+            assert np.array_equal(last.values, steps[-1].values)
 
     def test_operator_route_agrees_with_closed_route(self):
         # matched rates: every grid node against the Erlang closed form
         pm = pm_table4()
-        trace = k_iterates(pm, 0.2, 4, u_max=5.0)
-        for n, g in enumerate(trace.iterates, start=1):
+        for n, g in enumerate(chain(_problem(pm, DEFAULT_H, 5.0), 0.2, 4),
+                              start=1):
             exact = [k_iterate_erlang(pm, 0.2, n, u) for u in g.grid]
             assert np.max(np.abs(g.values - exact)) <= 1e-6
 
@@ -196,7 +199,7 @@ class TestKIterates:
     def test_table4_cells_via_operator_route(self, n, k0, expect):
         pm = pm_table4()
         trace = k_iterates(pm, k0, n, u_max=4.0)
-        assert trace.iterates[-1](1.0) == pytest.approx(expect, abs=1e-6)
+        assert trace.last(1.0) == pytest.approx(expect, abs=1e-6)
 
     def test_rejects_bad_start(self):
         with pytest.raises(PreconditionError):
@@ -205,7 +208,8 @@ class TestKIterates:
     def test_a_priori_certificate_reported(self):
         pm = pm_table5()
         trace = k_iterates(pm, 0.4, 6, u_max=5.0)
-        first = np.max(np.abs(trace.iterates[0].values - trace.x0.values))
+        x1 = chain(_problem(pm, DEFAULT_H, 5.0), 0.4, 1)[0]
+        first = np.max(np.abs(x1.values - 0.4))
         expect = [pm.phi**j / (1.0 - pm.phi) * first for j in range(1, 7)]
         assert trace.a_priori == pytest.approx(expect, rel=1e-12)
 

@@ -54,7 +54,7 @@ PROBLEM = RenewalProblem(0.5, [1.0, 0.5], [1.0, 0.5], 0.5)
 FIELDS = [(Exponential(2.0), "rates"), (CLASSICAL, "lam"),
           (PerturbedModel(CLASSICAL, 0.25), "D"),
           (GridFunction(0.5, [1.0, 0.5]), "values"), (PROBLEM, "phi"),
-          (iterate(PROBLEM, 0.0, 1), "iterates"),
+          (iterate(PROBLEM, 0.0, 1), "last"),
           (BoundReport("dk1", 1.0, {}, 0.5), "value"),
           (MCEstimate(0.5, 0.1, 10, 1, "psi", 1, 0.01), "seconds"),
           (TableRow("x", "q", 1.0, 1.0, 0.0, "OK"), "flag"),

@@ -190,7 +190,7 @@ def test_k_iterates(components, phi, b0, k0, n):
     law, _ = build(components)
     pm = PerturbedModel(RiskModel(phi / law.mean(), 1.0, law), 1.0 / b0)
     h = 2.0**-6
-    g = k_iterates(pm, k0, n, h=h, u_max=4.0).iterates[-1]
+    g = k_iterates(pm, k0, n, h=h, u_max=4.0).last
     us = g.grid[::8]
     rate = max(max(law.rates), pm.b0)
     assert np.max(np.abs(g(us) - k_iterate_exact(pm, k0, n, us))) <= 0.5 * (rate * h)**2

@@ -12,13 +12,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.fft import rfft
 
-from helpers import (psi_exact, reference_product, reference_residual,
+from helpers import (chain, psi_exact, reference_product, reference_residual,
                      reference_solve, reference_trapezoid_convolution,
                      sup_defect)
 from ruinbounds import (ClaimDistribution, Erlang, Exponential, GridFunction,
                         HyperExponential, PerturbedModel, PreconditionError,
-                        RenewalProblem, RiskModel, iterate, renewal,
-                        ruin_probability, solve)
+                        RenewalProblem, RiskModel, iterate, k_iterates,
+                        renewal, ruin_probability, solve)
 from ruinbounds.classical import _problem
 from ruinbounds.renewal import (_convolution, _cross, _fast_len, _halves,
                                 _integer_bound, _newton, _product, _reciprocal,
@@ -546,16 +546,15 @@ class TestIterate:
         p = k_problem_table4()
         trace = iterate(p, 0.4, 5)
         i = int(round(1.0 / p.h))
-        assert trace.iterates[-1].values[i] == pytest.approx(
+        assert trace.last.values[i] == pytest.approx(
             0.3325717, abs=5e-7)
 
     def test_a_priori_dominates_true_error(self):
         p = exp_psi_problem(u_max=8.0)
         fixed = solve(p)
         trace = iterate(p, 0.25, 8)
-        for j in range(1, trace.n + 1):
-            true_err = np.max(np.abs(trace.iterates[j - 1].values
-                                     - fixed.values))
+        for j, x in enumerate(chain(p, 0.25, trace.n), start=1):
+            true_err = np.max(np.abs(x.values - fixed.values))
             # grid noise allowance on top of the analytic certificate
             assert true_err <= trace.a_priori[j - 1] + 1e-6
 
@@ -573,9 +572,8 @@ class TestIterate:
         p = exp_psi_problem(u_max=8.0)
         fixed = solve(p)
         trace = iterate(p, 0.25, 6)
-        for j in range(1, trace.n + 1):
-            true_err = np.max(np.abs(trace.iterates[j - 1].values
-                                     - fixed.values))
+        for j, x in enumerate(chain(p, 0.25, trace.n), start=1):
+            true_err = np.max(np.abs(x.values - fixed.values))
             assert true_err <= trace.a_posteriori_error_bound(j) + 1e-6
 
     @pytest.mark.parametrize("name", list(KERNELS))
@@ -583,7 +581,8 @@ class TestIterate:
             self, monkeypatch, name):
         # the former route: n + 1 applications, each transforming the
         # kernel anew; the trace transforms it once, and 26 FFTs in all for
-        # n = 5 where the former route made 36
+        # n = 5 where the former route made 36.  The trace keeps x_n, and
+        # single steps chained from the start give every iterate
         p = KERNELS[name](2.0**-10, 6.0)
         n = 5
         prev = np.full(len(p.forcing), 0.4)
@@ -594,15 +593,25 @@ class TestIterate:
             prev = want[-1]
         count = _FFTCount(monkeypatch)
         trace = iterate(p, 0.4, n)
-        for got, ref in zip(trace.iterates, want):
-            assert np.array_equal(got.values, ref)
+        assert sum(np.array_equal(v, p.kernel) for v in count.halved) == 1
+        assert count.rfft + count.irfft == 26
+        assert np.array_equal(trace.last.values, want[n - 1])
+        for x, ref in zip(chain(p, 0.4, n), want):
+            assert np.array_equal(x.values, ref)
         steps = [np.max(np.abs(b - a)) for a, b in
                  zip([np.full(len(p.forcing), 0.4)] + want, want)]
         assert np.array_equal(trace.residuals, steps[1:])
         assert np.array_equal(trace.a_priori, [
             p.phi**j / (1.0 - p.phi) * steps[0] for j in range(1, n + 1)])
-        assert sum(np.array_equal(v, p.kernel) for v in count.halved) == 1
-        assert count.rfft + count.irfft == 26
+
+    def test_memory_does_not_grow_with_n(self):
+        # the trace holds x_n alone: kept iterates would add one grid array
+        # of 5121 nodes, 41 KB, per step
+        pm = PerturbedModel(RiskModel(0.5, 0.5, Exponential(2.0)), 0.25)
+        k_iterates(pm, 0.4, 4, u_max=5.0)
+        few, many = (_peak_bytes(lambda: k_iterates(pm, 0.4, n, u_max=5.0))
+                     for n in (4, 400))
+        assert many <= few + 4 * 8 * 5121
 
     def test_rejects_mismatched_start(self):
         p = exp_psi_problem(u_max=4.0)
