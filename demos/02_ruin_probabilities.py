@@ -7,16 +7,18 @@ closed form, and the ladder sampler provides a model-independent check.
 import numpy as np
 
 from ruinbounds import (Exponential, RiskModel, exact_ruin_exponential,
-                        mc_estimate, pk_truncated_series, ruin_probability)
+                        mc_estimates, pk_truncated_series, ruin_probability)
 
 model = RiskModel(lam=0.5, c=0.5, claims=Exponential(2.0))
 print(f"loading theta = {model.theta:.2f}, modulus phi = {model.phi:.2f}")
 
 psi = ruin_probability(model, u_max=12.0)
+us = (0.0, 0.5, 1.0, 2.0, 5.0)
+# one draw of 10^6 paths, counted at every u
+mcs = mc_estimates(model, "psi", us, 1_000_000, seed=1)
 print("\n   u     solver      closed      MC (n=10^6)       |solver-closed|")
-for u in (0.0, 0.5, 1.0, 2.0, 5.0):
+for u, mc in zip(us, mcs):
     closed = exact_ruin_exponential(model, u)
-    mc = mc_estimate(model, "psi", u, 1_000_000, seed=1)
     print(f"  {u:4.1f}  {psi(u):.7f}  {closed:.7f}  "
           f"{mc.estimate:.5f} +- {mc.standard_error:.5f}   "
           f"{abs(psi(u) - closed):.2e}")

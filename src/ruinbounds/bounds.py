@@ -15,7 +15,7 @@ from typing import NamedTuple
 from .classical import RiskModel, weighted_psi_moment
 from .diffusion import PerturbedModel
 from .errors import PreconditionError
-from .metrics import GridFunction, kantorovich, nu_gamma, q_y
+from .metrics import GridFunction, nu_gamma, q_y
 
 __all__ = ["BoundReport", "dk1", "dk2", "dk3"]
 
@@ -151,7 +151,7 @@ def dk3(pm: PerturbedModel, pmt: PerturbedModel) -> BoundReport:
                  ("mu >= mu~ (swap the arguments otherwise)", m.mu >= mt.mu))
 
     k_h1 = abs(pm.D - pmt.D) / m.c
-    k_ff = kantorovich(m.claims, mt.claims)
+    k_ff = nu_gamma(m.claims, mt.claims)
 
     lam_mu = m.lam * m.mu
     prefactor = 1.0 / (m.c - lam_mu)

@@ -31,7 +31,6 @@ __all__ = [
     "ruin_probability",
     "exact_ruin_exponential",
     "weighted_psi_moment",
-    "deficit_tail",
     "deficit_tail_family",
     "adjustment_rate",
     "pk_truncated_series",
@@ -139,17 +138,6 @@ def weighted_psi_moment(model: RiskModel, gamma: float,
     return total if math.isfinite(total) else math.inf
 
 
-def deficit_tail(model: RiskModel, y: float, h: float = DEFAULT_H,
-                 u_max: float | None = None) -> GridFunction:
-    """Defective tail G-bar(., y): probability of ruin with deficit > y.
-
-    G-bar(u, 0) coincides with psi(u); G-bar(0, y) = phi * Fe-bar(y).  For
-    y > 0, G-bar(., y) need not be monotone in u (it can rise near u = 0),
-    so it is returned as a plain grid function, not a tail.
-    """
-    return deficit_tail_family(model, (y,), h=h, u_max=u_max)[y]
-
-
 def deficit_tail_family(model: RiskModel, ys, h: float = DEFAULT_H,
                         u_max: float | None = None) -> dict:
     """G-bar(., y) for several y at once, reusing one kernel evaluation.
@@ -157,7 +145,9 @@ def deficit_tail_family(model: RiskModel, ys, h: float = DEFAULT_H,
     The kernel (the ladder density) does not depend on y; only the forcing
     phi * Fe-bar(grid + y) changes, psi's at y = 0, and it is sampled only
     for the y asked.  ``solve``, which keeps the reciprocal of the last
-    kernel's Toeplitz column, builds that once.
+    kernel's Toeplitz column, builds that once.  G-bar(., 0) is psi and
+    G-bar(0, y) = phi * Fe-bar(y); for y > 0, G-bar(., y) can rise near
+    u = 0, so each comes back as a plain grid function, not a tail.
     """
     if any(y < 0 for y in ys):
         raise ValueError("y must be >= 0")

@@ -24,7 +24,6 @@ from .errors import GridMismatchError, TruncationError
 __all__ = [
     "GridFunction",
     "nu_gamma",
-    "kantorovich",
     "q_y",
     "sup_distance",
 ]
@@ -201,15 +200,9 @@ def nu_gamma(x, y, gamma: float = 0.0) -> float:
     raise TypeError("nu_gamma compares two ClaimDistributions or two GridFunctions")
 
 
-def kantorovich(F, G) -> float:
-    """L1 distance between distribution functions; |F - G| = |F-bar - G-bar|,
-    so this is nu_gamma at gamma = 0."""
-    return nu_gamma(F, G, 0.0)
-
-
 def q_y(F: ClaimDistribution, G: ClaimDistribution, y: float) -> float:
     """Tail-truncated Kantorovich distance: integral of |F-bar - G-bar| over
-    [y, inf).  Coincides with ``kantorovich`` at y = 0."""
+    [y, inf).  Coincides with ``nu_gamma`` at y = 0."""
     if y < 0:
         raise ValueError("y must be >= 0")
     return _nu_gamma_distributions(F, G, 0.0, float(y))

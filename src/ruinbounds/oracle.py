@@ -40,13 +40,13 @@ from typing import NamedTuple
 import numpy as np
 
 from ._parallel import thread_map
-from .classical import RiskModel, deficit_tail, ruin_probability
+from .classical import RiskModel, deficit_tail_family, ruin_probability
 from .diffusion import PerturbedModel, k_iterates, k_tail, psi_total
 from .distributions import (_exponentials, _path_edges, _path_sums,
                             _running_sums)
 from .errors import PreconditionError
 
-__all__ = ["MCEstimate", "estimate", "estimates", "BLOCK_SIZE"]
+__all__ = ["MCEstimate", "estimates", "BLOCK_SIZE"]
 
 BLOCK_SIZE = 2**16
 
@@ -133,8 +133,8 @@ _Quantity = namedtuple("_Quantity", "model grid hits")
 _QUANTITIES = {
     "ruin": _Quantity(RiskModel, lambda m, o, h, end: ruin_probability(
         m, h, end), _sum_hits),
-    "deficit": _Quantity(RiskModel, lambda m, o, h, end: deficit_tail(
-        m, o.y, h, end), _deficit_rule),
+    "deficit": _Quantity(RiskModel, lambda m, o, h, end: deficit_tail_family(
+        m, (o.y,), h, end)[o.y], _deficit_rule),
     "ktail": _Quantity(PerturbedModel, lambda m, o, h, end: k_tail(
         m, h, end), _sum_hits),
     "psit": _Quantity(PerturbedModel, lambda m, o, h, end: psi_total(
@@ -157,11 +157,10 @@ def estimates(model, quantity: str, us, n_samples: int, seed: int,
 
     quantity: ``ruin``, ``deficit`` (needs y), ``ktail`` or ``psit``, or an
     alias, of a model of its class (see ``_QUANTITIES``).  The paths are
-    drawn once and counted at every u, so each estimate is the one
-    ``estimate`` gives at its u alone, and every one reports the call's
-    wall time.  Deterministic given (seed, n_samples); same seed gives
-    bit-identical results, and ktail/psit estimates from one seed are
-    pathwise ordered.
+    drawn once and counted at every u, so each estimate is the one a call
+    with [u] alone gives, and every one reports the call's wall time.
+    Deterministic given (seed, n_samples); same seed gives bit-identical
+    results, and ktail/psit estimates from one seed are pathwise ordered.
     """
     quantity = _canonical(quantity)
     if quantity not in _SAMPLED:
@@ -195,9 +194,3 @@ def estimates(model, quantity: str, us, n_samples: int, seed: int,
     return [MCEstimate(p, math.sqrt(p * (1.0 - p) / n_samples), n_samples, seed,
                        quantity, len(sizes), seconds)
             for p in (int(h) / n_samples for h in hits)]
-
-
-def estimate(model, quantity: str, u: float, n_samples: int, seed: int,
-             y: float | None = None) -> MCEstimate:
-    """The one estimate of ``estimates`` at [u]."""
-    return estimates(model, quantity, [u], n_samples, seed, y=y)[0]

@@ -18,7 +18,7 @@ from helpers import chain, k_bar_exact, sup_defect, within
 from ruinbounds import (DEFAULT_H, Exponential, HyperExponential,
                         PerturbedModel, RiskModel, deficit_tail_family, dk2,
                         exact_ruin_exponential, k_exact_exponential,
-                        k_iterates, k_tail, mc_estimate, pk_truncated_series,
+                        k_iterates, k_tail, mc_estimates, pk_truncated_series,
                         psi_total, ruin_probability, sup_distance)
 from ruinbounds import tables
 from ruinbounds.classical import _problem
@@ -242,8 +242,8 @@ class TestCriterion5:
             theta, (law1, law2), _ = tables.PAPER_TABLE_2[tid]
             c = 1.0 + theta
             m1, m2 = RiskModel(1.0, c, law1), RiskModel(1.0, c, law2)
-            e1 = mc_estimate(m1, "deficit", u, 2_000_000, seed=31, y=y)
-            e2 = mc_estimate(m2, "deficit", u, 2_000_000, seed=31, y=y)
+            e1 = mc_estimates(m1, "deficit", [u], 2_000_000, seed=31, y=y)[0]
+            e2 = mc_estimates(m2, "deficit", [u], 2_000_000, seed=31, y=y)[0]
             se = np.hypot(e1.standard_error, e2.standard_error)
             assert abs(abs(e1.estimate - e2.estimate) - row.computed) <= 3 * se
 
@@ -347,7 +347,7 @@ class TestCriterion6:
                  exact_ruin_exponential(m, u) * np.exp(-2.0 * y), {"y": y}),
             ]
             for quantity, model, true, kw in cases:
-                est = mc_estimate(model, quantity, u, n, seed, **kw)
+                est = mc_estimates(model, quantity, [u], n, seed, **kw)[0]
                 if not within(est, true, 3.0):
                     failures.append(
                         f"{quantity} at u={u}: {est.estimate:.5f} vs {true:.5f}"

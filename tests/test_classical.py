@@ -11,9 +11,9 @@ from helpers import (g_bar_exact, psi_decay_rate, psi_exact,
                      reference_psi_problem, within)
 from ruinbounds import (ClaimDistribution, Erlang, Exponential,
                         HyperExponential, PerturbedModel, PreconditionError,
-                        RiskModel, adjustment_rate, deficit_tail,
-                        deficit_tail_family, exact_ruin_exponential,
-                        k_exact_exponential, mc_estimate, pk_truncated_series,
+                        RiskModel, adjustment_rate, deficit_tail_family,
+                        exact_ruin_exponential, k_exact_exponential,
+                        mc_estimates, pk_truncated_series,
                         ruin_probability, solve, weighted_psi_moment)
 from ruinbounds import config, tables
 from ruinbounds.renewal import _as_tail, nodes
@@ -138,7 +138,7 @@ class TestRuinProbability:
     def test_monte_carlo_agreement(self):
         m = model_exp2()
         for u in (0.0, 1.0, 2.0):
-            est = mc_estimate(m, "psi", u, 200_000, seed=2024)
+            est = mc_estimates(m, "psi", [u], 200_000, seed=2024)[0]
             assert within(est, exact_ruin_exponential(m, u), 3.0)
 
 
@@ -215,13 +215,13 @@ class TestDeficitTail:
     def test_y_zero_recovers_psi(self):
         m = model_mix()
         psi = ruin_probability(m, u_max=8.0)
-        g0 = deficit_tail(m, 0.0, u_max=8.0)
+        g0 = deficit_tail_family(m, [0.0], u_max=8.0)[0.0]
         assert np.max(np.abs(psi.values - g0.values)) <= 2e-6
 
     def test_origin_value(self):
         # G-bar(0, y) = phi Fe-bar(y); Exp(1) claims, theta = 1, y = 1/2
         m = RiskModel(1.0, 2.0, Exponential(1.0))
-        g = deficit_tail(m, 0.5, u_max=4.0)
+        g = deficit_tail_family(m, [0.5], u_max=4.0)[0.5]
         assert g.values[0] == pytest.approx(0.3032653299, abs=1e-9)
 
     def test_exponential_memoryless_overshoot(self):
@@ -229,7 +229,7 @@ class TestDeficitTail:
         m = model_exp2()
         psi = ruin_probability(m, u_max=8.0)
         for y in (0.25, 1.0):
-            g = deficit_tail(m, y, u_max=8.0)
+            g = deficit_tail_family(m, [y], u_max=8.0)[y]
             assert np.max(np.abs(g.values
                                  - psi.values * np.exp(-2.0 * y))) <= 1e-6
 
@@ -245,7 +245,7 @@ class TestDeficitTail:
 
     def test_vanishes_for_large_y(self):
         m = RiskModel(1.0, 2.0, Erlang(3, 3.0))
-        g = deficit_tail(m, 30.0, u_max=4.0)
+        g = deficit_tail_family(m, [30.0], u_max=4.0)[30.0]
         assert g.values.max() <= 1e-9
 
     @pytest.mark.parametrize("ys", [(-1.0,), (0.5, -0.5)])
@@ -258,7 +258,7 @@ class TestDeficitTail:
         # every y's problem is built on one sample of the kernel
         fam = deficit_tail_family(m, (0.3, 0.0, 1.2), u_max=5.0)
         for y in (0.3, 0.0, 1.2):
-            single = deficit_tail(m, y, u_max=5.0)
+            single = deficit_tail_family(m, [y], u_max=5.0)[y]
             assert np.max(np.abs(single.values - fam[y].values)) == 0.0
         # psi's own problem is the family's at y = 0, bit for bit
         assert np.array_equal(ruin_probability(m, u_max=5.0).values,
@@ -297,14 +297,14 @@ class TestDeficitTail:
         us = np.array([0.0, 0.5, 1.0, 2.0, 5.0])
         bound = 0.01 * (max(m.claims.rates) * h)**2 / (1.0 - m.phi)
         for y in (0.0, 0.5, 2.0):
-            g = deficit_tail(m, y, h=h, u_max=6.0)
+            g = deficit_tail_family(m, [y], h=h, u_max=6.0)[y]
             assert np.max(np.abs(g(us) - g_bar_exact(m, us, y))) <= bound
         assert np.array_equal(g_bar_exact(m, us, 0.0), psi_exact(m, us))
 
     def test_monte_carlo_ladder_oracle(self):
         m = model_exp2()
         for u, y in ((0.5, 0.5), (1.0, 1.0)):
-            est = mc_estimate(m, "deficit", u, 300_000, seed=7, y=y)
+            est = mc_estimates(m, "deficit", [u], 300_000, seed=7, y=y)[0]
             true = exact_ruin_exponential(m, u) * np.exp(-2.0 * y)
             assert within(est, true, 3.0)
 

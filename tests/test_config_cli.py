@@ -23,9 +23,9 @@ from helpers import k_bar_exact, k_iterate_exact, psi_total_exact
 import ruinbounds
 from ruinbounds import (Erlang, Exponential, GridFunction, HyperExponential,
                         PerturbedModel, RiskModel, _parallel, bounds, cli,
-                        config, deficit_tail, distributions, k_iterates,
-                        k_tail, metrics, oracle, psi_total, renewal,
-                        ruin_probability, tables)
+                        config, deficit_tail_family, distributions,
+                        k_iterates, k_tail, metrics, oracle, psi_total,
+                        renewal, ruin_probability, tables)
 from ruinbounds.config import ConfigError
 from ruinbounds.errors import PreconditionError, TruncationError
 
@@ -328,7 +328,7 @@ class TestTableCommand:
         with pytest.raises(ValueError, match="read-only"):
             cells[0, 0] = 0.0
         assert tables._deficit_cells(m) is cells
-        g = deficit_tail(m, 0.5, h=tables.H, u_max=2.0)
+        g = deficit_tail_family(m, [0.5], h=tables.H, u_max=2.0)[0.5]
         assert cells[2, 3] == g(1.0)
 
     def test_table_1_cells_read_only(self):
@@ -607,7 +607,7 @@ def full_grid(quantity, cfg):
     if quantity == "ruin":
         return ruin_probability(model, **grid)
     if quantity == "deficit":
-        return deficit_tail(model, 0.6, **grid)
+        return deficit_tail_family(model, [0.6], **grid)[0.6]
     if quantity == "ktail":
         return k_tail(pm, **grid)
     if quantity == "psit":

@@ -15,7 +15,7 @@ from ruinbounds import (ClaimDistribution, Erlang, Exponential, HyperExponential
                         PerturbedModel, PreconditionError, RiskModel,
                         adjustment_rate, decompose, exact_ruin_exponential,
                         k_exact_exponential, k_iterate_erlang,
-                        k_iterates, k_tail, mc_estimate, psi_total,
+                        k_iterates, k_tail, mc_estimates, psi_total,
                         ruin_probability, sup_distance)
 from ruinbounds.classical import _problem
 from ruinbounds.renewal import DEFAULT_H, nodes
@@ -133,7 +133,7 @@ class TestKTail:
     def test_monte_carlo_agreement(self):
         pm = pm_table4()
         for u in (0.0, 1.0):
-            est = mc_estimate(pm, "k_tail", u, 200_000, seed=11)
+            est = mc_estimates(pm, "k_tail", [u], 200_000, seed=11)[0]
             assert within(est, k_exact_exponential(pm, u), 3.0)
 
     def test_default_grid_past_longest_fft_is_a_precondition(self):
@@ -204,6 +204,20 @@ class TestKIterates:
     def test_rejects_bad_start(self):
         with pytest.raises(PreconditionError):
             k_iterates(pm_table4(), 1.5, 2)
+
+    def test_continues_a_trace(self):
+        # a grid start is not a constant in [0, 1]; it used to raise a
+        # TypeError from the constant's range check
+        for pm in (pm_table4(), pm_mix()):
+            first = k_iterates(pm, 0.4, 2, u_max=5.0).last
+            continued = k_iterates(pm, first, 3, u_max=5.0).last
+            whole = k_iterates(pm, 0.4, 5, u_max=5.0).last
+            assert np.array_equal(continued.values, whole.values)
+
+    def test_rejects_a_start_on_another_grid(self):
+        start = k_iterates(pm_table4(), 0.4, 1, u_max=5.0).last
+        with pytest.raises(PreconditionError, match="grid"):
+            k_iterates(pm_table4(), start, 1, u_max=4.0)
 
     def test_a_priori_certificate_reported(self):
         pm = pm_table5()
@@ -282,7 +296,7 @@ class TestPsiTotal:
         pm = pm_table4()
         g = psi_total(pm, u_max=10.0)
         for u in (0.5, 1.0, 2.0):
-            est = mc_estimate(pm, "psi_t", u, 200_000, seed=5)
+            est = mc_estimates(pm, "psi_t", [u], 200_000, seed=5)[0]
             assert within(est, g(u), 3.0)
 
     def test_vanishing_diffusion_recovers_classical(self):

@@ -1,17 +1,21 @@
 """Import cost: the package runs on numpy alone, with no scipy module loaded,
 and its value types are written out, so no ``dataclasses`` module is loaded
-either; they stay immutable."""
+either; they stay immutable.  Every name a module exports resolves."""
 
 import copy
+import importlib
 import pickle
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+import ruinbounds
 from ruinbounds import (BoundReport, Exponential, GridFunction, MCEstimate,
-                        PerturbedModel, RenewalProblem, RiskModel, iterate)
+                        PerturbedModel, RenewalProblem, RiskModel, iterate,
+                        oracle)
 from ruinbounds.config import ModelConfig, NumericSpec
 from ruinbounds.tables import TableResult, TableRow
 
@@ -47,6 +51,26 @@ def test_commands_load_no_scipy(tmp_path):
     out = subprocess.run([sys.executable, "-c", code, str(SRC), str(cfg)],
                          capture_output=True, text=True, check=True).stdout
     assert out.split() == []
+
+
+MODULES = [ruinbounds, *(importlib.import_module(f"ruinbounds.{m.name}")
+                         for m in pkgutil.iter_modules(ruinbounds.__path__))]
+
+
+@pytest.mark.parametrize("module", MODULES, ids=lambda m: m.__name__)
+def test_every_exported_name_resolves(module):
+    # a name left in __all__ after its function went fails here, and in
+    # ``from module import *``
+    names = getattr(module, "__all__", ())
+    assert [n for n in names if not hasattr(module, n)] == []
+
+
+def test_one_public_route_per_quantity():
+    # G-bar, K and the Monte Carlo estimate have no second entry point
+    assert ruinbounds.mc_estimates is oracle.estimates
+    for name in ("deficit_tail", "kantorovich", "mc_estimate"):
+        assert not hasattr(ruinbounds, name)
+    assert not hasattr(oracle, "estimate")
 
 
 CLASSICAL = RiskModel(0.5, 1.0, Exponential(2.0))

@@ -15,7 +15,7 @@ from helpers import (reference_geometric_record_counts, reference_segment_sums,
 from ruinbounds import (Erlang, Exponential, HyperExponential, PerturbedModel,
                         PreconditionError, RiskModel, _parallel, distributions,
                         exact_ruin_exponential, k_exact_exponential,
-                        mc_estimate, oracle)
+                        mc_estimates, oracle)
 from ruinbounds.oracle import BLOCK_SIZE
 
 MODEL = RiskModel(0.5, 0.5, Exponential(2.0))
@@ -47,47 +47,47 @@ def first_crossing_overshoot(values, counts, u):
 
 class TestDeterminism:
     def test_same_seed_bit_identical(self):
-        a = mc_estimate(MODEL, "psi", 1.0, 50_000, seed=123)
-        b = mc_estimate(MODEL, "psi", 1.0, 50_000, seed=123)
+        a = mc_estimates(MODEL, "psi", [1.0], 50_000, seed=123)[0]
+        b = mc_estimates(MODEL, "psi", [1.0], 50_000, seed=123)[0]
         assert a == b
 
     def test_spans_block_boundary(self):
         from ruinbounds.oracle import BLOCK_SIZE
         n = BLOCK_SIZE + 999
-        a = mc_estimate(MODEL, "psi", 1.0, n, seed=4)
-        b = mc_estimate(MODEL, "psi", 1.0, n, seed=4)
+        a = mc_estimates(MODEL, "psi", [1.0], n, seed=4)[0]
+        b = mc_estimates(MODEL, "psi", [1.0], n, seed=4)[0]
         assert a.estimate == b.estimate
         assert a.n_samples == n
 
     def test_different_seeds_statistically_close(self):
-        a = mc_estimate(MODEL, "psi", 1.0, 100_000, seed=1)
-        b = mc_estimate(MODEL, "psi", 1.0, 100_000, seed=2)
+        a = mc_estimates(MODEL, "psi", [1.0], 100_000, seed=1)[0]
+        b = mc_estimates(MODEL, "psi", [1.0], 100_000, seed=2)[0]
         assert a.estimate != b.estimate
         assert abs(a.estimate - b.estimate) <= 6.0 * a.standard_error
 
 
 class TestAgainstClosedForms:
     def test_psi_at_origin(self):
-        est = mc_estimate(MODEL, "psi", 0.0, 100_000, seed=3)
+        est = mc_estimates(MODEL, "psi", [0.0], 100_000, seed=3)[0]
         assert within(est, MODEL.phi, 3.0)
 
     def test_psi_exponential(self):
-        est = mc_estimate(MODEL, "psi", 1.0, 1_000_000, seed=42)
+        est = mc_estimates(MODEL, "psi", [1.0], 1_000_000, seed=42)[0]
         assert within(est, exact_ruin_exponential(MODEL, 1.0), 3.0)
 
     def test_k_tail_published_parameters(self):
-        est = mc_estimate(PM, "k_tail", 1.0, 1_000_000, seed=42)
+        est = mc_estimates(PM, "k_tail", [1.0], 1_000_000, seed=42)[0]
         assert within(est, k_exact_exponential(PM, 1.0), 3.0)
 
     def test_deficit_memoryless(self):
-        est = mc_estimate(MODEL, "deficit", 1.0, 300_000, seed=9, y=0.5)
+        est = mc_estimates(MODEL, "deficit", [1.0], 300_000, seed=9, y=0.5)[0]
         true = exact_ruin_exponential(MODEL, 1.0) * np.exp(-1.0)
         assert within(est, true, 3.0)
 
     def test_hyperexp_equilibrium_sampling(self):
         mix = HyperExponential((0.5, 0.5), (1.25, 5.0 / 6.0))
         m = RiskModel(5.0 / 6.0, 3.0, mix)
-        est = mc_estimate(m, "psi", 0.0, 200_000, seed=17)
+        est = mc_estimates(m, "psi", [0.0], 200_000, seed=17)[0]
         assert within(est, m.phi, 3.0)
 
 
@@ -95,12 +95,12 @@ class TestStreamStructure:
     def test_psi_t_dominates_k_tail_pathwise(self):
         # shared stream: adding the trailing oscillation can only add ruin
         for seed in (0, 1, 2, 3, 4):
-            a = mc_estimate(PM, "k_tail", 1.0, 50_000, seed=seed)
-            b = mc_estimate(PM, "psi_t", 1.0, 50_000, seed=seed)
+            a = mc_estimates(PM, "k_tail", [1.0], 50_000, seed=seed)[0]
+            b = mc_estimates(PM, "psi_t", [1.0], 50_000, seed=seed)[0]
             assert b.estimate >= a.estimate
 
     def test_standard_error_formula(self):
-        est = mc_estimate(MODEL, "psi", 1.0, 40_000, seed=8)
+        est = mc_estimates(MODEL, "psi", [1.0], 40_000, seed=8)[0]
         expect = np.sqrt(est.estimate * (1.0 - est.estimate) / est.n_samples)
         assert est.standard_error == pytest.approx(expect, rel=1e-12)
 
@@ -111,7 +111,7 @@ class TestCoverage:
         true = exact_ruin_exponential(MODEL, 1.0)
         hits = 0
         for seed in range(100):
-            est = mc_estimate(MODEL, "psi", 1.0, 20_000, seed=seed)
+            est = mc_estimates(MODEL, "psi", [1.0], 20_000, seed=seed)[0]
             if abs(est.estimate - true) <= 2.0 * est.standard_error:
                 hits += 1
         assert hits >= 90
@@ -120,35 +120,35 @@ class TestCoverage:
 class TestValidation:
     def test_deficit_needs_y(self):
         with pytest.raises(ValueError):
-            mc_estimate(MODEL, "deficit", 1.0, 100, seed=0)
+            mc_estimates(MODEL, "deficit", [1.0], 100, seed=0)
         with pytest.raises(ValueError):
-            mc_estimate(MODEL, "deficit", 1.0, 100, seed=0, y=float("nan"))
+            mc_estimates(MODEL, "deficit", [1.0], 100, seed=0, y=float("nan"))
 
     @pytest.mark.parametrize("y", [-1.0, -1e-300, -math.inf])
     def test_deficit_refuses_a_negative_level(self, y):
-        # as deficit_tail does; y = -1 used to count ruin alone, psi's count
+        # as deficit_tail_family does; y = -1 used to count ruin alone, psi's count
         with pytest.raises(ValueError, match="y must be >= 0"):
             oracle.estimates(MODEL, "deficit", [0.0, 1.0], 1000, seed=0, y=y)
 
     def test_classical_quantity_needs_classical_model(self):
         for quantity, extra in (("psi", {}), ("deficit", {"y": 0.5})):
             with pytest.raises(PreconditionError):
-                mc_estimate(PM, quantity, 1.0, 100, seed=0, **extra)
+                mc_estimates(PM, quantity, [1.0], 100, seed=0, **extra)
 
     def test_perturbed_quantity_needs_perturbed_model(self):
         with pytest.raises(PreconditionError):
-            mc_estimate(MODEL, "k_tail", 1.0, 100, seed=0)
+            mc_estimates(MODEL, "k_tail", [1.0], 100, seed=0)
 
     def test_unknown_quantity(self):
         with pytest.raises(ValueError):
-            mc_estimate(MODEL, "nope", 1.0, 100, seed=0)
+            mc_estimates(MODEL, "nope", [1.0], 100, seed=0)
 
     @pytest.mark.parametrize("model, quantity, extra", [
         (MODEL, "psi", {}), (MODEL, "deficit", {"y": 0.5}),
         (PM, "k_tail", {}), (PM, "psi_t", {})])
     def test_rejects_nan_surplus(self, model, quantity, extra):
         with pytest.raises(ValueError, match="surplus"):
-            mc_estimate(model, quantity, float("nan"), 1000, seed=1, **extra)
+            mc_estimates(model, quantity, [float("nan")], 1000, seed=1, **extra)
         with pytest.raises(ValueError, match="surplus"):
             oracle.estimates(model, quantity, [1.0, float("nan")], 1000, seed=1,
                              **extra)
@@ -159,7 +159,7 @@ class TestValidation:
 
     def test_estimate_is_a_python_float(self):
         for quantity, extra in (("psi", {}), ("deficit", {"y": 0.5})):
-            est = mc_estimate(MODEL, quantity, 1.0, 1000, seed=1, **extra)
+            est = mc_estimates(MODEL, quantity, [1.0], 1000, seed=1, **extra)[0]
             assert type(est.estimate) is float
             assert type(est.standard_error) is float
 
@@ -177,7 +177,7 @@ class TestManySurpluses:
     def test_equal_to_one_call_per_u(self, model, quantity, extra):
         n = 2 * BLOCK_SIZE + 17
         together = oracle.estimates(model, quantity, self.US, n, seed=11, **extra)
-        apart = [mc_estimate(model, quantity, u, n, seed=11, **extra)
+        apart = [mc_estimates(model, quantity, [u], n, seed=11, **extra)[0]
                  for u in self.US]
         assert together == apart
         assert len({est.seconds for est in together}) == 1
@@ -254,7 +254,7 @@ class TestPinnedStreams:
     @pytest.mark.parametrize("claims, quantity", sorted(PINNED_HITS))
     def test_hit_counts(self, claims, quantity):
         model, u, kw = _pinned_case(claims, quantity)
-        est = mc_estimate(model, quantity, u, PINNED_N, seed=20240917, **kw)
+        est = mc_estimates(model, quantity, [u], PINNED_N, seed=20240917, **kw)[0]
         assert est.estimate == PINNED_HITS[claims, quantity] / PINNED_N
         assert est.blocks == 4
 
@@ -326,8 +326,8 @@ class TestWorkers:
         for model, quantity, extra in ((MODEL, "deficit", {"y": 0.5}),
                                        (PM, "psi_t", {})):
             threads.clear()
-            out.append(mc_estimate(model, quantity, 1.0, PINNED_N, seed=5,
-                                   **extra))
+            out.append(mc_estimates(model, quantity, [1.0], PINNED_N, seed=5,
+                                    **extra)[0])
             used.append(len(threads))
         return out, used
 
@@ -359,7 +359,7 @@ class TestWorkers:
         monkeypatch.setattr(oracle, "_rng_for_block", failing)
         before = threading.active_count()
         with pytest.raises(MemoryError, match=f"block {failing_block}"):
-            mc_estimate(MODEL, "psi", 1.0, PINNED_N, seed=5)
+            mc_estimates(MODEL, "psi", [1.0], PINNED_N, seed=5)
         if failing_block < 2:
             # worker w draws block w first; later blocks go to whichever
             # worker is free
@@ -387,14 +387,14 @@ class TestWorkers:
 
         monkeypatch.setattr(oracle, "_rng_for_block", failing)
         with pytest.raises(MemoryError, match="block 1"):
-            mc_estimate(MODEL, "psi", 1.0, 8 * BLOCK_SIZE, seed=5)
+            mc_estimates(MODEL, "psi", [1.0], 8 * BLOCK_SIZE, seed=5)
         assert sorted(started) == [0, 1]
         assert threading.active_count() == before
 
 
 class TestObservability:
     def test_blocks_and_seconds(self):
-        est = mc_estimate(MODEL, "psi", 1.0, BLOCK_SIZE + 1, seed=3)
+        est = mc_estimates(MODEL, "psi", [1.0], BLOCK_SIZE + 1, seed=3)[0]
         assert est.blocks == 2
         assert est.seconds > 0.0
-        assert mc_estimate(MODEL, "psi", 1.0, BLOCK_SIZE, seed=3).blocks == 1
+        assert mc_estimates(MODEL, "psi", [1.0], BLOCK_SIZE, seed=3)[0].blocks == 1
